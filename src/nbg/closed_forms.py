@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import numeric
+from . import numeric, polytope
 from .equilibrium import EquilibriumFamily, EquilibriumPoint
 from .errors import UnsupportedGameError
 from .games import (Game, MassDistribution, affine, classify,
@@ -153,32 +153,10 @@ def uniform_cost_solve(game: Game, graph_kind="general") -> UniformCostSystem:
 def _has_nonnegative_member(base, directions) -> bool:
     if not directions:
         return all(b >= 0 for b in base)
+    rows = [(value, [d[row] for d in directions]) for row, value in enumerate(base)]
     if len(directions) == 1:
-        lo = hi = None
-        for value, slope in zip(base, directions[0]):
-            if slope == 0:
-                if value < 0:
-                    return False
-                continue
-            bound = -Fraction(value) / slope if isinstance(value, int) else -value / slope
-            if slope > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is None or hi is None:
-            return True
-        return lo <= hi
-
-    from scipy.optimize import linprog
-    import numpy as np
-
-    dim = len(directions)
-    a_ub = np.array([[-float(d[row]) for d in directions]
-                     for row in range(len(base))])
-    b_ub = np.array([float(b) for b in base])
-    res = linprog(np.zeros(dim), A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * dim, method="highs")
-    return res.status == 0
+        return polytope.interval(rows) is not None
+    return polytope.feasible(rows, len(directions))
 
 
 def path_matrix(n, alpha):

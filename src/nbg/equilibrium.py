@@ -15,12 +15,10 @@ movers (they have no mass to move).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import numeric
+from . import numeric, polytope
 from .errors import DimensionMismatchError, UnsupportedGameError
-from .games import (CHARGE_TOLERANCE, Game, MassDistribution, cost_vector,
-                    distribution)
+from .games import Game, MassDistribution, cost_vector
 from .linalg import solve_linear_system
 
 #: float-mode slack for cost comparisons
@@ -416,28 +414,20 @@ class EquilibriumFamily:
         return self._sample_by_lp(count)
 
     def _sample_by_lp(self, count):
-        from scipy.optimize import linprog
         import numpy as np
 
         rng = np.random.default_rng(12345)
         dim = self.dimension
-        if self.constraints:
-            a_ub = np.array([[-float(c) for c in coefs]
-                             for _, coefs in self.constraints])
-            b_ub = np.array([float(v) for v, _ in self.constraints])
-        else:
-            d_rows = np.array([[float(v) for v in d] for d in self.directions]).T
-            a_ub = -d_rows
-            b_ub = np.array([float(v) for v in self.base])
+        rows = self.constraints or [(b, [d[i] for d in self.directions])
+                                    for i, b in enumerate(self.base)]
         found = []
         objectives = [np.ones(dim), -np.ones(dim)]
         while len(objectives) < max(count, 2):
             objectives.append(rng.normal(size=dim))
         for obj in objectives[:max(count, 2)]:
-            res = linprog(obj, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * dim,
-                          method="highs")
-            if res.status == 0:
-                found.append(tuple(float(t) for t in res.x))
+            optimum = polytope.minimize(rows, obj)
+            if optimum is not None:
+                found.append(tuple(float(t) for t in optimum[1]))
         points = []
         seen = []
         for params in found:
@@ -449,9 +439,29 @@ class EquilibriumFamily:
         return points[:count]
 
 
-def _support_masks(n):
+def support_systems(coefficients, offsets, r):
+    """Yield (support, LinearSolution) for every consistent support system.
+
+    Support S equalises the values offsets[i] + sum_{j in S}
+    coefficients[j][i] * x_j over i in S at a common c, with the masses
+    on S summing to r: a linear system in (x_S, c). The equilibrium
+    solver passes the cost matrix M; the utilitarian face search passes
+    M + M^T. Inconsistent systems are skipped.
+    """
+    n = len(offsets)
     for mask in range(1, 1 << n):
-        yield mask
+        support = tuple(i for i in range(n) if mask >> i & 1)
+        k = len(support)
+        rows = []
+        rhs = []
+        for i in support:
+            rows.append([coefficients[j][i] for j in support] + [-1])
+            rhs.append(-offsets[i])
+        rows.append([1] * k + [0])
+        rhs.append(r)
+        solution = solve_linear_system(rows, rhs)
+        if solution.status != "none":
+            yield support, solution
 
 
 def solve_affine_by_supports(game: Game, tol=None) -> list:
@@ -475,19 +485,8 @@ def solve_affine_by_supports(game: Game, tol=None) -> list:
 
     points = []
     families = []
-    for mask in _support_masks(n):
-        support = tuple(i for i in range(n) if mask >> i & 1)
+    for support, solution in support_systems(matrix, offsets, game.r):
         k = len(support)
-        rows = []
-        rhs = []
-        for i in support:
-            rows.append([matrix[j][i] for j in support] + [-1])
-            rhs.append(-offsets[i])
-        rows.append([1] * k + [0])
-        rhs.append(game.r)
-        solution = solve_linear_system(rows, rhs)
-        if solution.status == "none":
-            continue
         base_masses = [zero] * n
         for idx, s in enumerate(support):
             base_masses[s] = solution.solution[idx]
@@ -552,22 +551,12 @@ def _accept_point(game, matrix, offsets, support, masses, cost, tol, zero):
     return EquilibriumPoint(x, cost, x.support())
 
 
-def _restrict_family(game, matrix, offsets, support, base, cost_base,
-                     directions, cost_dirs, tol, zero):
-    """Clip a solution family to the feasible region.
-
-    Constraints (all affine in the parameters): masses on the support stay
-    nonnegative, and every off-support vertex costs at least the common
-    cost. One-parameter families get an exact interval. Multi-parameter
-    families keep their constraint rows; constraints that bind across the
-    whole feasible region are folded back into the linear system, so a
-    region pinched to a lower dimension is re-derived at its true size
-    (possibly a single point).
-    """
-    n = game.n
-    constraints = []  # (value_at_base, coefficients_per_direction) meaning >= 0
-    for s in support:
-        constraints.append((base[s], [d[s] for d in directions]))
+def _family_rows(matrix, offsets, support, base, cost_base, directions, cost_dirs):
+    """Feasibility rows (value at base, coefficient per direction), each
+    meaning >= 0: masses on the support stay nonnegative, and every
+    off-support vertex costs at least the common cost."""
+    n = len(base)
+    rows = [(base[s], [d[s] for d in directions]) for s in support]
     for j in range(n):
         if j in support:
             continue
@@ -576,32 +565,29 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
         for d, dc in zip(directions, cost_dirs):
             slope = sum(matrix[i][j] * d[i] for i in range(n)) - dc
             coefs.append(slope)
-        constraints.append((at_base, coefs))
+        rows.append((at_base, coefs))
+    return rows
+
+
+def _restrict_family(game, matrix, offsets, support, base, cost_base,
+                     directions, cost_dirs, tol, zero):
+    """Clip a solution family to the feasible region.
+
+    One-parameter families get an exact interval. Multi-parameter
+    families keep their constraint rows; constraints that bind across the
+    whole feasible region are folded back into the linear system, so a
+    region pinched to a lower dimension is re-derived at its true size
+    (possibly a single point).
+    """
+    n = game.n
+    constraints = _family_rows(matrix, offsets, support, base, cost_base,
+                               directions, cost_dirs)
 
     if len(directions) == 1:
-        lo, hi = None, None
-        for value, (slope,) in constraints:
-            if slope == 0 or (not numeric.is_exact_scalar(slope)
-                              and abs(float(slope)) < 1e-13):
-                if value < -tol:
-                    return None
-                continue
-            if isinstance(value, int):
-                value = Fraction(value)
-            bound = -value / slope
-            if slope > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is None or hi is None:
-            # the mass constraint keeps supports bounded, so an unbounded
-            # interval means the direction never leaves the support face
-            lo = lo if lo is not None else hi
-            hi = hi if hi is not None else lo
-            if lo is None:
-                return None
-        if lo - hi > tol:
+        bounds = polytope.interval(constraints, tol)
+        if bounds is None:
             return None
+        lo, hi = bounds
         if hi - lo <= tol:
             return _accept_point(game, matrix, offsets, support,
                                  [b + lo * d for b, d in zip(base, directions[0])],
@@ -609,8 +595,7 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
         return EquilibriumFamily(n, game.r, support, base, cost_base,
                                  directions, tuple(cost_dirs), (lo, hi))
 
-    feasible = _lp_feasible(constraints, len(directions))
-    if not feasible:
+    if not polytope.feasible(constraints, len(directions)):
         return None
     # a constraint whose slack never leaves zero squeezes the region into
     # a lower-dimensional slice; the data is rational and tiny, so LP
@@ -620,7 +605,7 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
     for value, coefs in constraints:
         if all(c == 0 for c in coefs):
             continue
-        top = _max_over_polytope(constraints, value, coefs)
+        top = polytope.maximum(constraints, value, coefs)
         if top is not None and top <= slack:
             tight.append((value, coefs))
     if not tight:
@@ -650,56 +635,12 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
                             new_cost, new_dirs, new_cdirs, tol, zero)
 
 
-def _max_over_polytope(constraints, value, coefs):
-    """Largest value + coefs . t over the constraint polytope, or None
-    when the LP fails or is unbounded (float arithmetic)."""
-    from scipy.optimize import linprog
-    import numpy as np
-
-    a_ub = np.array([[-float(c) for c in cs] for _, cs in constraints])
-    b_ub = np.array([float(v) for v, _ in constraints])
-    res = linprog(np.array([-float(c) for c in coefs]), A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * len(coefs), method="highs")
-    if res.status != 0:
-        return None
-    return float(value) - float(res.fun)
-
-
-def _lp_feasible(constraints, dim) -> bool:
-    from scipy.optimize import linprog
-    import numpy as np
-
-    a_ub = np.array([[-float(c) for c in coefs] for _, coefs in constraints])
-    b_ub = np.array([float(value) for value, _ in constraints])
-    res = linprog(np.zeros(dim), A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * dim, method="highs")
-    return res.status == 0
-
-
-def _family_constraints(game, family):
-    matrix, offsets = affine_coefficients(game)
-    constraints = []
-    for s in family.support:
-        constraints.append((family.base[s], [d[s] for d in family.directions]))
-    for j in range(game.n):
-        if j in family.support:
-            continue
-        at_base = _off_support_gap(matrix, offsets, family.support,
-                                   family.base, family.cost_base, j)
-        coefs = []
-        for d, dc in zip(family.directions, family.cost_directions):
-            slope = sum(matrix[i][j] * d[i] for i in range(game.n)) - dc
-            coefs.append(slope)
-        constraints.append((at_base, coefs))
-    return constraints
-
-
 def family_cost_range(game, family: EquilibriumFamily):
     """Extremes of the common cost over a family: (low, high, exact).
 
     The cost is affine in the family parameters, so one-parameter families
     give exact interval endpoints; larger families are bounded by linear
-    programming over the rebuilt feasibility constraints (float, inexact).
+    programming over the feasibility rows (float, inexact).
     """
     if family.dimension == 1 and family.interval is not None:
         lo, hi = family.interval
@@ -708,19 +649,18 @@ def family_cost_range(game, family: EquilibriumFamily):
         exact = numeric.all_exact([a, b])
         return (a, b) if a <= b else (b, a), exact
 
-    from scipy.optimize import linprog
     import numpy as np
 
-    constraints = _family_constraints(game, family)
-    a_ub = np.array([[-float(c) for c in coefs] for _, coefs in constraints])
-    b_ub = np.array([float(value) for value, _ in constraints])
+    matrix, offsets = affine_coefficients(game)
+    rows = _family_rows(matrix, offsets, family.support, family.base,
+                        family.cost_base, family.directions,
+                        family.cost_directions)
     obj = np.array([float(c) for c in family.cost_directions])
-    bounds = [(None, None)] * family.dimension
     values = []
     for sign in (1.0, -1.0):
-        res = linprog(sign * obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if res.status != 0:
+        optimum = polytope.minimize(rows, sign * obj)
+        if optimum is None:
             base = float(family.cost_base)
             return (base, base), False
-        values.append(float(family.cost_base) + float(obj @ res.x))
+        values.append(float(family.cost_base) + float(obj @ optimum[1]))
     return (min(values), max(values)), False

@@ -10,7 +10,7 @@ class DimensionMismatchError(NbgError, ValueError):
 
 
 class MassMismatchError(NbgError, ValueError):
-    """Masses are negative or do not sum to the stated total."""
+    """Masses are negative, not finite, or do not sum to the stated total."""
 
 
 class UnsupportedGameError(NbgError, TypeError):

@@ -11,6 +11,7 @@ mass on i raises the cost at j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,6 +41,10 @@ class MassDistribution:
         object.__setattr__(self, "masses", masses)
         exact = numeric.all_exact(masses) and numeric.is_exact_scalar(self.total)
         tol = numeric.auto_tolerance(exact, MASS_TOLERANCE)
+        if any(isinstance(m, float) and not math.isfinite(m)
+               for m in masses + (self.total,)):
+            raise MassMismatchError(
+                f"masses and total must be finite, got {masses!r} and {self.total!r}")
         for i, m in enumerate(masses):
             if m < -tol:
                 raise MassMismatchError(f"mass at vertex {i + 1} is negative: {m!r}")
@@ -220,9 +225,15 @@ class OpaqueCost:
         return False
 
 
-def _require_nonnegative(name, value):
+def _require_finite_scalar(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, numeric.QuadExt)):
         raise ValueError(f"{name} must be a scalar, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_nonnegative(name, value):
+    _require_finite_scalar(name, value)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
@@ -264,6 +275,8 @@ class InfluenceMatrix:
                 raise ValueError(f"influence entry ({i}, {j}) out of range")
             if i == j:
                 raise ValueError(f"influence entry ({i}, {i}) on the diagonal")
+            if isinstance(alpha, float) and not math.isfinite(alpha):
+                raise ValueError(f"influence entry ({i}, {j}) is not finite: {alpha!r}")
             if alpha < 0:
                 raise ValueError(f"influence entry ({i}, {j}) is negative: {alpha!r}")
             if alpha == 0:
@@ -386,8 +399,7 @@ class Game:
 
 
 def _require_positive_mass(r):
-    if isinstance(r, bool) or not isinstance(r, (int, float, Fraction, numeric.QuadExt)):
-        raise ValueError(f"total mass must be a scalar, got {r!r}")
+    _require_finite_scalar("total mass", r)
     if r <= 0:
         raise ValueError(f"total mass must be positive, got {r!r}")
 

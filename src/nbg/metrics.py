@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import numeric
+from . import numeric, polytope
 from .equilibrium import (EquilibriumFamily, _affine_or_none,
-                          family_cost_range, solve_affine_by_supports)
+                          family_cost_range, solve_affine_by_supports,
+                          support_systems)
 from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
-from .linalg import solve_linear_system
 from .simplexopt import multistart_minimize, project_to_simplex
 
 #: supports enumerated exactly for quadratic utilitarian optimization
@@ -70,20 +70,10 @@ def _exact_quadratic_minimum(game: Game, affine_parts):
     n, r = game.n, game.r
     exact = game.exact
     tol = numeric.auto_tolerance(exact, 1e-9)
+    symmetric = [[matrix[j][i] + matrix[i][j] for i in range(n)] for j in range(n)]
     best = None
-    for mask in range(1, 1 << n):
-        support = tuple(i for i in range(n) if mask >> i & 1)
+    for support, solution in support_systems(symmetric, offsets, r):
         k = len(support)
-        rows = []
-        rhs = []
-        for i in support:
-            rows.append([matrix[j][i] + matrix[i][j] for j in support] + [-1])
-            rhs.append(-offsets[i])
-        rows.append([1] * k + [0])
-        rhs.append(r)
-        solution = solve_linear_system(rows, rhs)
-        if solution.status == "none":
-            continue
         if solution.status == "unique":
             masses_s = solution.solution[:k]
             if any(m < -tol for m in masses_s):
@@ -109,43 +99,20 @@ def _assemble(n, support, masses_s, exact):
 
 def _feasible_family_member(n, support, solution, exact, tol):
     k = len(support)
-    base = list(solution.solution[:k])
+    base = solution.solution[:k]
     directions = [vec[:k] for vec in solution.basis]
+    rows = [(value, [d[row] for d in directions]) for row, value in enumerate(base)]
     if len(directions) == 1:
-        d = directions[0]
-        lo = hi = None
-        for value, slope in zip(base, d):
-            if slope == 0:
-                if value < -tol:
-                    return None
-                continue
-            if isinstance(value, int):
-                value = Fraction(value)
-            bound = -value / slope
-            if slope > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is None:
-            lo = hi
-        if hi is None:
-            hi = lo
-        if lo is None or lo - hi > tol:
+        bounds = polytope.interval(rows, tol)
+        if bounds is None:
             return None
-        point = [b + lo * s for b, s in zip(base, d)]
+        point = [b + bounds[0] * s for b, s in zip(base, directions[0])]
         return _assemble(n, support, point, exact)
 
-    from scipy.optimize import linprog
-    import numpy as np
-
-    dim = len(directions)
-    a_ub = np.array([[-float(d[row]) for d in directions] for row in range(k)])
-    b_ub = np.array([float(v) for v in base])
-    res = linprog(np.zeros(dim), A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * dim, method="highs")
-    if res.status != 0:
+    optimum = polytope.minimize(rows, [0.0] * len(directions))
+    if optimum is None:
         return None
-    point = [float(b) + sum(float(d[row]) * t for d, t in zip(directions, res.x))
+    point = [float(b) + sum(float(d[row]) * t for d, t in zip(directions, optimum[1]))
              for row, b in enumerate(base)]
     return _assemble(n, support, [max(p, 0.0) for p in point], False)
 
@@ -165,14 +132,22 @@ def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
                     n_max=DEFAULT_N_MAX, candidates=()) -> OptimumResult:
     """Search the simplex for the lowest social cost.
 
-    Utilitarian on affine games combines exact face enumeration with
-    multistart descent (the exact path decides); anything else relies on
-    descent plus injected candidate points, and is flagged as an
+    Utilitarian on affine games with n <= n_max is decided by exact face
+    enumeration alone; anything else relies on descent plus injected
+    candidate points and the simplex vertices, and is flagged as an
     estimate. Games with two vertices additionally get a dense line scan.
     """
     if which not in ("utilitarian", "egalitarian"):
         raise ValueError(f"unknown social cost {which!r}")
     n, r = game.n, game.r
+
+    affine_parts = _affine_or_none(game)
+    if which == "utilitarian" and affine_parts is not None and n <= n_max:
+        # the singleton faces are the simplex vertices, so a face always
+        # qualifies and no other search can do better
+        point, value = _exact_quadratic_minimum(game, affine_parts)
+        x = distribution(point, r)
+        return OptimumResult(x, value, game.exact and x.exact, "faces")
 
     pool = []
 
@@ -181,12 +156,6 @@ def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
         pair = social_costs(game, x)
         value = pair.utilitarian if which == "utilitarian" else pair.egalitarian
         pool.append((float(value), value, x, exact and game.exact and x.exact, method))
-
-    affine_parts = _affine_or_none(game)
-    if which == "utilitarian" and affine_parts is not None and n <= n_max:
-        best = _exact_quadratic_minimum(game, affine_parts)
-        if best is not None:
-            consider(best[0], numeric.all_exact(best[0]), "faces")
 
     if which == "utilitarian":
         def objective(v):

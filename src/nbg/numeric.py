@@ -225,6 +225,8 @@ def parse_scalar(raw):
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise ValueError(f"not a finite scalar: {raw!r}")
         return raw
     if isinstance(raw, str):
         text = raw.strip()

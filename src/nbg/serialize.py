@@ -44,17 +44,19 @@ def _cost_from_dict(entry, where):
     kind = entry["type"]
     try:
         if kind == "const":
-            return ConstantCost(_parse_scalar(entry["b"], where))
+            return ConstantCost(numeric.parse_scalar(entry["b"]))
         if kind == "affine":
-            return AffineCost(_parse_scalar(entry["a"], where),
-                              _parse_scalar(entry["b"], where))
+            return AffineCost(numeric.parse_scalar(entry["a"]),
+                              numeric.parse_scalar(entry["b"]))
         if kind == "poly":
             coeffs = entry["coeffs"]
             if not isinstance(coeffs, list) or not coeffs:
                 raise InputFormatError(f"{where}: 'coeffs' must be a nonempty list")
-            return PolynomialCost(tuple(_parse_scalar(c, where) for c in coeffs))
+            return PolynomialCost(tuple(numeric.parse_scalar(c) for c in coeffs))
     except KeyError as exc:
         raise InputFormatError(f"{where}: missing field {exc}") from None
+    except InputFormatError:
+        raise
     except ValueError as exc:
         raise InputFormatError(f"{where}: {exc}") from None
     raise InputFormatError(f"{where}: unknown cost type {kind!r}")

@@ -485,6 +485,41 @@ class TestReproduce:
         assert list(directory.iterdir()) == []
 
 
+class TestNonFiniteInput:
+    NAN_GAME = ('{"n": 2, "r": 1, "costs": [{"type": "affine", "a": 1, "b": NaN},'
+                ' {"type": "affine", "a": 1, "b": NaN}], "alpha": [[1, 2, "1/2"]],'
+                ' "symmetric": true}')
+
+    def check_rejected(self, capsys, *args):
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "not a finite scalar" in err
+        assert "Traceback" not in err
+
+    def test_nan_costs_in_game_file(self, capsys, tmp_path):
+        game = tmp_path / "nan.json"
+        game.write_text(self.NAN_GAME, encoding="utf-8")
+        self.check_rejected(capsys, "verify", game, "--dist", "1/2,1/2")
+
+    def test_infinite_total_mass_in_game_file(self, capsys, tmp_path):
+        game = tmp_path / "inf.json"
+        game.write_text(self.NAN_GAME.replace("NaN", "0").replace(
+            '"r": 1', '"r": Infinity'), encoding="utf-8")
+        self.check_rejected(capsys, "verify", game, "--dist", "1/2,1/2")
+
+    def test_inline_distribution(self, capsys, files):
+        for dist in ("nan,1,0", "inf,0,0", "1,0,-inf"):
+            self.check_rejected(capsys, "verify", files / "triangle.json",
+                                "--dist", dist)
+
+    def test_distribution_file(self, capsys, files, tmp_path):
+        dist = tmp_path / "nan_dist.json"
+        dist.write_text("[NaN, 1]\n", encoding="utf-8")
+        self.check_rejected(capsys, "verify", files / "braess.json", dist)
+
+
 class TestSeedAndUsage:
     def test_seed_env_is_read(self, capsys, files, monkeypatch):
         monkeypatch.setenv("NBG_SEED", "7")

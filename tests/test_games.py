@@ -37,6 +37,12 @@ class TestMassDistribution:
         x = MassDistribution((-5e-10, 1.0), 1.0)
         assert not x.charged(0)
 
+    def test_non_finite_masses_rejected(self):
+        for masses, total in (((float("nan"), 1.0), 1.0), ((float("inf"), 0.0), 1.0),
+                              ((0.5, 0.5), float("nan"))):
+            with pytest.raises(MassMismatchError, match="finite"):
+                MassDistribution(masses, total)
+
     def test_support_exact_is_strict_positivity(self):
         x = distribution([Fraction(0), Fraction(1, 10 ** 15), Fraction(1)])
         assert x.support() == (1, 2)
@@ -118,6 +124,16 @@ class TestCostForms:
             affine(True, 0)
 
 
+    def test_non_finite_coefficients_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                affine(bad, 0)
+            with pytest.raises(ValueError, match="finite"):
+                constant(bad)
+            with pytest.raises(ValueError, match="finite"):
+                polynomial([1, bad])
+
+
 class TestInfluenceMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,6 +144,11 @@ class TestInfluenceMatrix:
             InfluenceMatrix(2, {(0, 1): -1})
         with pytest.raises(ValueError):
             influence_from_triples(3, [(0, 1, 1), (0, 1, 2)])
+
+    def test_non_finite_entry_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                InfluenceMatrix(2, {(0, 1): bad})
 
     def test_zero_entries_dropped(self):
         inf = InfluenceMatrix(3, {(0, 1): 0, (1, 2): Fraction(1, 2)})
@@ -173,6 +194,12 @@ class TestGameConstruction:
         inf = influence_from_triples(1, [])
         for bad in (0, -1, Fraction(-1, 2), True, "1"):
             with pytest.raises(ValueError):
+                Game.graphical(1, bad, [constant(1)], inf)
+
+    def test_non_finite_total_mass_rejected(self):
+        inf = influence_from_triples(1, [])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
                 Game.graphical(1, bad, [constant(1)], inf)
 
     def test_exactness(self):

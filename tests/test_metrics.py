@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nbg import metrics
 from nbg import (EquilibriumFamily, Game, UnsupportedGameError, braess_game,
                  cost_degree, dilemma_game, gamma_for_class, make_family,
                  min_social_cost, opaque, polynomial, potential,
@@ -79,6 +80,23 @@ class TestMinSocialCost:
         assert float(result.value) == pytest.approx(float(best), abs=1e-6)
         assert float(result.value) == pytest.approx(0.0, abs=1e-9)
         assert not result.exact
+
+    def test_face_optimum_skips_descent(self, monkeypatch):
+        # C4 at alpha = 1/2: descent used to land one ulp below the exact
+        # face optimum 1/2 and turn the report into an estimate
+        def no_descent(*args, **kwargs):
+            raise AssertionError("utilitarian descent ran on an affine game")
+
+        game = make_family("cycle", Fraction(1, 2), n=4)
+        monkeypatch.setattr(metrics, "multistart_minimize", no_descent)
+        result = min_social_cost(game)
+        assert result.value == Fraction(1, 2)
+        assert result.exact
+        assert result.method == "faces"
+        monkeypatch.undo()
+        report = price_report(game, starts=4)
+        assert report.optimum_u == Fraction(1, 2)
+        assert report.exact["optimum_u"] and report.exact["poa_u"]
 
     def test_egalitarian_is_flagged_inexact(self):
         result = min_social_cost(braess_game(Fraction(1, 2)), "egalitarian")

@@ -117,6 +117,11 @@ class TestScalarIO:
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 
+    def test_parse_scalar_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="not a finite scalar"):
+                parse_scalar(bad)
+
     def test_json_round_trip(self):
         rng = random.Random(5)
         for _ in range(100):

@@ -1,0 +1,109 @@
+"""Constraint polytopes: the exact interval rule, the LP wrapper, and the
+guard that keeps every linear program behind nbg.polytope."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nbg
+from nbg import polytope
+
+
+class TestInterval:
+    def test_empty(self):
+        # t >= 2 and t <= 1
+        assert polytope.interval([(-2, [1]), (1, [-1])]) is None
+
+    def test_single_point(self):
+        assert polytope.interval([(-1, [1]), (1, [-1])]) == (1, 1)
+
+    def test_proper_interval(self):
+        rows = [(Fraction(1, 2), [1]), (3, [-2]), (Fraction(5, 2), [-1])]
+        assert polytope.interval(rows) == (Fraction(-1, 2), Fraction(3, 2))
+
+    def test_violated_zero_slope_row(self):
+        rows = [(0, [1]), (1, [-1]), (Fraction(-1, 3), [0])]
+        assert polytope.interval(rows) is None
+        assert polytope.interval(rows, tol=Fraction(1, 2)) == (0, 1)
+
+    def test_float_tolerance(self):
+        # a float slope below the zero threshold counts as a flat row
+        rows = [(0.0, [1.0]), (1.0, [-1.0]), (-1e-12, [1e-15])]
+        assert polytope.interval(rows, tol=1e-9) == (0.0, 1.0)
+        # lo exceeds hi, but by less than the tolerance
+        assert polytope.interval([(-1.0, [1.0]), (1.0 - 1e-12, [-1.0])],
+                                 tol=1e-9) is not None
+
+    def test_int_values_stay_exact(self):
+        lo, hi = polytope.interval([(1, [3]), (2, [-3])])
+        assert (lo, hi) == (Fraction(-1, 3), Fraction(2, 3))
+        assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+
+    def test_one_sided_rows_collapse(self):
+        assert polytope.interval([(-1, [1]), (-3, [1])]) == (3, 3)
+
+
+class TestLinearPrograms:
+    # triangle t1, t2 >= 0, t1 + t2 <= 1
+    TRIANGLE = [(0, [1, 0]), (0, [0, 1]), (1, [-1, -1])]
+
+    def test_feasible(self):
+        assert polytope.feasible(self.TRIANGLE, 2)
+        assert not polytope.feasible(self.TRIANGLE + [(-2, [1, 1])], 2)
+
+    def test_maximum(self):
+        assert polytope.maximum(self.TRIANGLE, 1, [2, 1]) == pytest.approx(3.0)
+        assert polytope.maximum(self.TRIANGLE[:2], 0, [1, 1]) is None
+
+    def test_minimize_reports_the_minimiser(self):
+        value, t = polytope.minimize(self.TRIANGLE, [1.0, -1.0])
+        assert value == pytest.approx(-1.0)
+        assert list(t) == pytest.approx([0.0, 1.0])
+
+
+small = st.integers(min_value=-6, max_value=6)
+positive = st.integers(min_value=1, max_value=6)
+
+
+@st.composite
+def family_rows(draw):
+    """One-parameter rows shaped like a support family's: bounded on both
+    sides, plus a few flat rows."""
+    lows = draw(st.lists(st.tuples(small, positive), min_size=1, max_size=4))
+    highs = draw(st.lists(st.tuples(small, positive), min_size=1, max_size=4))
+    flats = draw(st.lists(small, max_size=2))
+    rows = [(v, [s]) for v, s in lows] + [(v, [-s]) for v, s in highs]
+    rows += [(v, [0]) for v in flats]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_rows())
+def test_interval_agrees_with_lp(rows):
+    bounds = polytope.interval(rows)
+    assert (bounds is not None) == polytope.feasible(rows, 1)
+    if bounds is not None:
+        for t in bounds:
+            assert isinstance(t, Fraction)
+            assert all(value + coefs[0] * t >= 0 for value, coefs in rows)
+
+
+class TestSingleLpSite:
+    def test_linprog_only_in_polytope(self):
+        package = Path(nbg.__file__).parent
+        users = sorted(path.name for path in package.glob("*.py")
+                       if "linprog" in path.read_text(encoding="utf-8"))
+        assert users == ["polytope.py"]
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = str(Path(nbg.__file__).parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg; "
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
