@@ -228,8 +228,7 @@ def cmd_solve(args) -> int:
 
 def cmd_metrics(args) -> int:
     game = load_game(args.game)
-    report = price_report(game, n_max=args.n_max, starts=args.starts,
-                          seed=_seed())
+    report = price_report(game, n_max=args.n_max)
 
     def line(title, value, key):
         mark = "exact" if report.exact[key] else "estimate"
@@ -471,20 +470,19 @@ def _group_braess(rec: _Recorder) -> None:
 
 def _group_anarchy(rec: _Recorder) -> None:
     for a in (2, 5, 9):
-        report = price_report(unbounded_anarchy_game(Fraction(a)),
-                              seed=_seed())
+        report = price_report(unbounded_anarchy_game(Fraction(a)))
         expected = Fraction(1 + a, 2)
         rec.check(f"coupling {a}: price of anarchy (utilitarian)",
                   _short(expected), _short(report.poa_u),
                   ok=report.poa_u == expected and report.exact["poa_u"])
         rec.check(f"coupling {a}: price of anarchy (egalitarian)",
                   _short(expected), _short(report.poa_e),
-                  ok=report.poa_e == expected)
+                  ok=report.poa_e == expected and report.exact["poa_e"])
 
 
 def _group_stability(rec: _Recorder) -> None:
     for lam in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 2)):
-        report = price_report(stability_gap_game(lam), seed=_seed())
+        report = price_report(stability_gap_game(lam))
         expected = (2 + 2 * lam) / (1 + 2 * lam)
         rec.check(f"parameter {_short(lam)}: price of stability (utilitarian)",
                   _short(expected), _short(report.pos_u),
@@ -787,8 +785,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="game JSON file")
     p.add_argument("--n-max", type=int, default=12,
                    help="refuse games with more vertices than this")
-    p.add_argument("--starts", type=int, default=40,
-                   help="multistart count for the optimum search")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("family", help="generate a named-family game file")

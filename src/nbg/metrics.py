@@ -5,6 +5,12 @@ egalitarian one takes the worst cost among charged vertices. At an
 equilibrium both collapse to the common charged cost, so equilibrium
 contributions to the price ratios come straight from the solver, while
 the denominators need a search over the whole simplex.
+
+On affine games with at most n_max vertices both optima are exact and
+come from the support systems of `equilibrium.support_systems`: face
+stationarity systems (M + M^T) for the utilitarian cost, equal-cost
+systems (M) for the egalitarian one. Other games fall back to float
+multistart descent, flagged as an estimate.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
 from .simplexopt import multistart_minimize, project_to_simplex
 
-#: supports enumerated exactly for quadratic utilitarian optimization
+#: supports enumerated exactly for the optima of affine games
 DEFAULT_N_MAX = 12
-#: sharpness of the smooth maximum used for egalitarian descent
+#: sharpness of the smooth maximum used for egalitarian descent on
+#: non-affine games
 SMOOTH_MAX_BETA = 1e4
 
 
@@ -50,10 +57,6 @@ class OptimumResult:
     value: object
     exact: bool
     method: str
-
-
-def _as_weight(value, exact):
-    return value if exact else float(value)
 
 
 def _exact_quadratic_minimum(game: Game, affine_parts):
@@ -84,9 +87,44 @@ def _exact_quadratic_minimum(game: Game, affine_parts):
             if point is None:
                 continue
         value = social_costs(game, distribution(point, r)).utilitarian
-        if best is None or float(value) < float(best[1]):
+        if best is None or value < best[1]:
             best = (point, value)
     return best
+
+
+def _exact_egalitarian_minimum(game: Game, affine_parts):
+    """Global egalitarian minimum of an affine game from the equal-cost
+    support systems.
+
+    The min-max over charged vertices equals the least, over supports S,
+    of the LP "minimise t subject to C_i(x) <= t for i in S, x >= 0 on S,
+    sum x = r": every point is feasible for the LP of its own support at
+    its egalitarian cost, and at any LP point the egalitarian cost is at
+    most t. Take an optimal vertex of that LP. If all its masses are
+    positive, every cost row is active, and with sum x = r they form a
+    nonsingular square system: the equal-cost system of S. If some mass
+    is zero, drop that vertex from S; the same point is feasible for the
+    smaller LP with no larger value. Repeating ends at a nonsingular
+    support system with nonnegative masses, whose common cost is the
+    optimum; conversely each such system's point has egalitarian cost
+    equal to its common cost. So the least common cost over unique,
+    nonnegative support systems is the optimum, and no LP is needed.
+    """
+    matrix, offsets = affine_parts
+    exact = game.exact
+    tol = numeric.auto_tolerance(exact, 1e-9)
+    best = None
+    for support, solution in support_systems(matrix, offsets, game.r):
+        if solution.status != "unique":
+            continue
+        k = len(support)
+        masses_s = solution.solution[:k]
+        if any(m < -tol for m in masses_s):
+            continue
+        cost = solution.solution[k]
+        if best is None or cost < best[1]:
+            best = (_assemble(game.n, support, masses_s, exact), cost)
+    return best[0]
 
 
 def _assemble(n, support, masses_s, exact):
@@ -132,22 +170,31 @@ def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
                     n_max=DEFAULT_N_MAX, candidates=()) -> OptimumResult:
     """Search the simplex for the lowest social cost.
 
-    Utilitarian on affine games with n <= n_max is decided by exact face
-    enumeration alone; anything else relies on descent plus injected
-    candidate points and the simplex vertices, and is flagged as an
-    estimate. Games with two vertices additionally get a dense line scan.
+    On affine games with n <= n_max both measures are decided by the
+    support systems alone: utilitarian by face enumeration (method
+    "faces"), egalitarian by the equal-cost systems (method "supports").
+    The result is exact when the game and the optimal point are. Anything
+    else relies on descent plus injected candidate points and the simplex
+    vertices, and the egalitarian value is then flagged as an estimate.
+    Games with two vertices additionally get a dense line scan.
     """
     if which not in ("utilitarian", "egalitarian"):
         raise ValueError(f"unknown social cost {which!r}")
     n, r = game.n, game.r
 
     affine_parts = _affine_or_none(game)
-    if which == "utilitarian" and affine_parts is not None and n <= n_max:
-        # the singleton faces are the simplex vertices, so a face always
-        # qualifies and no other search can do better
-        point, value = _exact_quadratic_minimum(game, affine_parts)
+    if affine_parts is not None and n <= n_max:
+        # singleton supports are the simplex vertices and always qualify,
+        # so both searches find a point and no other search can do better
+        if which == "utilitarian":
+            point, value = _exact_quadratic_minimum(game, affine_parts)
+            method = "faces"
+        else:
+            point = _exact_egalitarian_minimum(game, affine_parts)
+            value = social_costs(game, distribution(point, r)).egalitarian
+            method = "supports"
         x = distribution(point, r)
-        return OptimumResult(x, value, game.exact and x.exact, "faces")
+        return OptimumResult(x, value, game.exact and x.exact, method)
 
     pool = []
 
@@ -220,13 +267,14 @@ def _ratio(num, den):
     return float(num) / float(den)
 
 
-def price_report(game: Game, n_max=DEFAULT_N_MAX, starts=40, seed=0) -> PriceReport:
+def price_report(game: Game, n_max=DEFAULT_N_MAX) -> PriceReport:
     """Prices of anarchy and stability for an affine game.
 
     Equilibrium costs come from exact support enumeration (families
-    contribute their cost extremes); the utilitarian optimum is exact for
-    exact inputs, the egalitarian optimum is an estimate from descent
-    with the equilibria injected as candidates.
+    contribute their cost extremes; multi-parameter families bound them
+    by float LP and are flagged inexact). Both optima come from the
+    support systems, so no descent runs and both are exact on exact
+    input.
     """
     if _affine_or_none(game) is None:
         raise UnsupportedGameError("price report needs an affine game")
@@ -241,27 +289,22 @@ def price_report(game: Game, n_max=DEFAULT_N_MAX, starts=40, seed=0) -> PriceRep
     lows = []
     highs = []
     eq_exact = True
-    sample_points = []
     for eq in equilibria:
         if isinstance(eq, EquilibriumFamily):
             (lo, hi), exact = family_cost_range(game, eq)
             lows.append(lo)
             highs.append(hi)
             eq_exact = eq_exact and exact
-            sample_points.extend(p.x for p in eq.sample_points(3))
         else:
             lows.append(eq.cost)
             highs.append(eq.cost)
             eq_exact = eq_exact and numeric.is_exact_scalar(eq.cost)
-            sample_points.append(eq.x)
 
-    best_eq = min(lows, key=float)
-    worst_eq = max(highs, key=float)
+    best_eq = min(lows)
+    worst_eq = max(highs)
 
-    opt_u = min_social_cost(game, "utilitarian", starts=starts, seed=seed,
-                            n_max=n_max, candidates=sample_points)
-    opt_e = min_social_cost(game, "egalitarian", starts=starts, seed=seed,
-                            n_max=n_max, candidates=sample_points + [opt_u.x])
+    opt_u = min_social_cost(game, "utilitarian", n_max=n_max)
+    opt_e = min_social_cost(game, "egalitarian", n_max=n_max)
 
     flags = {
         "optimum_u": opt_u.exact,

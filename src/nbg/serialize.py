@@ -196,13 +196,17 @@ def load_distribution(path, total=None) -> MassDistribution:
     if isinstance(data, dict):
         if "masses" not in data:
             raise InputFormatError(f"{path}: missing 'masses'")
-        masses = [numeric.parse_scalar(m) for m in data["masses"]]
+        raw_masses = data["masses"]
         if total is None and "total" in data:
-            total = numeric.parse_scalar(data["total"])
+            total = _parse_scalar(data["total"], f"{path}: total")
     elif isinstance(data, list):
-        masses = [numeric.parse_scalar(m) for m in data]
+        raw_masses = data
     else:
         raise InputFormatError(f"{path}: expected a list or an object")
+    if not isinstance(raw_masses, list):
+        raise InputFormatError(f"{path}: 'masses' must be a list")
+    masses = [_parse_scalar(m, f"{path}: masses[{k}]")
+              for k, m in enumerate(raw_masses)]
     return distribution(masses, total) if total is not None else distribution(masses)
 
 

@@ -221,7 +221,7 @@ class TestMetrics:
         assert "worst equilibrium cost: 9/8 (1.125) [exact]" in lines
         assert "price of anarchy (utilitarian): 9/8 (1.125) [exact]" in lines
         assert "price of stability (utilitarian): 9/8 (1.125) [exact]" in lines
-        assert "price of anarchy (egalitarian): 9/8 (1.125) [estimate]" in lines
+        assert "price of anarchy (egalitarian): 9/8 (1.125) [exact]" in lines
         assert lines[-1] == "equilibria considered: 1"
 
     def test_deterministic(self, capsys, files):
@@ -518,6 +518,34 @@ class TestNonFiniteInput:
         dist = tmp_path / "nan_dist.json"
         dist.write_text("[NaN, 1]\n", encoding="utf-8")
         self.check_rejected(capsys, "verify", files / "braess.json", dist)
+
+
+class TestDistributionFileErrors:
+    def check_located(self, capsys, files, tmp_path, text, message):
+        dist = tmp_path / "dist.json"
+        dist.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", files / "braess.json", dist)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {dist}: {message}\n"
+
+    def test_bad_entry_in_list(self, capsys, files, tmp_path):
+        self.check_located(capsys, files, tmp_path, "[NaN, 1]\n",
+                           "masses[0]: not a finite scalar: nan")
+
+    def test_bad_entry_in_object(self, capsys, files, tmp_path):
+        self.check_located(capsys, files, tmp_path,
+                           '{"masses": ["1/2", "x"]}\n',
+                           "masses[1]: not a rational literal: 'x'")
+
+    def test_bad_total(self, capsys, files, tmp_path):
+        self.check_located(capsys, files, tmp_path,
+                           '{"masses": ["1/2", "1/2"], "total": "abc"}\n',
+                           "total: not a rational literal: 'abc'")
+
+    def test_masses_not_a_list(self, capsys, files, tmp_path):
+        self.check_located(capsys, files, tmp_path, '{"masses": 5}\n',
+                           "'masses' must be a list")
 
 
 class TestSeedAndUsage:

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbg import metrics
-from nbg import (EquilibriumFamily, Game, UnsupportedGameError, braess_game,
-                 cost_degree, dilemma_game, gamma_for_class, make_family,
-                 min_social_cost, opaque, polynomial, potential,
+from nbg import (EquilibriumFamily, Game, UnsupportedGameError, affine,
+                 affine_coefficients, braess_game, constant, cost_degree,
+                 dilemma_game, gamma_for_class, influence_from_triples,
+                 make_family, min_social_cost, opaque, polynomial, potential,
                  potential_maximum_game, price_report, social_costs,
                  solve_affine_by_supports, stability_gap_game,
                  unbounded_anarchy_game)
@@ -94,14 +97,34 @@ class TestMinSocialCost:
         assert result.exact
         assert result.method == "faces"
         monkeypatch.undo()
-        report = price_report(game, starts=4)
+        report = price_report(game)
         assert report.optimum_u == Fraction(1, 2)
         assert report.exact["optimum_u"] and report.exact["poa_u"]
 
-    def test_egalitarian_is_flagged_inexact(self):
+    def test_egalitarian_is_exact_without_descent(self, monkeypatch):
+        def no_descent(*args, **kwargs):
+            raise AssertionError("egalitarian descent ran on an affine game")
+
+        monkeypatch.setattr(metrics, "multistart_minimize", no_descent)
         result = min_social_cost(braess_game(Fraction(1, 2)), "egalitarian")
-        assert float(result.value) == pytest.approx(1.0, abs=1e-9)
-        assert not result.exact
+        assert result.value == 1
+        assert result.exact
+        assert result.method == "supports"
+
+    @pytest.mark.parametrize("which", ["utilitarian", "egalitarian"])
+    def test_optimum_is_compared_exactly(self, which):
+        # the two constant costs are the same double; a float comparison
+        # kept the first, dearer vertex
+        game = Game.graphical(
+            2, 1, [constant(1 + Fraction(1, 10 ** 20)), constant(1)],
+            influence_from_triples(2, []))
+        result = min_social_cost(game, which)
+        assert result.value == 1
+        assert result.exact
+        assert result.x.masses == (0, 1)
+        report = price_report(game)
+        assert report.optimum_u == report.optimum_e == 1
+        assert report.best_equilibrium_cost == 1
 
     def test_candidate_points_enter_the_pool(self):
         game = stability_gap_game(Fraction(1, 2))
@@ -157,16 +180,27 @@ class TestPriceReport:
             "optimum_u", "optimum_e",
             "best_equilibrium_cost", "worst_equilibrium_cost"}
         assert report.exact["optimum_u"]
-        assert not report.exact["optimum_e"]
-        assert not report.exact["poa_e"]
+        assert report.exact["optimum_e"]
+        assert report.exact["poa_e"]
         assert report.poa_u == Fraction(9, 8)
-        assert float(report.poa_e) == pytest.approx(9 / 8, abs=1e-9)
+        assert report.poa_e == Fraction(9, 8)
+
+    def test_equilibrium_extremes_are_compared_exactly(self):
+        # both simplex vertices are equilibria, at costs 1 + 10^-20 and 1,
+        # which are the same double; the first listed is the dearer one
+        game = Game.graphical(
+            2, 1, [constant(1 + Fraction(1, 10 ** 20)), constant(1)],
+            influence_from_triples(2, [(0, 1, 1), (1, 0, 1)]))
+        report = price_report(game)
+        assert report.best_equilibrium_cost == 1
+        assert report.pos_u == report.pos_e == 1
+        assert report.exact["pos_u"] and report.exact["pos_e"]
 
     def test_family_cost_extremes_feed_the_ratios(self):
         # C6 cycle at alpha = 1/2: a one-parameter equilibrium family of
         # constant cost 1/3, so both ratios collapse to optimum ratios
         game = make_family("cycle", Fraction(1, 2), n=6)
-        report = price_report(game, starts=4)
+        report = price_report(game)
         assert report.best_equilibrium_cost == Fraction(1, 3)
         assert report.worst_equilibrium_cost == Fraction(1, 3)
         assert report.poa_u == report.pos_u
@@ -176,6 +210,71 @@ class TestPriceReport:
             price_report(dilemma_game())
         with pytest.raises(UnsupportedGameError):
             price_report(make_family("cycle", Fraction(1, 4), n=4), n_max=3)
+
+
+def epigraph_oracle(game):
+    """Egalitarian optimum by one float epigraph LP per support S:
+    minimise t subject to C_i(x) <= t for i in S, x >= 0 on S and
+    sum x = r."""
+    from itertools import combinations
+
+    from scipy.optimize import linprog
+
+    matrix, offsets = affine_coefficients(game)
+    n = game.n
+    best = None
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            # variables: masses on the support, then t
+            a_ub = [[float(matrix[j][i]) for j in support] + [-1.0]
+                    for i in support]
+            b_ub = [-float(offsets[i]) for i in support]
+            a_eq = [[1.0] * size + [0.0]]
+            res = linprog([0.0] * size + [1.0], A_ub=a_ub, b_ub=b_ub,
+                          A_eq=a_eq, b_eq=[float(game.r)],
+                          bounds=[(0, None)] * size + [(None, None)],
+                          method="highs")
+            assert res.status == 0
+            if best is None or res.fun < best:
+                best = res.fun
+    return best
+
+
+coefficient = st.fractions(min_value=0, max_value=3, max_denominator=6)
+
+
+@st.composite
+def exact_affine_games(draw):
+    """Affine games with n <= 5, possibly asymmetric, with zero slopes and
+    ties among the drawn coefficients."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    costs = [affine(draw(coefficient), draw(coefficient)) for _ in range(n)]
+    triples = [(i, j, draw(coefficient)) for i in range(n) for j in range(n)
+               if i != j and draw(st.booleans())]
+    triples = [t for t in triples if t[2] != 0]
+    return Game.graphical(n, 1, costs, influence_from_triples(n, triples))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_affine_games(), st.randoms(use_true_random=False))
+def test_egalitarian_optimum_property(game, rng):
+    result = min_social_cost(game, "egalitarian")
+    value = result.value
+    assert result.exact and result.method == "supports"
+    assert social_costs(game, result.x).egalitarian == value
+    for _ in range(5):
+        masses = random_masses(rng, game.n)
+        assert value <= social_costs(game, masses).egalitarian
+    for found in solve_affine_by_supports(game):
+        if isinstance(found, EquilibriumFamily):
+            for point in found.sample_points(3):
+                egalitarian = social_costs(game, point.x).egalitarian
+                assert float(value) <= float(egalitarian) + 1e-9
+        else:
+            assert value <= social_costs(game, found.x).egalitarian
+    assert value >= min_social_cost(game).value
+    oracle = epigraph_oracle(game)
+    assert float(value) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
 class TestDegreeConstants:
