@@ -449,14 +449,17 @@ def support_systems(coefficients, offsets, r):
     M + M^T. Inconsistent systems are skipped.
     """
     n = len(offsets)
+    columns = [[row[i] for row in coefficients] for i in range(n)]
+    targets = [-b for b in offsets]
     for mask in range(1, 1 << n):
         support = tuple(i for i in range(n) if mask >> i & 1)
         k = len(support)
         rows = []
         rhs = []
         for i in support:
-            rows.append([coefficients[j][i] for j in support] + [-1])
-            rhs.append(-offsets[i])
+            column = columns[i]
+            rows.append([column[j] for j in support] + [-1])
+            rhs.append(targets[i])
         rows.append([1] * k + [0])
         rhs.append(r)
         solution = solve_linear_system(rows, rhs)
@@ -474,10 +477,23 @@ def solve_affine_by_supports(game: Game, tol=None) -> list:
     demoted to points, and points lying inside a family are dropped.
     """
     matrix, offsets = affine_coefficients(game)
-    n = game.n
-    if n > 16:
+    return _equilibria_from_systems(game, matrix, offsets,
+                                    _equal_cost_systems(game, matrix, offsets), tol)
+
+
+def _equal_cost_systems(game: Game, matrix, offsets):
+    """The equal-cost support systems of an affine game (`support_systems`
+    with its cost matrix), refused above 16 vertices."""
+    if game.n > 16:
         raise UnsupportedGameError(
             "support enumeration is exponential; use games with n <= 16")
+    return support_systems(matrix, offsets, game.r)
+
+
+def _equilibria_from_systems(game: Game, matrix, offsets, systems, tol=None) -> list:
+    """The equilibrium set from the equal-cost support systems `systems`;
+    see solve_affine_by_supports."""
+    n = game.n
     exact = game.exact
     if tol is None:
         tol = numeric.auto_tolerance(exact, EQUILIBRIUM_TOLERANCE)
@@ -485,7 +501,7 @@ def solve_affine_by_supports(game: Game, tol=None) -> list:
 
     points = []
     families = []
-    for support, solution in support_systems(matrix, offsets, game.r):
+    for support, solution in systems:
         k = len(support)
         base_masses = [zero] * n
         for idx, s in enumerate(support):
@@ -532,8 +548,9 @@ def solve_affine_by_supports(game: Game, tol=None) -> list:
 
 
 def _off_support_gap(matrix, offsets, support, masses, cost, j):
+    # masses vanish off the support
     value = offsets[j]
-    for i in range(len(masses)):
+    for i in support:
         value = value + matrix[i][j] * masses[i]
     return value - cost
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import numeric, polytope
 from .equilibrium import (EquilibriumFamily, _affine_or_none,
-                          family_cost_range, solve_affine_by_supports,
-                          support_systems)
+                          _equal_cost_systems, _equilibria_from_systems,
+                          family_cost_range, support_systems)
 from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
 from .simplexopt import multistart_minimize, project_to_simplex
@@ -92,9 +92,10 @@ def _exact_quadratic_minimum(game: Game, affine_parts):
     return best
 
 
-def _exact_egalitarian_minimum(game: Game, affine_parts):
+def _exact_egalitarian_minimum(game: Game, systems) -> OptimumResult:
     """Global egalitarian minimum of an affine game from the equal-cost
-    support systems.
+    support systems `systems` (from `support_systems` with the cost
+    matrix M), with method "supports".
 
     The min-max over charged vertices equals the least, over supports S,
     of the LP "minimise t subject to C_i(x) <= t for i in S, x >= 0 on S,
@@ -110,11 +111,10 @@ def _exact_egalitarian_minimum(game: Game, affine_parts):
     equal to its common cost. So the least common cost over unique,
     nonnegative support systems is the optimum, and no LP is needed.
     """
-    matrix, offsets = affine_parts
     exact = game.exact
     tol = numeric.auto_tolerance(exact, 1e-9)
     best = None
-    for support, solution in support_systems(matrix, offsets, game.r):
+    for support, solution in systems:
         if solution.status != "unique":
             continue
         k = len(support)
@@ -124,7 +124,9 @@ def _exact_egalitarian_minimum(game: Game, affine_parts):
         cost = solution.solution[k]
         if best is None or cost < best[1]:
             best = (_assemble(game.n, support, masses_s, exact), cost)
-    return best[0]
+    x = distribution(best[0], game.r)
+    value = social_costs(game, x).egalitarian
+    return OptimumResult(x, value, exact and x.exact, "supports")
 
 
 def _assemble(n, support, masses_s, exact):
@@ -186,15 +188,13 @@ def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
     if affine_parts is not None and n <= n_max:
         # singleton supports are the simplex vertices and always qualify,
         # so both searches find a point and no other search can do better
-        if which == "utilitarian":
-            point, value = _exact_quadratic_minimum(game, affine_parts)
-            method = "faces"
-        else:
-            point = _exact_egalitarian_minimum(game, affine_parts)
-            value = social_costs(game, distribution(point, r)).egalitarian
-            method = "supports"
+        if which == "egalitarian":
+            matrix, offsets = affine_parts
+            return _exact_egalitarian_minimum(
+                game, support_systems(matrix, offsets, r))
+        point, value = _exact_quadratic_minimum(game, affine_parts)
         x = distribution(point, r)
-        return OptimumResult(x, value, game.exact and x.exact, method)
+        return OptimumResult(x, value, game.exact and x.exact, "faces")
 
     pool = []
 
@@ -276,13 +276,17 @@ def price_report(game: Game, n_max=DEFAULT_N_MAX) -> PriceReport:
     support systems, so no descent runs and both are exact on exact
     input.
     """
-    if _affine_or_none(game) is None:
+    affine_parts = _affine_or_none(game)
+    if affine_parts is None:
         raise UnsupportedGameError("price report needs an affine game")
     if game.n > n_max:
         raise UnsupportedGameError(
             f"price report is exponential in n; {game.n} exceeds {n_max}")
 
-    equilibria = solve_affine_by_supports(game)
+    # the equilibrium set and the egalitarian optimum share these systems
+    matrix, offsets = affine_parts
+    systems = list(_equal_cost_systems(game, matrix, offsets))
+    equilibria = _equilibria_from_systems(game, matrix, offsets, systems)
     if not equilibria:
         raise NbgError("no equilibrium found; affine costs should admit one")
 
@@ -304,7 +308,7 @@ def price_report(game: Game, n_max=DEFAULT_N_MAX) -> PriceReport:
     worst_eq = max(highs)
 
     opt_u = min_social_cost(game, "utilitarian", n_max=n_max)
-    opt_e = min_social_cost(game, "egalitarian", n_max=n_max)
+    opt_e = _exact_egalitarian_minimum(game, systems)
 
     flags = {
         "optimum_u": opt_u.exact,

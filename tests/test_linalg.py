@@ -1,10 +1,13 @@
-"""Exact linear algebra against numpy and a cofactor-expansion oracle."""
+"""Exact linear algebra against numpy, a cofactor-expansion oracle and a
+textbook Fraction elimination."""
 
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbg import PHI, QuadExt, determinant, matvec, rref, solve_linear_system
 from util import cofactor_determinant
@@ -167,6 +170,111 @@ class TestDeterminant:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             determinant([[1, 2, 3], [4, 5, 6]])
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fractions with first-nonzero pivots: the unique
+    reduced row echelon form, found independently of nbg.linalg."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0])):
+        row = len(pivots)
+        best = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        if best is None:
+            continue
+        m[row], m[best] = m[best], m[row]
+        m[row] = [v / m[row][col] for v in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+    return m, pivots
+
+
+scalars = st.one_of(st.integers(-9, 9),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=60))
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5, entries=scalars):
+    """Matrices of `entries` (by default mixed int/Fraction); some rows are
+    combinations of the rows above them, so rank deficiency is common."""
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
+    m = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in range(1, n_rows):
+        if draw(st.booleans()):
+            coefs = [draw(entries) for _ in range(i)]
+            m[i] = [sum(c * m[k][j] for k, c in enumerate(coefs)) for j in range(n_cols)]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_consistent_rational_systems(a, data):
+    n_cols = len(a[0])
+    x0 = data.draw(st.lists(scalars, min_size=n_cols, max_size=n_cols))
+    rhs = matvec(a, x0)
+    result = solve_linear_system(a, rhs)
+    _, pivots = reference_rref(a)
+    free_cols = [c for c in range(n_cols) if c not in pivots]
+    assert result.status == ("family" if free_cols else "unique")
+    assert result.dimension == n_cols - len(pivots)
+    assert matvec(a, list(result.solution)) == rhs
+    # free columns hold the literal 0 and 1, pivot columns Fractions
+    assert [result.solution[c] for c in free_cols] == [0] * len(free_cols)
+    assert all(type(result.solution[c]) is int for c in free_cols)
+    assert all(type(result.solution[c]) is Fraction for c in pivots)
+    for free, vec in zip(free_cols, result.basis):
+        assert all(v == 0 for v in matvec(a, list(vec)))
+        assert [vec[c] for c in free_cols] == [int(c == free) for c in free_cols]
+        assert all(type(vec[c]) is int for c in free_cols)
+        assert all(type(vec[c]) is Fraction for c in pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_inconsistent_rational_systems(a, data):
+    rhs = data.draw(st.lists(scalars, min_size=len(a), max_size=len(a)))
+    coefs = data.draw(st.lists(scalars, min_size=len(a), max_size=len(a)))
+    # a combination of the rows whose right-hand side is off by one
+    a = a + [[sum(c * row[j] for c, row in zip(coefs, a)) for j in range(len(a[0]))]]
+    rhs = rhs + [sum(c * b for c, b in zip(coefs, rhs)) + 1]
+    result = solve_linear_system(a, rhs)
+    assert result.status == "none"
+    assert result.solution is None and result.basis == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rref_is_the_unique_reduced_form(a, rng):
+    reduced, pivots = rref(a)
+    assert (reduced, pivots) == reference_rref(a)
+    assert all(type(v) is Fraction for row in reduced for v in row)
+    assert rref(reduced) == (reduced, pivots)
+    # row swaps and nonzero row scalings keep the row space
+    scales = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 60)) for _ in a]
+    shuffled = [[v * scale for v in row] for row, scale in zip(rng.sample(a, len(a)), scales)]
+    assert rref(shuffled) == (reduced, pivots)
+
+
+quadratic_scalars = st.one_of(scalars, st.sampled_from([PHI, -PHI, 2 * PHI, PHI * PHI]),
+                              st.builds(lambda p, q: p * PHI + q, scalars, scalars))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_rows=4, max_cols=4, entries=quadratic_scalars), st.data())
+def test_consistent_quadratic_systems(a, data):
+    x0 = data.draw(st.lists(quadratic_scalars, min_size=len(a[0]), max_size=len(a[0])))
+    rhs = matvec(a, x0)
+    result = solve_linear_system(a, rhs)
+    assert result.status in ("unique", "family")
+    assert matvec(a, list(result.solution)) == rhs
+    for vec in result.basis:
+        assert all(v == 0 for v in matvec(a, list(vec)))
+    reduced, pivots = rref(a)
+    assert result.dimension == len(a[0]) - len(pivots)
+    assert rref(reduced) == (reduced, pivots)
 
 
 def test_matvec():

@@ -133,6 +133,21 @@ class TestMinSocialCost:
         assert float(result.value) <= float(
             social_costs(game, (Fraction(1), Fraction(0))).egalitarian) + 1e-9
 
+    @pytest.mark.parametrize("which", ["utilitarian", "egalitarian"])
+    def test_candidate_wins_over_vertices_on_the_descent_path(self, which, monkeypatch):
+        # C_i = x_i: every vertex costs 1 under both measures, the centre 1/3;
+        # n_max below n sends the search down the descent path, and with no
+        # descent results only the candidate can reach 1/3
+        monkeypatch.setattr(metrics, "multistart_minimize", lambda *args, **kwargs: [])
+        game = Game.graphical(3, 1, [affine(1, 0)] * 3, influence_from_triples(3, []))
+        centre = (Fraction(1, 3),) * 3
+        result = min_social_cost(game, which, n_max=2, candidates=[centre])
+        assert result.method == "candidate"
+        assert result.value == Fraction(1, 3)
+        assert result.x.masses == centre
+        # descent-path egalitarian values are always flagged as estimates
+        assert result.exact == (which == "utilitarian")
+
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):
             min_social_cost(braess_game(Fraction(1, 2)), "median")
