@@ -11,6 +11,7 @@ replay), and 2 on bad input or an unsupported game.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,8 +32,8 @@ from .instances import (braess_game, dilemma_game, directed_triangle,
                         unbounded_anarchy_game, unique_nonstrong_game)
 from .kernel_structure import (digraph_to_nbg, enumerate_kernels,
                                strong_supports_match_kernels)
-from .metrics import price_report
-from .potential import minimize_potential, potential
+from .metrics import DEFAULT_N_MAX, price_report
+from .potential import DEFAULT_STARTS, minimize_potential, potential
 from .serialize import load_distribution, load_game, parse_masses, save_game
 
 
@@ -49,9 +50,12 @@ def _parse_cli_scalar(text):
     try:
         if "/" in token:
             return Fraction(token)
-        return float(token)
+        value = float(token)
     except (ValueError, ZeroDivisionError):
         raise InputFormatError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"not a finite scalar: {text!r}")
+    return value
 
 
 def _short(value) -> str:
@@ -102,10 +106,16 @@ def _resolve_distribution(game: Game, args):
 def cmd_verify(args) -> int:
     game = load_game(args.game)
     x = _resolve_distribution(game, args)
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise InputFormatError(
+            f"--tol must be finite and nonnegative, got {args.tol}")
+    report = verify_equilibrium(game, x, tol=args.tol)
+    if args.delta is not None:
+        delta = _parse_cli_scalar(args.delta)
+        cert = verify_delta_strong(game, x, delta)
     cls = classify(game)
     label = cls.label + (", symmetric" if cls.symmetric else "")
     print(f"game: n = {game.n}, total mass {_short(game.r)}, class {label}")
-    report = verify_equilibrium(game, x, tol=args.tol)
     for i in range(game.n):
         print(f"vertex {i + 1}: mass {numeric.format_scalar(x.masses[i])}"
               f"  cost {numeric.format_scalar(report.costs[i])}")
@@ -115,8 +125,6 @@ def cmd_verify(args) -> int:
     print(f"equilibrium: {'yes' if report.is_equilibrium else 'no'}")
     ok = report.is_equilibrium
     if args.delta is not None:
-        delta = _parse_cli_scalar(args.delta)
-        cert = verify_delta_strong(game, x, delta)
         print(f"survives deviations up to {_short(delta)}: "
               f"{'yes' if cert.is_delta_strong else 'no'} ({cert.method} check)")
         if cert.witness is not None:
@@ -365,6 +373,24 @@ def _set_contains(results, masses) -> bool:
     return False
 
 
+def _check_one_segment(rec: _Recorder, name, closed, solved) -> None:
+    """Check that the closed form and the solver each give one equilibrium
+    family, the solver's one-dimensional, each holding samples of the other."""
+    def single_family(items):
+        return (items[0] if len(items) == 1
+                and isinstance(items[0], EquilibriumFamily) else None)
+
+    derived, family = single_family(closed), single_family(solved)
+    ok = derived is not None and family is not None and family.dimension == 1
+    if ok:
+        ok = all(family.contains(pt.x.masses) is not None
+                 for pt in derived.sample_points(3))
+        ok = ok and all(derived.contains(pt.x.masses) is not None
+                        for pt in family.sample_points(3))
+    expected = "matching one-parameter families"
+    rec.check(name, expected, expected if ok else "mismatch", ok=ok)
+
+
 def _group_dilemma(rec: _Recorder) -> None:
     game = dilemma_game()
     for t, expected in ((Fraction(0), True), (Fraction(3, 4), True),
@@ -561,20 +587,10 @@ def _group_cycles(rec: _Recorder) -> None:
                if len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
                else f"{len(eqs)} results"), ok=ok)
 
-    game6 = make_family("cycle", Fraction(1, 2), n=6)
-    closed6 = cycle_closed_form(6, Fraction(1, 2))[0]
-    eqs6 = solve_affine_by_supports(game6)
-    family = (eqs6[0] if len(eqs6) == 1
-              and isinstance(eqs6[0], EquilibriumFamily) else None)
-    ok = family is not None and family.dimension == 1
-    if ok:
-        ok = all(family.contains(pt.x.masses) is not None
-                 for pt in closed6.sample_points(3))
-        ok = ok and all(closed6.contains(pt.x.masses) is not None
-                        for pt in family.sample_points(3))
-    rec.check("cycle n=6, coefficient 1/2: both derivations give one segment",
-              "matching one-parameter families",
-              ("matching one-parameter families" if ok else "mismatch"), ok=ok)
+    _check_one_segment(
+        rec, "cycle n=6, coefficient 1/2: both derivations give one segment",
+        cycle_closed_form(6, Fraction(1, 2)),
+        solve_affine_by_supports(make_family("cycle", Fraction(1, 2), n=6)))
 
     game51 = make_family("cycle", Fraction(1), n=5)
     closed51 = cycle_closed_form(5, Fraction(1))[0]
@@ -653,21 +669,11 @@ def _group_bipartite(rec: _Recorder) -> None:
                if len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
                else f"{len(eqs)} results"), ok=ok)
 
-    closed = bipartite_closed_form(2, 2, Fraction(1, 2))
-    game22 = make_family("complete_bipartite", Fraction(1, 2), p=2, q=2)
-    eqs = solve_affine_by_supports(game22)
-    family = (eqs[0] if len(eqs) == 1
-              and isinstance(eqs[0], EquilibriumFamily) else None)
-    ok = (len(closed) == 1 and isinstance(closed[0], EquilibriumFamily)
-          and family is not None and family.dimension == 1)
-    if ok:
-        ok = all(family.contains(pt.x.masses) is not None
-                 for pt in closed[0].sample_points(3))
-        ok = ok and all(closed[0].contains(pt.x.masses) is not None
-                        for pt in family.sample_points(3))
-    rec.check("sides 2+2, coefficient 1/2: both derivations give one segment",
-              "matching one-parameter families",
-              "matching one-parameter families" if ok else "mismatch", ok=ok)
+    _check_one_segment(
+        rec, "sides 2+2, coefficient 1/2: both derivations give one segment",
+        bipartite_closed_form(2, 2, Fraction(1, 2)),
+        solve_affine_by_supports(
+            make_family("complete_bipartite", Fraction(1, 2), p=2, q=2)))
 
 
 GROUPS = {
@@ -769,7 +775,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="supports",
                    choices=("supports", "potential", "dynamics",
                             "uniform-cost"))
-    p.add_argument("--starts", type=int, default=30,
+    p.add_argument("--starts", type=int, default=DEFAULT_STARTS,
                    help="multistart count for the potential method")
     p.add_argument("--x0", help="inline start for the dynamics method")
     p.add_argument("--steps", type=int, default=10000,
@@ -783,7 +789,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="social optima and price of "
                                        "anarchy/stability")
     p.add_argument("game", help="game JSON file")
-    p.add_argument("--n-max", type=int, default=12,
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
                    help="refuse games with more vertices than this")
     p.set_defaults(func=cmd_metrics)
 

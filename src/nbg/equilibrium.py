@@ -107,8 +107,8 @@ class StrongnessCertificate:
 
 
 def verify_delta_strong(game: Game, x, delta, tol=None, samples=33) -> StrongnessCertificate:
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta!r}")
+    if not delta >= 0:
+        raise ValueError(f"delta must be a nonnegative number, got {delta}")
     x = _as_distribution(game, x)
     costs = cost_vector(game, x)
     exact = _exact_context(x, costs) and numeric.is_exact_scalar(delta)
@@ -265,8 +265,8 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
     masses = list(x.masses)
     if step is None:
         step = game.r / 100
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    if not step > 0:
+        raise ValueError(f"step must be a positive number, got {step}")
     trace = [MassDistribution(tuple(masses), game.r)] if keep_trace else []
     charge_tol = x.charge_tolerance()
     best_gap = None

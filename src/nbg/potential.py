@@ -4,7 +4,9 @@ Phi(x) = sum_i integral_0^{x_i} f_i + sum_{i<j} alpha_{i,j} x_i x_j has
 partial derivatives equal to the vertex costs, so local minima of Phi on
 the simplex are equilibria. The converse fails: an equilibrium can sit at
 a maximum of Phi, which is why minimization filters candidates through a
-local-minimum probe instead of returning every critical point.
+local-minimum probe instead of returning every critical point. On affine
+games the candidates are the exact equilibrium set from support
+enumeration; only games with other cost forms fall back to float descent.
 
 Non-symmetric influence admits no such function (the mixed second
 derivatives of any candidate would have to equal both alpha_{i,j} and
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import numeric
 from .equilibrium import (EquilibriumFamily, solve_affine_by_supports,
                           verify_equilibrium, _affine_or_none)
 from .errors import UnsupportedGameError
@@ -26,6 +27,8 @@ from .simplexopt import multistart_minimize
 #: probe offset for the local-minimum test, and float comparison slack
 PROBE_STEP = Fraction(1, 100000)
 PROBE_SLACK = 1e-12
+#: random descent starts on games without an exact path
+DEFAULT_STARTS = 30
 
 
 @dataclass(frozen=True)
@@ -86,19 +89,40 @@ def is_local_minimum(game: Game, x, step=None) -> bool:
     return True
 
 
-def minimize_potential(game: Game, starts=30, tol=1e-7, seed=0) -> tuple:
+def minimize_potential(game: Game, starts=DEFAULT_STARTS, tol=1e-7,
+                       seed=0) -> tuple:
     """Distinct local minima of Phi over the simplex, as distributions.
 
-    Projected-gradient descent runs from `starts` random interior points
-    plus every simplex vertex. For affine games the float minima are
-    snapped to the exact equilibrium set from support enumeration, and
-    exact equilibria that pass the local-minimum probe are included even
-    if no descent run landed on them. Every returned distribution passes
-    verify_equilibrium at `tol`.
+    Every local minimum is an equilibrium, so affine games take their
+    candidates from support enumeration: the isolated equilibria and
+    three samples of each equilibrium family, exact on exact games; no
+    descent runs for them. Other games take the end points of
+    projected-gradient descent that pass verify_equilibrium at `tol`,
+    started from every simplex vertex and from `starts` random interior
+    points drawn with `seed`. Candidates that pass the local-minimum
+    probe are returned sorted, one per 1e-6 neighbourhood.
     """
     _require_symmetric(game)
-    n, r = game.n, game.r
+    if _affine_or_none(game) is not None:
+        candidates = []
+        for found in solve_affine_by_supports(game):
+            if isinstance(found, EquilibriumFamily):
+                candidates.extend(point.x for point in found.sample_points(3))
+            else:
+                candidates.append(found.x)
+    else:
+        candidates = [x for x in _descent_end_points(game, starts, seed)
+                      if verify_equilibrium(game, x, tol=tol).is_equilibrium]
+    minima = [x for x in candidates if is_local_minimum(game, x)]
 
+    unique = []
+    for m in sorted(minima, key=lambda d: tuple(float(t) for t in d.masses)):
+        if not any(_close(m, kept) for kept in unique):
+            unique.append(m)
+    return tuple(unique)
+
+
+def _descent_end_points(game: Game, starts, seed) -> list:
     def objective(v):
         total = 0.0
         for i, form in enumerate(game.vertex_costs):
@@ -111,39 +135,9 @@ def minimize_potential(game: Game, starts=30, tol=1e-7, seed=0) -> tuple:
     def gradient(v):
         return [float(c) for c in cost_vector(game, [float(t) for t in v])]
 
-    descended = multistart_minimize(objective, gradient, n, float(r),
-                                    starts=starts, seed=seed)
-
-    minima = []
-    exact_families = []
-    if _affine_or_none(game) is not None:
-        for found in solve_affine_by_supports(game):
-            if isinstance(found, EquilibriumFamily):
-                exact_families.append(found)
-                samples = found.sample_points(3)
-            else:
-                samples = [found]
-            for point in samples:
-                if is_local_minimum(game, point.x):
-                    minima.append(point.x)
-
-    for res in descended:
-        candidate = MassDistribution(res.x, r)
-        if any(_close(candidate, m) for m in minima):
-            continue
-        if any(f.contains(candidate, tol=1e-6) is not None for f in exact_families):
-            continue
-        if not verify_equilibrium(game, candidate, tol=tol).is_equilibrium:
-            continue
-        if not is_local_minimum(game, candidate):
-            continue
-        minima.append(candidate)
-
-    unique = []
-    for m in sorted(minima, key=lambda d: tuple(float(t) for t in d.masses)):
-        if not any(_close(m, kept) for kept in unique):
-            unique.append(m)
-    return tuple(unique)
+    return [MassDistribution(res.x, game.r)
+            for res in multistart_minimize(objective, gradient, game.n,
+                                           float(game.r), starts=starts, seed=seed)]
 
 
 def _close(a: MassDistribution, b: MassDistribution, tol=1e-6) -> bool:

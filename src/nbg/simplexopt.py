@@ -1,8 +1,8 @@
 """Multistart projected-gradient minimization over the mass simplex.
 
 Float-only workhorse used by potential minimization and social-cost
-search. Exactness, when needed, is recovered by the callers (snapping to
-solutions of exact linear systems).
+search on the games that have no exact path (non-affine cost forms, and
+social cost above n_max); the callers check its end points themselves.
 """
 
 from __future__ import annotations
@@ -15,6 +15,11 @@ import numpy as np
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 INITIAL_STEP = 1.0
+#: iteration cap and stopping shift of one descent; end points closer
+#: than DEDUP_TOL in the infinity norm count as one
+MAX_ITERS = 500
+XTOL = 1e-12
+DEDUP_TOL = 1e-6
 
 
 def project_to_simplex(v, r=1.0):
@@ -36,13 +41,13 @@ class DescentResult:
     converged: bool
 
 
-def descend(objective, gradient, x0, r, max_iters=500, xtol=1e-12):
+def descend(objective, gradient, x0, r):
     """Projected-gradient descent with Armijo backtracking along the
     projection arc. Returns the final point; stalling at a point where
     the projected step vanishes counts as convergence."""
     x = project_to_simplex(np.asarray(x0, dtype=float), r)
     fx = float(objective(x))
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         g = np.asarray(gradient(x), dtype=float)
         step = INITIAL_STEP
         moved = None
@@ -62,35 +67,27 @@ def descend(objective, gradient, x0, r, max_iters=500, xtol=1e-12):
         cand, fc = moved
         shift = float(np.max(np.abs(cand - x)))
         x, fx = cand, fc
-        if shift <= xtol:
+        if shift <= XTOL:
             return DescentResult(tuple(float(t) for t in x), fx, it, True)
-    return DescentResult(tuple(float(t) for t in x), fx, max_iters, False)
+    return DescentResult(tuple(float(t) for t in x), fx, MAX_ITERS, False)
 
 
-def multistart_minimize(objective, gradient, n, r, starts=20, seed=0,
-                        max_iters=500, dedup_tol=1e-6, include_vertices=True):
+def multistart_minimize(objective, gradient, n, r, starts=20, seed=0):
     """Run descent from random interior points plus the simplex vertices.
 
     Returns DescentResults sorted by (value, point), deduplicated at
-    dedup_tol in the infinity norm; deterministic for a fixed seed.
+    DEDUP_TOL in the infinity norm; deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    points = []
-    if include_vertices:
-        for i in range(n):
-            vertex = np.zeros(n)
-            vertex[i] = float(r)
-            points.append(vertex)
-    if n == 1:
-        points = [np.array([float(r)])]
-    else:
+    points = list(np.eye(n) * float(r))
+    if n > 1:
         for _ in range(starts):
             points.append(rng.dirichlet(np.ones(n)) * float(r))
-    results = [descend(objective, gradient, p, r, max_iters=max_iters) for p in points]
+    results = [descend(objective, gradient, p, r) for p in points]
     results.sort(key=lambda res: (res.value, res.x))
     kept = []
     for res in results:
-        if any(max(abs(a - b) for a, b in zip(res.x, other.x)) <= dedup_tol
+        if any(max(abs(a - b) for a, b in zip(res.x, other.x)) <= DEDUP_TOL
                for other in kept):
             continue
         kept.append(res)

@@ -519,6 +519,26 @@ class TestNonFiniteInput:
         dist.write_text("[NaN, 1]\n", encoding="utf-8")
         self.check_rejected(capsys, "verify", files / "braess.json", dist)
 
+    def test_deviation_size(self, capsys, files):
+        for delta in ("nan", "inf", "1e400"):
+            self.check_rejected(capsys, "verify", files / "braess.json",
+                                "--dist", "1/2,1/2", "--delta", delta)
+
+    def test_dynamics_step(self, capsys, files):
+        for step in ("nan", "1e400"):
+            self.check_rejected(capsys, "dynamics", files / "braess.json",
+                                "--step", step)
+            self.check_rejected(capsys, "solve", files / "braess.json",
+                                "--method", "dynamics", "--step", step)
+
+    def test_tolerance(self, capsys, files):
+        for tol in ("nan", "inf", "-1"):
+            code, out, err = run(capsys, "verify", files / "braess.json",
+                                 "--dist", "1/2,1/2", "--tol", tol)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --tol must be finite and nonnegative")
+
 
 class TestDistributionFileErrors:
     def check_located(self, capsys, files, tmp_path, text, message):

@@ -348,8 +348,9 @@ class TestDeltaStrong:
         x = distribution([Fraction(1), Fraction(0)])
         cert = verify_delta_strong(game, x, 0)
         assert cert.is_delta_strong and cert.witness is None
-        with pytest.raises(ValueError):
-            verify_delta_strong(game, x, -1)
+        for bad in (-1, float("nan")):
+            with pytest.raises(ValueError):
+                verify_delta_strong(game, x, bad)
 
     def test_base_failure_reports_worst_and_best(self):
         game = three_equilibria_game()
@@ -495,6 +496,7 @@ class TestBestResponseDynamics:
         assert bare.x.masses == result.x.masses
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            best_response_dynamics(dilemma_game(),
-                                   distribution([1, 0]), step=0)
+        for bad in (0, float("nan")):
+            with pytest.raises(ValueError):
+                best_response_dynamics(dilemma_game(),
+                                       distribution([1, 0]), step=bad)

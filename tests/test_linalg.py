@@ -209,7 +209,7 @@ def matrices(draw, max_rows=5, max_cols=5, entries=scalars):
     return m
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(matrices(), st.data())
 def test_consistent_rational_systems(a, data):
     n_cols = len(a[0])
@@ -232,7 +232,7 @@ def test_consistent_rational_systems(a, data):
         assert all(type(vec[c]) is Fraction for c in pivots)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(matrices(), st.data())
 def test_inconsistent_rational_systems(a, data):
     rhs = data.draw(st.lists(scalars, min_size=len(a), max_size=len(a)))
@@ -245,7 +245,7 @@ def test_inconsistent_rational_systems(a, data):
     assert result.solution is None and result.basis == ()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(matrices(), st.randoms(use_true_random=False))
 def test_rref_is_the_unique_reduced_form(a, rng):
     reduced, pivots = rref(a)
@@ -262,7 +262,7 @@ quadratic_scalars = st.one_of(scalars, st.sampled_from([PHI, -PHI, 2 * PHI, PHI 
                               st.builds(lambda p, q: p * PHI + q, scalars, scalars))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(matrices(max_rows=4, max_cols=4, entries=quadratic_scalars), st.data())
 def test_consistent_quadratic_systems(a, data):
     x0 = data.draw(st.lists(quadratic_scalars, min_size=len(a[0]), max_size=len(a[0])))

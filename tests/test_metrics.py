@@ -270,7 +270,7 @@ def exact_affine_games(draw):
     return Game.graphical(n, 1, costs, influence_from_triples(n, triples))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(exact_affine_games(), st.randoms(use_true_random=False))
 def test_egalitarian_optimum_property(game, rng):
     result = min_social_cost(game, "egalitarian")

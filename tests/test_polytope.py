@@ -82,7 +82,7 @@ def family_rows(draw):
     return draw(st.permutations(rows))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(family_rows())
 def test_interval_agrees_with_lp(rows):
     bounds = polytope.interval(rows)

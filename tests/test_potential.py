@@ -1,19 +1,26 @@
 """Potential function: values, gradient identity, bounds, minimization."""
 
+import importlib
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nbg import (Game, UnsupportedGameError, affine, cost_vector,
-                 dilemma_game, influence_from_triples, is_local_minimum,
-                 make_family, minimize_potential, polynomial, potential,
-                 potential_maximum_game, verify_equilibrium)
+from nbg import (EquilibriumFamily, Game, MassDistribution,
+                 UnsupportedGameError, affine, cost_vector, dilemma_game,
+                 influence_from_triples, is_local_minimum, make_family,
+                 minimize_potential, polynomial, potential,
+                 potential_maximum_game, solve_affine_by_supports,
+                 verify_equilibrium)
 from nbg.simplexopt import descend, multistart_minimize, project_to_simplex
-from util import (central_difference, random_fraction,
+from util import (central_difference, dense_costs, random_fraction,
                   random_linear_symmetric_game, random_masses,
                   random_symmetric_triples, utilitarian_oracle)
+
+potential_module = importlib.import_module("nbg.potential")
 
 
 def random_polynomial_symmetric_game(rng, n, max_degree=3):
@@ -147,12 +154,84 @@ class TestMinimizePotential:
                 assert report.is_equilibrium
                 assert is_local_minimum(game, x)
 
+    def test_affine_games_run_no_descent(self, monkeypatch):
+        def no_descent(*args, **kwargs):
+            raise AssertionError("descent ran on an affine game")
+
+        monkeypatch.setattr(potential_module, "multistart_minimize", no_descent)
+        minima = minimize_potential(potential_maximum_game())
+        assert [x.masses for x in minima] == [(Fraction(1), Fraction(0))]
+        cycle = make_family("cycle", Fraction(1, 2), n=6)
+        minima = minimize_potential(cycle)
+        assert minima
+        assert all(potential(cycle, x).value == Fraction(1, 6) for x in minima)
+
     def test_deterministic_for_fixed_seed(self):
         rng = random.Random(101)
         game = random_polynomial_symmetric_game(rng, 3, max_degree=2)
         first = minimize_potential(game, starts=8, seed=5)
         second = minimize_potential(game, starts=8, seed=5)
         assert [tuple(x.masses) for x in first] == [tuple(x.masses) for x in second]
+
+
+small_fractions = st.builds(Fraction, st.integers(0, 18), st.integers(1, 6))
+
+
+@st.composite
+def affine_symmetric_games(draw):
+    n = draw(st.integers(1, 5))
+    costs = [affine(draw(small_fractions), draw(small_fractions))
+             for _ in range(n)]
+    triples = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            alpha = draw(small_fractions)
+            if alpha != 0:
+                triples += [(i, j, alpha), (j, i, alpha)]
+    return Game.graphical(n, 1, costs, influence_from_triples(n, triples))
+
+
+def descent_oracle(game, seed):
+    """End points of float descent on Phi, with Phi written out from the
+    affine coefficients and the gradient taken from the dense cost oracle."""
+    forms = [tuple(float(c) for c in f.as_affine()) for f in game.vertex_costs]
+    pairs = [(i, j, float(alpha)) for (i, j), alpha in game.influence.items()
+             if i < j]
+
+    def objective(v):
+        return (sum(a * v[i] ** 2 / 2 + b * v[i] for i, (a, b) in enumerate(forms))
+                + sum(alpha * v[i] * v[j] for i, j, alpha in pairs))
+
+    def gradient(v):
+        return [float(c) for c in dense_costs(game, [float(t) for t in v])]
+
+    return [res.x for res in multistart_minimize(
+        objective, gradient, game.n, float(game.r), starts=10, seed=seed)]
+
+
+@settings(max_examples=40)
+@given(affine_symmetric_games(), st.integers(0, 2 ** 16))
+def test_affine_minima_cover_every_descent_minimum(game, seed):
+    """Every returned minimum is exact, and every descent end point that
+    passes the float checks lies near a returned minimum or on an
+    equilibrium family holding one."""
+    minima = minimize_potential(game)
+    for x in minima:
+        assert x.exact
+        assert verify_equilibrium(game, x).is_equilibrium
+        assert is_local_minimum(game, x)
+    families = [found for found in solve_affine_by_supports(game)
+                if isinstance(found, EquilibriumFamily)
+                and any(found.contains(x) is not None for x in minima)]
+    for point in descent_oracle(game, seed):
+        x = MassDistribution(point, game.r)
+        if not (verify_equilibrium(game, x, tol=1e-7).is_equilibrium
+                and is_local_minimum(game, x)):
+            continue
+        near = any(max(abs(float(a) - b) for a, b in zip(m.masses, point)) <= 1e-6
+                   for m in minima)
+        assert near or any(f.contains(point, tol=1e-6) is not None
+                           for f in families)
 
 
 class TestSimplexOptimizer:
