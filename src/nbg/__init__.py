@@ -14,7 +14,8 @@ from .errors import (DimensionMismatchError, InputFormatError,
 from .numeric import (FLOAT_TOLERANCE, PHI, SQRT5, QuadExt, all_exact,
                       auto_tolerance, format_scalar, is_exact_scalar,
                       parse_scalar, quadext, scalar_to_json, to_float)
-from .linalg import LinearSolution, determinant, matvec, rref, solve_linear_system
+from .linalg import (LinearSolution, determinant, matvec, rref,
+                     solve_linear_system, solve_with_determinant)
 from .graphs import (Digraph, UndirectedGraph, digraph, load_digraph,
                      save_digraph, undirected_graph)
 from .games import (CHARGE_TOLERANCE, CLASS_LADDER, MASS_TOLERANCE,

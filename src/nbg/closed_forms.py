@@ -21,7 +21,7 @@ from .errors import UnsupportedGameError
 from .games import (Game, MassDistribution, affine, classify,
                     influence_from_triples, underlying_graph)
 from .graphs import UndirectedGraph
-from .linalg import determinant, solve_linear_system
+from .linalg import determinant, solve_with_determinant
 
 FAMILY_KINDS = ("path", "cycle", "complete_bipartite", "star")
 
@@ -108,17 +108,17 @@ def uniform_cost_matrix(game: Game):
         raise UnsupportedGameError(
             "uniform-cost systems are defined for normal linear games")
     n = game.n
-    rows = []
-    for i in range(n):
-        row = [0] * (n + 1)
-        row[i] = 1
-        for j, coeff in game.influence.in_coefficients(i):
-            row[j] = coeff
-        row[n] = -1
-        rows.append(row)
-    rows.append([1] * n + [0])
-    rhs = [0] * n + [game.r]
-    return tuple(tuple(r) for r in rows), tuple(rhs)
+    rows = _equal_costs_rows(n, [(i, j, coeff) for i in range(n)
+                                 for j, coeff in game.influence.in_coefficients(i)])
+    return tuple(tuple(r) for r in rows), tuple([0] * n + [game.r])
+
+
+def _equal_costs_rows(n, coefficients):
+    """Rows of (I + W | -1; 1...1 | 0), W[i][j] = w for each (i, j, w)."""
+    rows = [[int(i == j) for j in range(n)] + [-1] for i in range(n)]
+    for i, j, w in coefficients:
+        rows[i][j] = w
+    return rows + [[1] * n + [0]]
 
 
 def uniform_cost_solve(game: Game, graph_kind="general") -> UniformCostSystem:
@@ -131,18 +131,16 @@ def uniform_cost_solve(game: Game, graph_kind="general") -> UniformCostSystem:
             raise UnsupportedGameError(
                 f"game's influence graph is not a {graph_kind} on {game.n} vertices")
     matrix, rhs = uniform_cost_matrix(game)
-    det = determinant([list(row) for row in matrix])
-    solution = solve_linear_system([list(row) for row in matrix], list(rhs))
+    solution, det = solve_with_determinant(matrix, rhs)
     n = game.n
     if solution.status == "none":
         return UniformCostSystem(n, graph_kind, matrix, rhs, det, "none")
     if solution.status == "unique":
-        masses = tuple(solution.solution[:n])
-        cost = solution.solution[n]
+        masses = solution.solution[:n]
         return UniformCostSystem(n, graph_kind, matrix, rhs, det, "unique",
-                                 masses=masses, cost=cost,
+                                 masses=masses, cost=solution.solution[n],
                                  nonnegative=all(m >= 0 for m in masses))
-    base = tuple(solution.solution[:n])
+    base = solution.solution[:n]
     directions = tuple((tuple(vec[:n]), vec[n]) for vec in solution.basis)
     feasible = _has_nonnegative_member(base, [d for d, _ in directions])
     return UniformCostSystem(n, graph_kind, matrix, rhs, det, "family",
@@ -163,18 +161,8 @@ def path_matrix(n, alpha):
     """The (n+1) x (n+1) equal-costs matrix of the n-vertex path."""
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n!r}")
-    rows = []
-    for i in range(n):
-        row = [0] * (n + 1)
-        row[i] = 1
-        if i > 0:
-            row[i - 1] = alpha
-        if i + 1 < n:
-            row[i + 1] = alpha
-        row[n] = -1
-        rows.append(row)
-    rows.append([1] * n + [0])
-    return rows
+    return _equal_costs_rows(n, [(i, j, alpha) for i in range(n)
+                                 for j in (i - 1, i + 1) if 0 <= j < n])
 
 
 def cycle_matrix(n, alpha):
@@ -519,14 +507,10 @@ def conjecture_scan(family, n_values, alpha_values) -> ScanReport:
     rows = []
     for n in n_values:
         for alpha in grid:
-            matrix = build(n, alpha)
-            det = determinant([list(r) for r in matrix])
-            solution = solve_linear_system([list(r) for r in matrix],
-                                           [0] * n + [1])
+            solution, det = solve_with_determinant(build(n, alpha), [0] * n + [1])
             unique = solution.status == "unique"
-            masses = tuple(solution.solution[:n]) if unique else None
+            masses = solution.solution[:n] if unique else None
             cost = solution.solution[n] if unique else None
-            nonneg = bool(masses is not None and all(m >= 0 for m in masses))
-            rows.append(ScanRow(family, n, alpha, det, unique, nonneg,
-                                masses, cost))
+            nonneg = unique and all(m >= 0 for m in masses)
+            rows.append(ScanRow(family, n, alpha, det, unique, nonneg, masses, cost))
     return ScanReport(family, tuple(rows))

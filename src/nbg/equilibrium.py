@@ -23,6 +23,8 @@ from .linalg import solve_linear_system
 
 #: float-mode slack for cost comparisons
 EQUILIBRIUM_TOLERANCE = 1e-9
+#: largest game whose 2^n - 1 supports are enumerated
+SUPPORT_ENUMERATION_MAX_N = 16
 
 
 def _as_distribution(game: Game, x) -> MassDistribution:
@@ -36,6 +38,16 @@ def _as_distribution(game: Game, x) -> MassDistribution:
 
 def _exact_context(x: MassDistribution, costs) -> bool:
     return x.exact and numeric.all_exact(costs)
+
+
+def _tolerance(tol, exact, default):
+    """tol, or the automatic one when it is None. A NaN, infinite or
+    negative tol would decide every comparison one way, so it raises."""
+    if tol is None:
+        return numeric.auto_tolerance(exact, default)
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +75,7 @@ def verify_equilibrium(game: Game, x, tol=None) -> EquilibriumReport:
     x = _as_distribution(game, x)
     costs = cost_vector(game, x)
     exact = _exact_context(x, costs)
-    if tol is None:
-        tol = numeric.auto_tolerance(exact, EQUILIBRIUM_TOLERANCE)
+    tol = _tolerance(tol, exact, EQUILIBRIUM_TOLERANCE)
     charged = x.support()
     zero = 0 if exact else 0.0
     worst_gap = zero
@@ -112,8 +123,7 @@ def verify_delta_strong(game: Game, x, delta, tol=None, samples=33) -> Strongnes
     x = _as_distribution(game, x)
     costs = cost_vector(game, x)
     exact = _exact_context(x, costs) and numeric.is_exact_scalar(delta)
-    if tol is None:
-        tol = numeric.auto_tolerance(exact, EQUILIBRIUM_TOLERANCE)
+    tol = _tolerance(tol, exact, EQUILIBRIUM_TOLERANCE)
     affine = _affine_or_none(game)
     method = "exact" if affine is not None else "sampled"
 
@@ -376,8 +386,7 @@ class EquilibriumFamily:
         rhs = [masses[i] - self.base[i] for i in range(self.n)]
         exact = numeric.all_exact(list(masses) + [v for d in self.directions for v in d]
                                   + list(self.base))
-        if tol is None:
-            tol = numeric.auto_tolerance(exact, 1e-7)
+        tol = _tolerance(tol, exact, 1e-7)
         if exact:
             solution = solve_linear_system(rows, rhs)
             if solution.status == "none":
@@ -483,10 +492,10 @@ def solve_affine_by_supports(game: Game, tol=None) -> list:
 
 def _equal_cost_systems(game: Game, matrix, offsets):
     """The equal-cost support systems of an affine game (`support_systems`
-    with its cost matrix), refused above 16 vertices."""
-    if game.n > 16:
-        raise UnsupportedGameError(
-            "support enumeration is exponential; use games with n <= 16")
+    with its cost matrix), refused above SUPPORT_ENUMERATION_MAX_N vertices."""
+    if game.n > SUPPORT_ENUMERATION_MAX_N:
+        raise UnsupportedGameError("support enumeration is exponential; use games"
+                                   f" with n <= {SUPPORT_ENUMERATION_MAX_N}")
     return support_systems(matrix, offsets, game.r)
 
 

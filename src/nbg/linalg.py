@@ -2,9 +2,10 @@
 
 These routines accept floats, ints and Fractions, and the Q(sqrt 5)
 field, which is what lets the solvers offer exact and approximate modes
-through one interface. Rational matrices are eliminated in integers,
-fraction-free; float and Q(sqrt 5) matrices by Gauss-Jordan with
-largest-magnitude pivots. Matrices are plain lists of lists.
+through one interface. Matrices are plain lists of lists. Each routine
+eliminates a matrix once, fraction-free in integers for rational
+matrices and by Gauss-Jordan with largest-magnitude pivots for float
+and Q(sqrt 5) ones; a determinant is read off that elimination.
 """
 
 from __future__ import annotations
@@ -47,17 +48,22 @@ def _bareiss(rows):
     Each row is scaled to integers by the lcm of its denominators; then
     every row other than the pivot row takes the one-step Bareiss update
     (piv * a - f * b) // prev, whose division is exact (Bareiss, Math.
-    Comp. 22, 1968). Returns (m, pivots, p): the integer rows, the pivot
-    columns and the last pivot p. Pivot row k of the reduced row echelon
-    form is m[k] / p, and the rows past the pivots are zero.
+    Comp. 22, 1968). Returns (m, pivots, p, sign, scale): the integer
+    rows, the pivot columns, the last pivot p, the row-swap parity and
+    the product of the row scales. Pivot row k of the reduced row echelon
+    form is m[k] / p, and the rows past the pivots are zero. When the n
+    rows pivot in the first n columns, those have determinant sign*p/scale.
     """
     m = []
+    scales = 1
     for row in rows:
         scale = math.lcm(*{v.denominator for v in row})
+        scales *= scale
         m.append([v.numerator * (scale // v.denominator) for v in row])
     n_rows, n_cols = len(m), len(m[0])
     pivots = []
     prev = 1
+    sign = 1
     for col in range(n_cols):
         row = len(pivots)
         if row == n_rows:
@@ -65,7 +71,9 @@ def _bareiss(rows):
         best = next((i for i in range(row, n_rows) if m[i][col]), None)
         if best is None:
             continue
-        m[row], m[best] = m[best], m[row]
+        if best != row:
+            m[row], m[best] = m[best], m[row]
+            sign = -sign
         top = m[row]
         pivot = top[col]
         for i in range(n_rows):
@@ -78,14 +86,16 @@ def _bareiss(rows):
                 m[i] = [pivot * a // prev for a in m[i]]
         pivots.append(col)
         prev = pivot
-    return m, pivots, prev
+    return m, pivots, prev, sign, scales
 
 
 def _eliminate(m, is_zero, kind):
     """Gauss-Jordan elimination with largest-magnitude pivots, in place,
-    for float and Q(sqrt 5) matrices. Returns the pivot columns."""
+    for float and Q(sqrt 5) matrices. Returns the pivot columns and the
+    product of the pivots, negated once per row swap."""
     n_rows, n_cols = len(m), len(m[0])
     pivots = []
+    product = 1.0 if kind == _FLOAT else Fraction(1)
     row = 0
     for col in range(n_cols):
         if row >= n_rows:
@@ -100,8 +110,11 @@ def _eliminate(m, is_zero, kind):
                     best, best_size = i, size
         if best is None:
             continue
-        m[row], m[best] = m[best], m[row]
+        if best != row:
+            m[row], m[best] = m[best], m[row]
+            product = -product
         pivot = m[row][col]
+        product = product * pivot
         if kind == _FLOAT:
             m[row] = [v / pivot for v in m[row]]
         else:
@@ -114,30 +127,45 @@ def _eliminate(m, is_zero, kind):
                 m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
         row += 1
-    return pivots
+    return pivots, product
+
+
+def _reduce(m):
+    """Eliminate the nonempty matrix m once, with the kernel for its kind.
+
+    Returns (kind, pivots, entry, det): entry(i, col) reads the reduced
+    row echelon form, and det() is the determinant of the first n = len(m)
+    columns, zero unless the n-th pivot is column n - 1. Float and
+    Q(sqrt 5) matrices are reduced in place.
+    """
+    kind = _classify(m)
+    n = len(m)
+    if kind == _RATIONAL:
+        m, pivots, last, sign, scale = _bareiss(m)
+        if pivots[n - 1:n] != [n - 1]:
+            sign = 0
+        return (kind, pivots, lambda i, col: Fraction(m[i][col], last),
+                lambda: Fraction(sign * last, scale))
+    pivots, product = _eliminate(m, _zero_test_for(m, kind), kind)
+    if pivots[n - 1:n] != [n - 1]:
+        product = 0.0 if kind == _FLOAT else Fraction(0)
+    return kind, pivots, lambda i, col: m[i][col], lambda: product
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (new_rows, pivot_columns).
 
-    Rational matrices are reduced by fraction-free integer elimination;
-    Q(sqrt 5) matrices by exact largest-magnitude pivoting. Every entry
-    of an exact result is a Fraction or a QuadExt. Float matrices use
-    largest-magnitude pivoting with a zero threshold scaled to the
-    largest entry.
+    Every entry of an exact result is a Fraction or a QuadExt. Float
+    matrices use a zero threshold scaled to the largest entry.
     """
     m = [list(row) for row in rows]
     if not m:
         return m, []
-    kind = _classify(m)
-    if kind == _RATIONAL:
-        m, pivots, last = _bareiss(m)
-        return [[Fraction(v, last) for v in row] for row in m], pivots
-    pivots = _eliminate(m, _zero_test_for(m, kind), kind)
-    if kind == _QUADRATIC:
-        # rows past the pivots are exact zeros; an all-zero input row was
-        # never touched and may still hold int 0
-        m[len(pivots):] = [[Fraction(0)] * len(row) for row in m[len(pivots):]]
+    kind, pivots, entry, _ = _reduce(m)
+    if kind != _FLOAT:
+        # rows past the pivots are zero but may still hold int 0
+        m = [[entry(i, col) if i < len(pivots) else Fraction(0)
+              for col in range(len(row))] for i, row in enumerate(m)]
     return m, pivots
 
 
@@ -158,32 +186,16 @@ class LinearSolution:
         return len(self.basis)
 
 
-def solve_linear_system(a_rows, rhs) -> LinearSolution:
-    """Solve A x = b, classifying the solution set exactly when possible.
-
-    Entries of the particular solution and the basis at pivot columns come
-    from the reduced rows (Fractions for rational input); free columns hold
-    the literal 0 and 1 (0.0 and 1.0 for float input).
-    """
+def _solve(a_rows, rhs):
+    """solve_linear_system plus the det() of its elimination."""
     if len(a_rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     if not a_rows:
-        return LinearSolution("unique", (), ())
+        return LinearSolution("unique", (), ()), lambda: 1
     n_cols = len(a_rows[0])
-    augmented = [list(row) + [b] for row, b in zip(a_rows, rhs)]
-    kind = _classify(augmented)
-    if kind == _RATIONAL:
-        m, pivots, last = _bareiss(augmented)
-
-        def entry(i, col):
-            return Fraction(m[i][col], last)
-    else:
-        pivots = _eliminate(augmented, _zero_test_for(augmented, kind), kind)
-
-        def entry(i, col):
-            return augmented[i][col]
+    kind, pivots, entry, det = _reduce([list(row) + [b] for row, b in zip(a_rows, rhs)])
     if n_cols in pivots:
-        return LinearSolution("none", None, ())
+        return LinearSolution("none", None, ()), det
     zero = 0.0 if kind == _FLOAT else 0
     particular = [zero] * n_cols
     for i, col in enumerate(pivots):
@@ -197,40 +209,34 @@ def solve_linear_system(a_rows, rhs) -> LinearSolution:
             direction[col] = -entry(i, free)
         basis.append(tuple(direction))
     status = "unique" if not basis else "family"
-    return LinearSolution(status, tuple(particular), tuple(basis))
+    return LinearSolution(status, tuple(particular), tuple(basis)), det
+
+
+def solve_linear_system(a_rows, rhs) -> LinearSolution:
+    """Solve A x = b, classifying the solution set exactly when possible.
+
+    Entries of the particular solution and the basis at pivot columns come
+    from the reduced rows (Fractions for rational input); free columns hold
+    the literal 0 and 1 (0.0 and 1.0 for float input).
+    """
+    return _solve(a_rows, rhs)[0]
+
+
+def solve_with_determinant(a_rows, rhs):
+    """(solve_linear_system(A, b), determinant of the square A), both from
+    the one elimination of (A | b); a float entry in b makes it float."""
+    n = len(a_rows)
+    if any(len(row) != n for row in a_rows):
+        raise ValueError("determinant needs a square matrix")
+    solution, det = _solve(a_rows, rhs)
+    return solution, det()
 
 
 def determinant(rows):
-    """Determinant by fraction-free Bareiss elimination.
-
-    Exact over Fractions and Q(sqrt 5); over floats it behaves like ordinary
-    Gaussian elimination with the divisions folded in.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    kind = _classify(rows)
-    # int / int is float division; the Bareiss divisions need Fractions
-    m = [[Fraction(v) if kind != _FLOAT and isinstance(v, int) else v for v in row]
-         for row in rows]
-    is_zero = _zero_test_for(m, kind)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if is_zero(m[k][k]):
-            swap = next((i for i in range(k + 1, n) if not is_zero(m[i][k])), None)
-            if swap is None:
-                return 0 * m[0][0]
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant, exact over rationals (a Fraction) and Q(sqrt 5); over
+    floats the signed product of the largest-magnitude pivots, 0.0 when a
+    column has no pivot above the zero threshold. det of [] is 1."""
+    return solve_with_determinant(rows, [0] * len(rows))[1]
 
 
 def matvec(rows, vector):

@@ -169,15 +169,15 @@ def _fd_gradient(objective, v, h=1e-7):
 
 
 def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
-                    n_max=DEFAULT_N_MAX, candidates=()) -> OptimumResult:
+                    n_max=DEFAULT_N_MAX) -> OptimumResult:
     """Search the simplex for the lowest social cost.
 
     On affine games with n <= n_max both measures are decided by the
     support systems alone: utilitarian by face enumeration (method
     "faces"), egalitarian by the equal-cost systems (method "supports").
     The result is exact when the game and the optimal point are. Anything
-    else relies on descent plus injected candidate points and the simplex
-    vertices, and the egalitarian value is then flagged as an estimate.
+    else relies on descent plus the simplex vertices, and the egalitarian
+    value is then flagged as an estimate.
     Games with two vertices additionally get a dense line scan.
     """
     if which not in ("utilitarian", "egalitarian"):
@@ -198,11 +198,11 @@ def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
 
     pool = []
 
-    def consider(masses, exact, method):
+    def consider(masses, method):
         x = distribution(tuple(masses), r)
         pair = social_costs(game, x)
         value = pair.utilitarian if which == "utilitarian" else pair.egalitarian
-        pool.append((float(value), value, x, exact and game.exact and x.exact, method))
+        pool.append((float(value), value, x, game.exact and x.exact, method))
 
     if which == "utilitarian":
         def objective(v):
@@ -223,22 +223,18 @@ def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
 
     for res in multistart_minimize(objective, lambda v: _fd_gradient(objective, v),
                                    n, float(r), starts=starts, seed=seed):
-        consider(project_to_simplex(res.x, float(r)), False, "descent")
+        consider(project_to_simplex(res.x, float(r)), "descent")
 
     if n == 2:
         steps = 10 ** 4
         for k in range(steps + 1):
             t = float(r) * k / steps
-            consider((t, float(r) - t), False, "scan")
-
-    for extra in candidates:
-        masses = extra.masses if isinstance(extra, MassDistribution) else tuple(extra)
-        consider(masses, numeric.all_exact(masses), "candidate")
+            consider((t, float(r) - t), "scan")
 
     for i in range(n):
         vertex = [0 if game.exact else 0.0] * n
         vertex[i] = r if game.exact else float(r)
-        consider(vertex, game.exact, "vertex")
+        consider(vertex, "vertex")
 
     pool.sort(key=lambda entry: (entry[0], not entry[3]))
     _, value, x, exact, method = pool[0]

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibrium import (EquilibriumFamily, solve_affine_by_supports,
-                          verify_equilibrium, _affine_or_none)
+from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily,
+                          solve_affine_by_supports, verify_equilibrium,
+                          _affine_or_none)
 from .errors import UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
 from .simplexopt import multistart_minimize
@@ -93,17 +94,17 @@ def minimize_potential(game: Game, starts=DEFAULT_STARTS, tol=1e-7,
                        seed=0) -> tuple:
     """Distinct local minima of Phi over the simplex, as distributions.
 
-    Every local minimum is an equilibrium, so affine games take their
-    candidates from support enumeration: the isolated equilibria and
-    three samples of each equilibrium family, exact on exact games; no
-    descent runs for them. Other games take the end points of
-    projected-gradient descent that pass verify_equilibrium at `tol`,
-    started from every simplex vertex and from `starts` random interior
-    points drawn with `seed`. Candidates that pass the local-minimum
-    probe are returned sorted, one per 1e-6 neighbourhood.
+    Every local minimum is an equilibrium, so affine games with at most
+    SUPPORT_ENUMERATION_MAX_N vertices take their candidates from support
+    enumeration and run no descent: the isolated equilibria and three
+    samples of each family, exact on exact games. Other games take the
+    end points of projected-gradient descent that pass verify_equilibrium
+    at `tol`, started from every simplex vertex and from `starts` random
+    interior points drawn with `seed`. Candidates that pass the
+    local-minimum probe are returned sorted, one per 1e-6 neighbourhood.
     """
     _require_symmetric(game)
-    if _affine_or_none(game) is not None:
+    if game.n <= SUPPORT_ENUMERATION_MAX_N and _affine_or_none(game) is not None:
         candidates = []
         for found in solve_affine_by_supports(game):
             if isinstance(found, EquilibriumFamily):

@@ -7,7 +7,7 @@ import pytest
 
 from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  Game, PHI, QuadExt, UnsupportedGameError, affine,
-                 affine_coefficients, best_response_dynamics, brouwer_iterate,
+                 affine_coefficients, braess_game, best_response_dynamics, brouwer_iterate,
                  brouwer_map, cost_vector, dilemma_game, distribution,
                  family_cost_range, influence_from_triples, make_family,
                  no_equilibrium_game, opaque, path_determinant,
@@ -77,6 +77,21 @@ class TestVerifyEquilibrium:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             verify_equilibrium(dilemma_game(), (1,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                     -1, Fraction(-1, 10), -1e-12])
+    def test_unusable_tolerance_fails_closed(self, bad):
+        # an infinite tol would accept (1, 0), a NaN or negative one would
+        # reject the exact equilibrium (1/2, 1/2)
+        game = braess_game(Fraction(1, 2))
+        half = (Fraction(1, 2), Fraction(1, 2))
+        assert verify_equilibrium(game, half).is_equilibrium
+        assert not verify_equilibrium(game, (1, 0)).is_equilibrium
+        for x in ((1, 0), half):
+            with pytest.raises(ValueError, match=f"tol must be finite and nonnegative, got {bad}"):
+                verify_equilibrium(game, x, tol=bad)
+            with pytest.raises(ValueError, match=f"got {bad}"):
+                verify_delta_strong(game, x, Fraction(1, 10), tol=bad)
 
     def test_no_equilibrium_game_rejects_a_grid(self):
         game = no_equilibrium_game()
@@ -253,6 +268,14 @@ class TestFamilyMechanics:
         _, fam = self.family()
         assert fam.contains((Fraction(1, 2), Fraction(1, 4),
                              Fraction(1, 8), Fraction(1, 8))) is None
+
+    def test_contains_rejects_unusable_tolerances(self):
+        _, fam = self.family()
+        member = fam.point_at(fam.interval[:1]).x
+        assert fam.contains(member, tol=0) == fam.interval[:1]
+        for bad in (float("nan"), float("inf"), -1):
+            with pytest.raises(ValueError, match=f"got {bad}"):
+                fam.contains(member, tol=bad)
 
     def test_sample_points_cover_interval_ends(self):
         game, fam = self.family()

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nbg import linalg
 from nbg import (PHI, EquilibriumFamily, EquilibriumPoint,
                  UnsupportedGameError, bipartite_closed_form, braess_game,
                  check_rules, classify, conjecture_scan, cycle_closed_form,
-                 cycle_determinant, cycle_matrix, digraph_to_nbg,
+                 cycle_determinant, cycle_matrix, determinant, digraph_to_nbg,
                  directed_triangle, is_exact_scalar, make_family,
                  path_closed_form, path_determinant, path_matrix,
                  solve_affine_by_supports, star_closed_form, underlying_graph,
@@ -500,6 +503,38 @@ class TestConjectureScan:
             conjecture_scan("path", [3], [Fraction(-1, 10)])
         with pytest.raises(ValueError):
             conjecture_scan("star", [3], [Fraction(1, 10)])
+
+
+#: scan coefficients in [0, 1/2): exact rationals and floats
+scan_alphas = st.one_of(st.fractions(min_value=0, max_value=Fraction(9, 20),
+                                     max_denominator=20),
+                        st.floats(min_value=0, max_value=0.49))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["path", "cycle"]), st.integers(3, 9), scan_alphas,
+       st.one_of(st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8),
+                 st.floats(min_value=0.01, max_value=3)))
+def test_reported_determinants_are_the_matrix_determinants(kind, n, alpha, coupling):
+    matrix = path_matrix(n, alpha) if kind == "path" else cycle_matrix(n, alpha)
+    (row,) = conjecture_scan(kind, [n], [alpha]).rows
+    assert row.determinant == determinant(matrix)
+    system = uniform_cost_solve(make_family(kind, coupling, n=n), kind)
+    assert system.determinant == determinant([list(r) for r in system.matrix])
+
+
+def test_each_equal_costs_matrix_is_eliminated_once(monkeypatch):
+    calls = []
+    for name in ("_bareiss", "_eliminate"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    report = conjecture_scan("path", range(2, 7), [Fraction(1, 10), 0.3])
+    assert len(calls) == len(report.rows) == 10
+    for alpha in (Fraction(1, 4), 0.25, 1):
+        calls.clear()
+        uniform_cost_solve(make_family("cycle", alpha, n=5), "cycle")
+        assert len(calls) == 1
 
 
 class TestPinnedPathVectors:

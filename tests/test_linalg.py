@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbg import PHI, QuadExt, determinant, matvec, rref, solve_linear_system
+from nbg import (PHI, QuadExt, determinant, matvec, rref, solve_linear_system,
+                 solve_with_determinant)
 from util import cofactor_determinant
 
 
@@ -196,11 +197,11 @@ scalars = st.one_of(st.integers(-9, 9),
 
 
 @st.composite
-def matrices(draw, max_rows=5, max_cols=5, entries=scalars):
+def matrices(draw, max_rows=5, max_cols=5, entries=scalars, square=False):
     """Matrices of `entries` (by default mixed int/Fraction); some rows are
     combinations of the rows above them, so rank deficiency is common."""
     n_rows = draw(st.integers(1, max_rows))
-    n_cols = draw(st.integers(1, max_cols))
+    n_cols = n_rows if square else draw(st.integers(1, max_cols))
     m = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
     for i in range(1, n_rows):
         if draw(st.booleans()):
@@ -275,6 +276,49 @@ def test_consistent_quadratic_systems(a, data):
     reduced, pivots = rref(a)
     assert result.dimension == len(a[0]) - len(pivots)
     assert rref(reduced) == (reduced, pivots)
+
+
+#: multiples of 1/4 are exact binary floats, so float combinations of rows
+#: are exactly singular and a nonsingular matrix keeps its pivots far above
+#: the zero threshold
+float_scalars = st.integers(-36, 36).map(lambda k: k / 4)
+ENTRY_KINDS = {"rational": scalars, "quadratic": quadratic_scalars, "float": float_scalars}
+
+
+@pytest.mark.parametrize("kind", ["rational", "quadratic"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_determinant_is_the_alternating_cofactor_expansion(kind, data):
+    a = data.draw(matrices(max_rows=4, entries=ENTRY_KINDS[kind], square=True))
+    det = determinant(a)
+    assert det == cofactor_determinant(a)
+    if len(a) > 1:
+        i, j = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        swapped = list(a)
+        swapped[i], swapped[j] = a[j], a[i]
+        assert determinant(swapped) == -det
+
+
+@pytest.mark.parametrize("kind", ["rational", "quadratic", "float"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_determinant_vanishes_exactly_when_the_solve_is_not_unique(kind, data):
+    entries = ENTRY_KINDS[kind]
+    a = data.draw(matrices(max_rows=4, entries=entries, square=True))
+    rhs = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    det = determinant(a)
+    solution = solve_linear_system(a, rhs)
+    assert (det == 0) == (solution.status != "unique")
+    assert solve_with_determinant(a, rhs) == (solution, det)
+    if kind == "float":
+        assert type(det) is float
+
+
+def test_solve_with_determinant_rejects_non_square():
+    with pytest.raises(ValueError):
+        solve_with_determinant([[1, 2, 3], [4, 5, 6]], [1, 2])
+    assert solve_with_determinant([], []) == (solve_linear_system([], []), 1)
 
 
 def test_matvec():

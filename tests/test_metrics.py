@@ -126,25 +126,17 @@ class TestMinSocialCost:
         assert report.optimum_u == report.optimum_e == 1
         assert report.best_equilibrium_cost == 1
 
-    def test_candidate_points_enter_the_pool(self):
-        game = stability_gap_game(Fraction(1, 2))
-        result = min_social_cost(game, "egalitarian",
-                                 candidates=[(Fraction(1), Fraction(0))])
-        assert float(result.value) <= float(
-            social_costs(game, (Fraction(1), Fraction(0))).egalitarian) + 1e-9
-
     @pytest.mark.parametrize("which", ["utilitarian", "egalitarian"])
-    def test_candidate_wins_over_vertices_on_the_descent_path(self, which, monkeypatch):
-        # C_i = x_i: every vertex costs 1 under both measures, the centre 1/3;
-        # n_max below n sends the search down the descent path, and with no
-        # descent results only the candidate can reach 1/3
+    def test_descent_path_flags_egalitarian_estimates(self, which, monkeypatch):
+        # C_i = x_i: every vertex costs 1 under both measures; n_max below n
+        # sends the search down the descent path, and with no descent
+        # results a simplex vertex wins
         monkeypatch.setattr(metrics, "multistart_minimize", lambda *args, **kwargs: [])
         game = Game.graphical(3, 1, [affine(1, 0)] * 3, influence_from_triples(3, []))
-        centre = (Fraction(1, 3),) * 3
-        result = min_social_cost(game, which, n_max=2, candidates=[centre])
-        assert result.method == "candidate"
-        assert result.value == Fraction(1, 3)
-        assert result.x.masses == centre
+        result = min_social_cost(game, which, n_max=2)
+        assert result.method == "vertex"
+        assert result.value == 1
+        assert result.x.masses == (1, 0, 0)
         # descent-path egalitarian values are always flagged as estimates
         assert result.exact == (which == "utilitarian")
 

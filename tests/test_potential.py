@@ -166,6 +166,16 @@ class TestMinimizePotential:
         assert minima
         assert all(potential(cycle, x).value == Fraction(1, 6) for x in minima)
 
+    def test_affine_games_above_the_support_cap_descend(self):
+        # like min_social_cost above its n_max: the exact path refuses 17
+        # vertices, so descent end points are filtered as for other games
+        game = make_family("path", 1 / 4, n=17)
+        minima = minimize_potential(game, starts=4)
+        assert minima
+        for x in minima:
+            assert verify_equilibrium(game, x, tol=1e-7).is_equilibrium
+            assert is_local_minimum(game, x)
+
     def test_deterministic_for_fixed_seed(self):
         rng = random.Random(101)
         game = random_polynomial_symmetric_game(rng, 3, max_degree=2)
