@@ -32,7 +32,7 @@ from .instances import (braess_game, dilemma_game, directed_triangle,
                         unbounded_anarchy_game, unique_nonstrong_game)
 from .kernel_structure import (digraph_to_nbg, enumerate_kernels,
                                strong_supports_match_kernels)
-from .metrics import DEFAULT_N_MAX, price_report
+from .metrics import price_report
 from .potential import DEFAULT_STARTS, minimize_potential, potential
 from .serialize import load_distribution, load_game, parse_masses, save_game
 
@@ -193,11 +193,7 @@ def cmd_solve(args) -> int:
                   f"  potential {numeric.format_scalar(value)}  [{flag}]")
         return 0 if ok else 1
     if args.method == "dynamics":
-        x0 = (game.distribution(parse_masses(args.x0)) if args.x0
-              else _uniform_start(game))
-        step = _parse_cli_scalar(args.step) if args.step else None
-        run = best_response_dynamics(game, x0, step=step,
-                                     max_iters=args.steps, keep_trace=False)
+        _, run = _run_dynamics(game, args, keep_trace=False)
         print(f"iterations: {run.iterations}")
         print(f"converged: {'yes' if run.converged else 'no'}")
         print(f"final: {_vector(run.x.masses)}")
@@ -236,7 +232,7 @@ def cmd_solve(args) -> int:
 
 def cmd_metrics(args) -> int:
     game = load_game(args.game)
-    report = price_report(game, n_max=args.n_max)
+    report = price_report(game)
 
     def line(title, value, key):
         mark = "exact" if report.exact[key] else "estimate"
@@ -317,13 +313,19 @@ def cmd_scan_det(args) -> int:
 # dynamics
 
 
-def cmd_dynamics(args) -> int:
-    game = load_game(args.game)
+def _run_dynamics(game: Game, args, keep_trace):
+    """Best-response dynamics from --x0 (default: the uniform split), with
+    chunk --step and iteration cap --steps; returns (start, result)."""
     x0 = (game.distribution(parse_masses(args.x0)) if args.x0
           else _uniform_start(game))
     step = _parse_cli_scalar(args.step) if args.step else None
-    run = best_response_dynamics(game, x0, step=step, max_iters=args.steps,
-                                 keep_trace=bool(args.csv))
+    return x0, best_response_dynamics(game, x0, step=step, max_iters=args.steps,
+                                      keep_trace=keep_trace)
+
+
+def cmd_dynamics(args) -> int:
+    game = load_game(args.game)
+    x0, run = _run_dynamics(game, args, keep_trace=bool(args.csv))
     print(f"start: {_vector(x0.masses)}")
     print(f"iterations: {run.iterations}")
     print(f"final step size: {_short(run.final_step)}")
@@ -373,14 +375,26 @@ def _set_contains(results, masses) -> bool:
     return False
 
 
+def _single(items, kind):
+    """The only entry of an equilibrium list if it is a `kind`, else None."""
+    return items[0] if len(items) == 1 and isinstance(items[0], kind) else None
+
+
+def _describe_single_point(items, describe) -> str:
+    """`describe` of the only isolated equilibrium, else the list length."""
+    point = _single(items, EquilibriumPoint)
+    return describe(point) if point is not None else f"{len(items)} results"
+
+
+def _masses_at_cost(point) -> str:
+    return f"{_vector(point.x.masses)} at cost {_short(point.cost)}"
+
+
 def _check_one_segment(rec: _Recorder, name, closed, solved) -> None:
     """Check that the closed form and the solver each give one equilibrium
     family, the solver's one-dimensional, each holding samples of the other."""
-    def single_family(items):
-        return (items[0] if len(items) == 1
-                and isinstance(items[0], EquilibriumFamily) else None)
-
-    derived, family = single_family(closed), single_family(solved)
+    derived = _single(closed, EquilibriumFamily)
+    family = _single(solved, EquilibriumFamily)
     ok = derived is not None and family is not None and family.dimension == 1
     if ok:
         ok = all(family.contains(pt.x.masses) is not None
@@ -423,13 +437,10 @@ def _group_kernels(rec: _Recorder) -> None:
     game = digraph_to_nbg(tri, Fraction(2))
     eqs = solve_affine_by_supports(game)
     uniform = (Fraction(1, 3),) * 3
-    only_uniform = (len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-                    and eqs[0].x.masses == uniform)
+    point = _single(eqs, EquilibriumPoint)
     rec.check("directed 3-cycle: unique equilibrium", _vector(uniform),
-              (_vector(eqs[0].x.masses)
-               if len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-               else f"{len(eqs)} results"),
-              ok=only_uniform)
+              _describe_single_point(eqs, lambda p: _vector(p.x.masses)),
+              ok=point is not None and point.x.masses == uniform)
     cert = verify_delta_strong(game, game.distribution(uniform), Fraction(1, 3))
     rec.check("directed 3-cycle: uniform equilibrium survives deviations",
               False, cert.is_delta_strong)
@@ -461,12 +472,11 @@ def _group_kernels(rec: _Recorder) -> None:
                   f" up to {_short(delta)}", expected, cert.is_delta_strong)
     tied = unique_nonstrong_game()
     eqs3 = solve_affine_by_supports(tied)
-    ok3 = (len(eqs3) == 1 and isinstance(eqs3[0], EquilibriumPoint)
-           and eqs3[0].x.masses == (Fraction(0), Fraction(1)))
+    point = _single(eqs3, EquilibriumPoint)
     rec.check("affine tie game: unique equilibrium", "(0, 1)",
-              (_vector(eqs3[0].x.masses)
-               if len(eqs3) == 1 and isinstance(eqs3[0], EquilibriumPoint)
-               else f"{len(eqs3)} results"), ok=ok3)
+              _describe_single_point(eqs3, lambda p: _vector(p.x.masses)),
+              ok=point is not None
+              and point.x.masses == (Fraction(0), Fraction(1)))
     cert3 = verify_delta_strong(tied, tied.distribution((Fraction(0), Fraction(1))),
                                 Fraction(1, 10 ** 6))
     rec.check("affine tie game: equilibrium survives deviations"
@@ -479,14 +489,14 @@ def _group_braess(rec: _Recorder) -> None:
         eqs = solve_affine_by_supports(braess_game(b2))
         expected_x1 = 2 * b2 - Fraction(1, 2)
         expected_cost = Fraction(11, 8) - b2 / 2
-        point = (eqs[0] if len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-                 else None)
+        point = _single(eqs, EquilibriumPoint)
         ok = (point is not None and point.x.masses[0] == expected_x1
               and point.cost == expected_cost)
         rec.check(f"offset {_short(b2)}: unique equilibrium",
                   f"x1 = {_short(expected_x1)}, cost {_short(expected_cost)}",
-                  (f"x1 = {_short(point.x.masses[0])}, cost {_short(point.cost)}"
-                   if point is not None else f"{len(eqs)} results"), ok=ok)
+                  _describe_single_point(
+                      eqs, lambda p: f"x1 = {_short(p.x.masses[0])},"
+                                     f" cost {_short(p.cost)}"), ok=ok)
         costs.append(point.cost if point is not None else None)
     ok = None not in costs and costs[0] > costs[1] > costs[2]
     rec.check("equilibrium cost falls as the offset grows", "5/4 > 9/8 > 1",
@@ -542,25 +552,21 @@ def _group_paths(rec: _Recorder) -> None:
     for n, alpha, numerators, den, cost in targets:
         eqs = solve_affine_by_supports(make_family("path", alpha, n=n))
         expected = tuple(Fraction(k, den) for k in numerators)
-        point = (eqs[0] if len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-                 else None)
+        point = _single(eqs, EquilibriumPoint)
         ok = (point is not None and point.x.masses == expected
               and point.cost == cost)
         rec.check(f"path n={n}, coefficient {_short(alpha)}: unique equilibrium",
                   f"{_vector(expected)} at cost {_short(cost)}",
-                  (f"{_vector(point.x.masses)} at cost {_short(point.cost)}"
-                   if point is not None else f"{len(eqs)} results"), ok=ok)
+                  _describe_single_point(eqs, _masses_at_cost), ok=ok)
 
     closed = path_closed_form(10, Fraction(1, 2))
     expected = tuple(Fraction(k, 30) for k in (5, 1, 4, 2, 3, 3, 2, 4, 1, 5))
-    point = (closed[0] if len(closed) == 1
-             and isinstance(closed[0], EquilibriumPoint) else None)
+    point = _single(closed, EquilibriumPoint)
     ok = (point is not None and point.x.masses == expected
           and point.cost == Fraction(11, 60))
     rec.check("path n=10, coefficient 1/2: closed-form equilibrium",
               f"{_vector(expected)} at cost 11/60",
-              (f"{_vector(point.x.masses)} at cost {_short(point.cost)}"
-               if point is not None else f"{len(closed)} results"), ok=ok)
+              _describe_single_point(closed, _masses_at_cost), ok=ok)
     if point is not None:
         rep = verify_equilibrium(make_family("path", Fraction(1, 2), n=10),
                                  point.x)
@@ -578,14 +584,14 @@ def _group_cycles(rec: _Recorder) -> None:
     closed = cycle_closed_form(5, Fraction(1, 2))
     eqs = solve_affine_by_supports(game)
     expected = (Fraction(1, 5),) * 5
-    ok = (len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-          and eqs[0].x.masses == expected and eqs[0].cost == Fraction(2, 5)
-          and len(closed) == 1 and closed[0].x.masses == expected)
+    point = _single(eqs, EquilibriumPoint)
+    derived = _single(closed, EquilibriumPoint)
+    ok = (point is not None and point.x.masses == expected
+          and point.cost == Fraction(2, 5)
+          and derived is not None and derived.x.masses == expected)
     rec.check("cycle n=5, coefficient 1/2: unique uniform equilibrium",
               f"{_vector(expected)} at cost 2/5",
-              (f"{_vector(eqs[0].x.masses)} at cost {_short(eqs[0].cost)}"
-               if len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-               else f"{len(eqs)} results"), ok=ok)
+              _describe_single_point(eqs, _masses_at_cost), ok=ok)
 
     _check_one_segment(
         rec, "cycle n=6, coefficient 1/2: both derivations give one segment",
@@ -623,16 +629,13 @@ def _group_bipartite(rec: _Recorder) -> None:
     closed = bipartite_closed_form(3, 2, Fraction(1, 10))
     eqs = solve_affine_by_supports(game)
     expected = (Fraction(4, 19),) * 3 + (Fraction(7, 38),) * 2
-    ok = (len(closed) == 1 and isinstance(closed[0], EquilibriumPoint)
-          and closed[0].x.masses == expected
-          and closed[0].cost == Fraction(47, 190)
-          and len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-          and eqs[0].x.masses == expected and eqs[0].cost == Fraction(47, 190))
+    ok = all(point is not None and point.x.masses == expected
+             and point.cost == Fraction(47, 190)
+             for point in (_single(closed, EquilibriumPoint),
+                           _single(eqs, EquilibriumPoint)))
     rec.check("sides 3+2, coefficient 1/10: unique interior equilibrium",
               f"{_vector(expected)} at cost 47/190",
-              (f"{_vector(eqs[0].x.masses)} at cost {_short(eqs[0].cost)}"
-               if len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-               else f"{len(eqs)} results"), ok=ok)
+              _describe_single_point(eqs, _masses_at_cost), ok=ok)
 
     closed = bipartite_closed_form(3, 2, Fraction(1, 2))
     eqs = solve_affine_by_supports(
@@ -659,15 +662,14 @@ def _group_bipartite(rec: _Recorder) -> None:
     closed = star_closed_form(5, Fraction(1, 5))
     eqs = solve_affine_by_supports(make_family("star", Fraction(1, 5), n=5))
     expected = (Fraction(4, 17),) * 4 + (Fraction(1, 17),)
-    ok = (len(closed) == 1 and closed[0].x.masses == expected
-          and closed[0].cost == Fraction(21, 85)
-          and len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-          and eqs[0].x.masses == expected)
+    point = _single(eqs, EquilibriumPoint)
+    derived = _single(closed, EquilibriumPoint)
+    ok = (derived is not None and derived.x.masses == expected
+          and derived.cost == Fraction(21, 85)
+          and point is not None and point.x.masses == expected)
     rec.check("star n=5, coefficient 1/5: unique interior equilibrium",
               f"{_vector(expected)} at cost 21/85",
-              (f"{_vector(eqs[0].x.masses)} at cost {_short(eqs[0].cost)}"
-               if len(eqs) == 1 and isinstance(eqs[0], EquilibriumPoint)
-               else f"{len(eqs)} results"), ok=ok)
+              _describe_single_point(eqs, _masses_at_cost), ok=ok)
 
     _check_one_segment(
         rec, "sides 2+2, coefficient 1/2: both derivations give one segment",
@@ -789,8 +791,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="social optima and price of "
                                        "anarchy/stability")
     p.add_argument("game", help="game JSON file")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
-                   help="refuse games with more vertices than this")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("family", help="generate a named-family game file")

@@ -21,8 +21,13 @@ from .errors import DimensionMismatchError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
 from .linalg import solve_linear_system
 
-#: float-mode slack for cost comparisons
+#: float-mode slack for cost comparisons, and the worst cost gap at
+#: which best-response dynamics stops
 EQUILIBRIUM_TOLERANCE = 1e-9
+#: mass change per step at which the fixed-point iteration stops
+BROUWER_TOLERANCE = 1e-12
+#: eps grid size for delta-strong checks on games that are not affine
+DELTA_STRONG_SAMPLES = 33
 #: largest game whose 2^n - 1 supports are enumerated
 SUPPORT_ENUMERATION_MAX_N = 16
 
@@ -117,7 +122,7 @@ class StrongnessCertificate:
     tolerance: object
 
 
-def verify_delta_strong(game: Game, x, delta, tol=None, samples=33) -> StrongnessCertificate:
+def verify_delta_strong(game: Game, x, delta, tol=None) -> StrongnessCertificate:
     if not delta >= 0:
         raise ValueError(f"delta must be a nonnegative number, got {delta}")
     x = _as_distribution(game, x)
@@ -151,8 +156,8 @@ def verify_delta_strong(game: Game, x, delta, tol=None, samples=33) -> Strongnes
                 if costs[i] - moved_cost > tol:
                     return StrongnessCertificate(delta, False, (i, j, eps_max), method, tol)
             else:
-                for k in range(1, samples + 1):
-                    eps = eps_max * k / samples
+                for k in range(1, DELTA_STRONG_SAMPLES + 1):
+                    eps = eps_max * k / DELTA_STRONG_SAMPLES
                     moved = list(masses)
                     moved[i] = moved[i] - eps
                     moved[j] = moved[j] + eps
@@ -235,7 +240,7 @@ class IterationResult:
     residual: object
 
 
-def brouwer_iterate(game: Game, x0, max_iters=1000, tol=1e-12) -> IterationResult:
+def brouwer_iterate(game: Game, x0, max_iters=1000) -> IterationResult:
     """Iterate the fixed-point map; convergence is not guaranteed in
     general, so the outcome is reported rather than assumed."""
     x = _as_distribution(game, x0)
@@ -244,7 +249,7 @@ def brouwer_iterate(game: Game, x0, max_iters=1000, tol=1e-12) -> IterationResul
         nxt = brouwer_map(game, x)
         residual = max(abs(float(a) - float(b)) for a, b in zip(nxt.masses, x.masses))
         x = nxt
-        if residual <= tol:
+        if residual <= BROUWER_TOLERANCE:
             return IterationResult(x, it, True, residual)
     return IterationResult(x, max_iters, False, residual)
 
@@ -264,12 +269,13 @@ class DynamicsResult:
 
 
 def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
-                           tol=EQUILIBRIUM_TOLERANCE, keep_trace=True) -> DynamicsResult:
+                           keep_trace=True) -> DynamicsResult:
     """Move mass chunks from the worst charged vertex to the cheapest one.
 
     The chunk size starts at r/100 (or `step`) and halves after ten
     consecutive iterations without improving the worst cost gap, so the
-    dynamics settles near rest points instead of oscillating.
+    dynamics settles near rest points instead of oscillating. It stops
+    once the gap is at most EQUILIBRIUM_TOLERANCE.
     """
     x = _as_distribution(game, x0)
     masses = list(x.masses)
@@ -289,7 +295,7 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
         worst = max(charged, key=lambda i: (costs[i], -i))
         cheapest = min(range(game.n), key=lambda j: (costs[j], j))
         gap = costs[worst] - costs[cheapest]
-        if gap <= tol:
+        if gap <= EQUILIBRIUM_TOLERANCE:
             converged = True
             iterations -= 1
             break
@@ -308,7 +314,7 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
         if keep_trace:
             trace.append(MassDistribution(tuple(masses), game.r))
     final = MassDistribution(tuple(masses), game.r)
-    report = verify_equilibrium(game, final, tol=max(float(tol), EQUILIBRIUM_TOLERANCE))
+    report = verify_equilibrium(game, final, tol=EQUILIBRIUM_TOLERANCE)
     return DynamicsResult(final, tuple(trace), iterations, converged, report, step)
 
 

@@ -6,11 +6,14 @@ equilibrium both collapse to the common charged cost, so equilibrium
 contributions to the price ratios come straight from the solver, while
 the denominators need a search over the whole simplex.
 
-On affine games with at most n_max vertices both optima are exact and
-come from the support systems of `equilibrium.support_systems`: face
-stationarity systems (M + M^T) for the utilitarian cost, equal-cost
-systems (M) for the egalitarian one. Other games fall back to float
-multistart descent, flagged as an estimate.
+On affine games with at most SUPPORT_ENUMERATION_MAX_N (16) vertices
+both optima are exact. Each is the least point over the nonsingular
+support systems of `equilibrium.support_systems` with nonnegative
+masses: face stationarity systems (M + M^T) for the utilitarian cost,
+equal-cost systems (M) for the egalitarian one. Singular systems add no
+candidate (see `_least_support_point`), so no linear program runs.
+Other games fall back to float multistart descent, flagged as an
+estimate.
 """
 
 from __future__ import annotations
@@ -18,16 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import numeric, polytope
-from .equilibrium import (EquilibriumFamily, _affine_or_none,
-                          _equal_cost_systems, _equilibria_from_systems,
-                          family_cost_range, support_systems)
+from . import numeric
+from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily,
+                          _affine_or_none, _equal_cost_systems,
+                          _equilibria_from_systems, family_cost_range,
+                          support_systems)
 from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
 from .simplexopt import multistart_minimize, project_to_simplex
 
-#: supports enumerated exactly for the optima of affine games
-DEFAULT_N_MAX = 12
+#: random descent starts, and their seed, on games without an exact path
+DESCENT_STARTS = 40
+DESCENT_SEED = 0
 #: sharpness of the smooth maximum used for egalitarian descent on
 #: non-affine games
 SMOOTH_MAX_BETA = 1e4
@@ -59,57 +64,40 @@ class OptimumResult:
     method: str
 
 
-def _exact_quadratic_minimum(game: Game, affine_parts):
-    """Global utilitarian minimum of an affine game by face enumeration.
+def _least_support_point(game: Game, systems, value):
+    """The least-valued point among the unique support systems in
+    `systems` whose masses are nonnegative, as (masses, value); `value`
+    maps (masses, common value c of the system) to the objective.
 
-    On each face, an interior minimizer satisfies the stationarity system
-    of the quadratic x.C(x); faces whose minimum sits on their boundary
-    are covered by the enclosing sub-faces, and the simplex vertices are
-    the singleton faces, so scanning every support finds the optimum.
-    Along degenerate (underdetermined) stationary families the objective
-    is constant, so any feasible member represents its face.
-    """
-    matrix, offsets = affine_parts
-    n, r = game.n, game.r
-    exact = game.exact
-    tol = numeric.auto_tolerance(exact, 1e-9)
-    symmetric = [[matrix[j][i] + matrix[i][j] for i in range(n)] for j in range(n)]
-    best = None
-    for support, solution in support_systems(symmetric, offsets, r):
-        k = len(support)
-        if solution.status == "unique":
-            masses_s = solution.solution[:k]
-            if any(m < -tol for m in masses_s):
-                continue
-            point = _assemble(n, support, masses_s, exact)
-        else:
-            point = _feasible_family_member(n, support, solution, exact, tol)
-            if point is None:
-                continue
-        value = social_costs(game, distribution(point, r)).utilitarian
-        if best is None or value < best[1]:
-            best = (point, value)
-    return best
+    Both optima of an affine game are found this way.
 
+    Utilitarian: the face systems of M + M^T are the stationarity
+    conditions of q(x) = x.C(x) on each face, with c the multiplier of
+    sum x = r. The global minimiser x* is stationary on the face of its
+    own support, so it solves that support's system. If the system is
+    singular, take a kernel direction (d, d_c); the last row gives
+    sum d = 0, so d is nonzero on the masses and has a negative entry.
+    Along d the objective is constant: grad q . d = c sum d = 0 and
+    d^T (M + M^T) d = d_c sum d = 0. Slide x* along d until a mass
+    reaches zero; the point still solves the system of the smaller
+    support, at the same value. Repeating ends at a nonsingular system
+    (a singleton support always is one) with nonnegative masses.
 
-def _exact_egalitarian_minimum(game: Game, systems) -> OptimumResult:
-    """Global egalitarian minimum of an affine game from the equal-cost
-    support systems `systems` (from `support_systems` with the cost
-    matrix M), with method "supports".
+    Egalitarian: the min-max over charged vertices equals the least, over
+    supports S, of the LP "minimise t subject to C_i(x) <= t for i in S,
+    x >= 0 on S, sum x = r": every point is feasible for the LP of its
+    own support at its egalitarian cost, and at any LP point the
+    egalitarian cost is at most t. Take an optimal vertex of that LP. If
+    all its masses are positive, every cost row is active, and with
+    sum x = r they form a nonsingular square system: the equal-cost
+    system of S, whose c is the value. If some mass is zero, drop that
+    vertex from S; the same point is feasible for the smaller LP with no
+    larger value, and repeating again ends at a nonsingular system with
+    nonnegative masses.
 
-    The min-max over charged vertices equals the least, over supports S,
-    of the LP "minimise t subject to C_i(x) <= t for i in S, x >= 0 on S,
-    sum x = r": every point is feasible for the LP of its own support at
-    its egalitarian cost, and at any LP point the egalitarian cost is at
-    most t. Take an optimal vertex of that LP. If all its masses are
-    positive, every cost row is active, and with sum x = r they form a
-    nonsingular square system: the equal-cost system of S. If some mass
-    is zero, drop that vertex from S; the same point is feasible for the
-    smaller LP with no larger value. Repeating ends at a nonsingular
-    support system with nonnegative masses, whose common cost is the
-    optimum; conversely each such system's point has egalitarian cost
-    equal to its common cost. So the least common cost over unique,
-    nonnegative support systems is the optimum, and no LP is needed.
+    Conversely each such system gives a feasible point, valued at its
+    objective (its egalitarian cost is its common cost c). So the least
+    candidate is the optimum, and singular systems and LPs add nothing.
     """
     exact = game.exact
     tol = numeric.auto_tolerance(exact, 1e-9)
@@ -121,12 +109,32 @@ def _exact_egalitarian_minimum(game: Game, systems) -> OptimumResult:
         masses_s = solution.solution[:k]
         if any(m < -tol for m in masses_s):
             continue
-        cost = solution.solution[k]
-        if best is None or cost < best[1]:
-            best = (_assemble(game.n, support, masses_s, exact), cost)
-    x = distribution(best[0], game.r)
+        point = _assemble(game.n, support, masses_s, exact)
+        candidate = value(point, solution.solution[k])
+        if best is None or candidate < best[1]:
+            best = (point, candidate)
+    return best
+
+
+def _exact_egalitarian_minimum(game: Game, systems) -> OptimumResult:
+    """Global egalitarian minimum of an affine game from its equal-cost
+    support systems `systems`, with method "supports"."""
+    point, _ = _least_support_point(game, systems, lambda point, cost: cost)
+    x = distribution(point, game.r)
     value = social_costs(game, x).egalitarian
-    return OptimumResult(x, value, exact and x.exact, "supports")
+    return OptimumResult(x, value, game.exact and x.exact, "supports")
+
+
+def _exact_utilitarian_minimum(game: Game, matrix, offsets) -> OptimumResult:
+    """Global utilitarian minimum of an affine game from the face systems
+    of M + M^T, with method "faces"."""
+    n, r = game.n, game.r
+    symmetric = [[matrix[j][i] + matrix[i][j] for i in range(n)] for j in range(n)]
+    point, value = _least_support_point(
+        game, support_systems(symmetric, offsets, r),
+        lambda point, _: social_costs(game, distribution(point, r)).utilitarian)
+    x = distribution(point, r)
+    return OptimumResult(x, value, game.exact and x.exact, "faces")
 
 
 def _assemble(n, support, masses_s, exact):
@@ -135,26 +143,6 @@ def _assemble(n, support, masses_s, exact):
     for idx, s in enumerate(support):
         masses[s] = masses_s[idx] if masses_s[idx] > 0 else zero
     return tuple(masses)
-
-
-def _feasible_family_member(n, support, solution, exact, tol):
-    k = len(support)
-    base = solution.solution[:k]
-    directions = [vec[:k] for vec in solution.basis]
-    rows = [(value, [d[row] for d in directions]) for row, value in enumerate(base)]
-    if len(directions) == 1:
-        bounds = polytope.interval(rows, tol)
-        if bounds is None:
-            return None
-        point = [b + bounds[0] * s for b, s in zip(base, directions[0])]
-        return _assemble(n, support, point, exact)
-
-    optimum = polytope.minimize(rows, [0.0] * len(directions))
-    if optimum is None:
-        return None
-    point = [float(b) + sum(float(d[row]) * t for d, t in zip(directions, optimum[1]))
-             for row, b in enumerate(base)]
-    return _assemble(n, support, [max(p, 0.0) for p in point], False)
 
 
 def _fd_gradient(objective, v, h=1e-7):
@@ -168,33 +156,28 @@ def _fd_gradient(objective, v, h=1e-7):
     return grads
 
 
-def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
-                    n_max=DEFAULT_N_MAX) -> OptimumResult:
+def min_social_cost(game: Game, which="utilitarian") -> OptimumResult:
     """Search the simplex for the lowest social cost.
 
-    On affine games with n <= n_max both measures are decided by the
-    support systems alone: utilitarian by face enumeration (method
-    "faces"), egalitarian by the equal-cost systems (method "supports").
-    The result is exact when the game and the optimal point are. Anything
-    else relies on descent plus the simplex vertices, and the egalitarian
-    value is then flagged as an estimate.
-    Games with two vertices additionally get a dense line scan.
+    On affine games with n <= SUPPORT_ENUMERATION_MAX_N both measures are
+    decided by the support systems alone (see `_least_support_point`):
+    utilitarian by the face systems (method "faces"), egalitarian by the
+    equal-cost systems (method "supports"). The result is exact when the
+    game and the optimal point are. Anything else relies on descent plus
+    the simplex vertices, and the egalitarian value is then flagged as an
+    estimate. Games with two vertices additionally get a dense line scan.
     """
     if which not in ("utilitarian", "egalitarian"):
         raise ValueError(f"unknown social cost {which!r}")
     n, r = game.n, game.r
 
     affine_parts = _affine_or_none(game)
-    if affine_parts is not None and n <= n_max:
-        # singleton supports are the simplex vertices and always qualify,
-        # so both searches find a point and no other search can do better
+    if affine_parts is not None and n <= SUPPORT_ENUMERATION_MAX_N:
+        matrix, offsets = affine_parts
         if which == "egalitarian":
-            matrix, offsets = affine_parts
             return _exact_egalitarian_minimum(
-                game, support_systems(matrix, offsets, r))
-        point, value = _exact_quadratic_minimum(game, affine_parts)
-        x = distribution(point, r)
-        return OptimumResult(x, value, game.exact and x.exact, "faces")
+                game, _equal_cost_systems(game, matrix, offsets))
+        return _exact_utilitarian_minimum(game, matrix, offsets)
 
     pool = []
 
@@ -222,7 +205,8 @@ def min_social_cost(game: Game, which="utilitarian", starts=40, seed=0,
             return peak + math.log(sum(math.exp(beta * (c - peak)) for c in costs)) / beta
 
     for res in multistart_minimize(objective, lambda v: _fd_gradient(objective, v),
-                                   n, float(r), starts=starts, seed=seed):
+                                   n, float(r), starts=DESCENT_STARTS,
+                                   seed=DESCENT_SEED):
         consider(project_to_simplex(res.x, float(r)), "descent")
 
     if n == 2:
@@ -263,8 +247,9 @@ def _ratio(num, den):
     return float(num) / float(den)
 
 
-def price_report(game: Game, n_max=DEFAULT_N_MAX) -> PriceReport:
-    """Prices of anarchy and stability for an affine game.
+def price_report(game: Game) -> PriceReport:
+    """Prices of anarchy and stability for an affine game with at most
+    SUPPORT_ENUMERATION_MAX_N vertices; larger games are refused.
 
     Equilibrium costs come from exact support enumeration (families
     contribute their cost extremes; multi-parameter families bound them
@@ -275,11 +260,9 @@ def price_report(game: Game, n_max=DEFAULT_N_MAX) -> PriceReport:
     affine_parts = _affine_or_none(game)
     if affine_parts is None:
         raise UnsupportedGameError("price report needs an affine game")
-    if game.n > n_max:
-        raise UnsupportedGameError(
-            f"price report is exponential in n; {game.n} exceeds {n_max}")
 
-    # the equilibrium set and the egalitarian optimum share these systems
+    # the equilibrium set and the egalitarian optimum share these systems;
+    # _equal_cost_systems refuses games above the support cap
     matrix, offsets = affine_parts
     systems = list(_equal_cost_systems(game, matrix, offsets))
     equilibria = _equilibria_from_systems(game, matrix, offsets, systems)
@@ -303,7 +286,7 @@ def price_report(game: Game, n_max=DEFAULT_N_MAX) -> PriceReport:
     best_eq = min(lows)
     worst_eq = max(highs)
 
-    opt_u = min_social_cost(game, "utilitarian", n_max=n_max)
+    opt_u = min_social_cost(game, "utilitarian")
     opt_e = _exact_egalitarian_minimum(game, systems)
 
     flags = {

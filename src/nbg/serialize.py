@@ -134,15 +134,21 @@ def game_to_dict(game: Game) -> dict:
     }
 
 
-def load_game(path) -> Game:
+def _read_json(path):
+    """The parsed content of a JSON file; bad JSON names the file and the
+    position."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def load_game(path) -> Game:
+    data = _read_json(path)
     try:
         return game_from_dict(data)
     except InputFormatError as exc:
@@ -185,14 +191,7 @@ def _maybe_number(text: str):
 def load_distribution(path, total=None) -> MassDistribution:
     """Read a distribution file: either a bare JSON list of masses or an
     object {"masses": [...], "total": ...}."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    data = _read_json(path)
     if isinstance(data, dict):
         if "masses" not in data:
             raise InputFormatError(f"{path}: missing 'masses'")

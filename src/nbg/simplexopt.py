@@ -2,7 +2,7 @@
 
 Float-only workhorse used by potential minimization and social-cost
 search on the games that have no exact path (non-affine cost forms, and
-social cost above n_max); the callers check its end points themselves.
+affine games above the support-enumeration cap); the callers check its end points themselves.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ session; family files are produced by the family subcommand itself.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -236,10 +237,11 @@ class TestMetrics:
         assert "affine" in err
 
     def test_size_guard(self, capsys, files, tmp_path):
-        game = make_path_file(capsys, tmp_path, 4, "1/2", "p4.json")
-        code, _, err = run(capsys, "metrics", game, "--n-max", "3")
+        game = make_path_file(capsys, tmp_path, 17, "1/2", "p17.json")
+        code, _, err = run(capsys, "metrics", game)
         assert code == 2
-        assert "exceeds" in err
+        assert err == ("error: support enumeration is exponential;"
+                       " use games with n <= 16\n")
 
 
 class TestFamily:
@@ -408,6 +410,8 @@ class TestDynamics:
         assert "equilibrium: no" in out
 
 
+#: the full stdout of `nbg reproduce --all`
+REPRODUCE_ALL = Path(__file__).parent / "golden" / "reproduce_all.txt"
 GROUP_SIZES = {"2.1": 8, "3.4": 15, "3.8": 4, "3.9": 6, "3.10": 9,
                "4.1": 7, "4.2": 4, "4.3": 5}
 
@@ -448,6 +452,11 @@ class TestReproduce:
         for group, size in GROUP_SIZES.items():
             assert sum(1 for line in lines if f"[{group}]" in line) == size
         assert lines[-1] == "58 checks, 58 passed, 0 failed"
+
+    def test_all_groups_match_the_golden_output(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--all")
+        assert code == 0
+        assert out.encode("utf-8") == REPRODUCE_ALL.read_bytes()
 
     def test_byte_deterministic(self, capsys):
         code_a, out_a, _ = run(capsys, "reproduce", "--all")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbg import metrics
+from nbg import metrics, polytope
 from nbg import (EquilibriumFamily, Game, UnsupportedGameError, affine,
                  affine_coefficients, braess_game, constant, cost_degree,
                  dilemma_game, gamma_for_class, influence_from_triples,
@@ -15,6 +15,7 @@ from nbg import (EquilibriumFamily, Game, UnsupportedGameError, affine,
                  potential_maximum_game, price_report, social_costs,
                  solve_affine_by_supports, stability_gap_game,
                  unbounded_anarchy_game)
+from nbg.equilibrium import support_systems
 from util import (random_affine_game, random_affine_symmetric_game,
                   random_linear_symmetric_game, random_masses,
                   utilitarian_oracle)
@@ -128,17 +129,37 @@ class TestMinSocialCost:
 
     @pytest.mark.parametrize("which", ["utilitarian", "egalitarian"])
     def test_descent_path_flags_egalitarian_estimates(self, which, monkeypatch):
-        # C_i = x_i: every vertex costs 1 under both measures; n_max below n
-        # sends the search down the descent path, and with no descent
-        # results a simplex vertex wins
-        monkeypatch.setattr(metrics, "multistart_minimize", lambda *args, **kwargs: [])
-        game = Game.graphical(3, 1, [affine(1, 0)] * 3, influence_from_triples(3, []))
-        result = min_social_cost(game, which, n_max=2)
+        # C_i = x_i: every vertex costs 1 under both measures; 17 vertices
+        # exceed the support cap and send the search down the descent path,
+        # and with no descent results a simplex vertex wins
+        descents = []
+
+        def no_results(*args, **kwargs):
+            descents.append(args)
+            return []
+
+        monkeypatch.setattr(metrics, "multistart_minimize", no_results)
+        game = Game.graphical(17, 1, [affine(1, 0)] * 17,
+                              influence_from_triples(17, []))
+        result = min_social_cost(game, which)
+        assert len(descents) == 1
         assert result.method == "vertex"
         assert result.value == 1
-        assert result.x.masses == (1, 0, 0)
+        assert result.x.masses == (1,) + (0,) * 16
         # descent-path egalitarian values are always flagged as estimates
         assert result.exact == (which == "utilitarian")
+
+    def test_exact_up_to_the_support_cap(self, monkeypatch):
+        def no_descent(*args, **kwargs):
+            raise AssertionError("descent ran within the support cap")
+
+        monkeypatch.setattr(metrics, "multistart_minimize", no_descent)
+        # 13 vertices: above the cap of 12 that the optima once had
+        game = Game.graphical(13, 1, [affine(1, 0)] * 13,
+                              influence_from_triples(13, []))
+        result = min_social_cost(game, "egalitarian")
+        assert result.value == Fraction(1, 13)
+        assert result.exact and result.method == "supports"
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):
@@ -215,8 +236,8 @@ class TestPriceReport:
     def test_rejects_curved_and_oversized_games(self):
         with pytest.raises(UnsupportedGameError):
             price_report(dilemma_game())
-        with pytest.raises(UnsupportedGameError):
-            price_report(make_family("cycle", Fraction(1, 4), n=4), n_max=3)
+        with pytest.raises(UnsupportedGameError, match="n <= 16"):
+            price_report(make_family("cycle", Fraction(1, 4), n=17))
 
 
 def epigraph_oracle(game):
@@ -251,12 +272,12 @@ coefficient = st.fractions(min_value=0, max_value=3, max_denominator=6)
 
 
 @st.composite
-def exact_affine_games(draw):
+def exact_affine_games(draw, values=coefficient):
     """Affine games with n <= 5, possibly asymmetric, with zero slopes and
-    ties among the drawn coefficients."""
+    ties among the drawn `values`."""
     n = draw(st.integers(min_value=1, max_value=5))
-    costs = [affine(draw(coefficient), draw(coefficient)) for _ in range(n)]
-    triples = [(i, j, draw(coefficient)) for i in range(n) for j in range(n)
+    costs = [affine(draw(values), draw(values)) for _ in range(n)]
+    triples = [(i, j, draw(values)) for i in range(n) for j in range(n)
                if i != j and draw(st.booleans())]
     triples = [t for t in triples if t[2] != 0]
     return Game.graphical(n, 1, costs, influence_from_triples(n, triples))
@@ -282,6 +303,61 @@ def test_egalitarian_optimum_property(game, rng):
     assert value >= min_social_cost(game).value
     oracle = epigraph_oracle(game)
     assert float(value) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+
+def face_family_oracle(game):
+    """Utilitarian optimum over the face systems of M + M^T that also
+    takes one nonnegative member of each singular system: the low end of
+    the parameter interval for one parameter, a float LP member for more.
+    Exact unless an LP member wins."""
+    matrix, offsets = affine_coefficients(game)
+    n = game.n
+    symmetric = [[matrix[j][i] + matrix[i][j] for i in range(n)]
+                 for j in range(n)]
+    best = None
+    for support, solution in support_systems(symmetric, offsets, game.r):
+        k = len(support)
+        base = solution.solution[:k]
+        directions = [vec[:k] for vec in solution.basis]
+        rows = [(value, [d[row] for d in directions])
+                for row, value in enumerate(base)]
+        if not directions:
+            masses = base if all(m >= 0 for m in base) else None
+        elif len(directions) == 1:
+            bounds = polytope.interval(rows)
+            masses = bounds and [b + bounds[0] * d
+                                 for b, d in zip(base, directions[0])]
+        else:
+            optimum = polytope.minimize(rows, [0.0] * len(directions))
+            masses = optimum and [
+                max(float(b) + sum(float(d[row]) * t
+                                   for d, t in zip(directions, optimum[1])), 0.0)
+                for row, b in enumerate(base)]
+        if masses is None:
+            continue
+        point = [0] * n
+        for s, m in zip(support, masses):
+            point[s] = m
+        value = utilitarian_oracle(game, point)
+        if best is None or value < best:
+            best = value
+    return best
+
+
+# half the games draw from {0, 1}, where singular face systems are common
+@settings(max_examples=60)
+@given(st.one_of(exact_affine_games(),
+                 exact_affine_games(st.sampled_from([Fraction(0), Fraction(1)]))))
+def test_utilitarian_optimum_property(game):
+    result = min_social_cost(game)
+    value = result.value
+    assert result.exact and result.method == "faces"
+    assert social_costs(game, result.x).utilitarian == value
+    oracle = face_family_oracle(game)
+    if isinstance(oracle, float):
+        assert float(value) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+    else:
+        assert value == oracle
 
 
 class TestDegreeConstants:
