@@ -606,8 +606,9 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
     """Clip a solution family to the feasible region.
 
     One-parameter families get an exact interval. Multi-parameter
-    families keep their constraint rows; constraints that bind across the
-    whole feasible region are folded back into the linear system, so a
+    families keep their constraint rows; one LP finds the constraints
+    that bind across the whole feasible region (its implicit
+    equalities), and they are folded back into the linear system, so a
     region pinched to a lower dimension is re-derived at its true size
     (possibly a single point).
     """
@@ -627,19 +628,13 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
         return EquilibriumFamily(n, game.r, support, base, cost_base,
                                  directions, tuple(cost_dirs), (lo, hi))
 
-    if not polytope.feasible(constraints, len(directions)):
+    # rows that bind across the whole region squeeze it into a
+    # lower-dimensional slice
+    equalities = polytope.implicit_equalities(constraints)
+    if equalities is None:
         return None
-    # a constraint whose slack never leaves zero squeezes the region into
-    # a lower-dimensional slice; the data is rational and tiny, so LP
-    # noise sits far below this threshold
-    slack = max(float(tol), 1e-9)
-    tight = []
-    for value, coefs in constraints:
-        if all(c == 0 for c in coefs):
-            continue
-        top = polytope.maximum(constraints, value, coefs)
-        if top is not None and top <= slack:
-            tight.append((value, coefs))
+    tight = [constraints[i] for i in equalities
+             if any(c != 0 for c in constraints[i][1])]
     if not tight:
         return EquilibriumFamily(n, game.r, support, base, cost_base,
                                  directions, tuple(cost_dirs), None, "",

@@ -18,6 +18,7 @@ estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,9 +66,10 @@ class OptimumResult:
 
 
 def _least_support_point(game: Game, systems, value):
-    """The least-valued point among the unique support systems in
-    `systems` whose masses are nonnegative, as (masses, value); `value`
-    maps (masses, common value c of the system) to the objective.
+    """The masses of the least-valued point among the unique support
+    systems in `systems` whose masses are nonnegative; `value` maps
+    (masses, common value c of the system) to a key that orders the
+    points as the objective does.
 
     Both optima of an affine game are found this way.
 
@@ -98,6 +100,10 @@ def _least_support_point(game: Game, systems, value):
     Conversely each such system gives a feasible point, valued at its
     objective (its egalitarian cost is its common cost c). So the least
     candidate is the optimum, and singular systems and LPs add nothing.
+
+    The utilitarian value needs no cost evaluation either: the face rows
+    give x^T (M + M^T) x = c r - b.x on the support, with b the offsets,
+    so r times the utilitarian cost, b.x + x^T M x, is (c r + b.x) / 2.
     """
     exact = game.exact
     tol = numeric.auto_tolerance(exact, 1e-9)
@@ -113,13 +119,13 @@ def _least_support_point(game: Game, systems, value):
         candidate = value(point, solution.solution[k])
         if best is None or candidate < best[1]:
             best = (point, candidate)
-    return best
+    return best[0]
 
 
 def _exact_egalitarian_minimum(game: Game, systems) -> OptimumResult:
     """Global egalitarian minimum of an affine game from its equal-cost
     support systems `systems`, with method "supports"."""
-    point, _ = _least_support_point(game, systems, lambda point, cost: cost)
+    point = _least_support_point(game, systems, lambda point, cost: cost)
     x = distribution(point, game.r)
     value = social_costs(game, x).egalitarian
     return OptimumResult(x, value, game.exact and x.exact, "supports")
@@ -130,10 +136,12 @@ def _exact_utilitarian_minimum(game: Game, matrix, offsets) -> OptimumResult:
     of M + M^T, with method "faces"."""
     n, r = game.n, game.r
     symmetric = [[matrix[j][i] + matrix[i][j] for i in range(n)] for j in range(n)]
-    point, value = _least_support_point(
+    # twice r times the utilitarian cost (see _least_support_point)
+    point = _least_support_point(
         game, support_systems(symmetric, offsets, r),
-        lambda point, _: social_costs(game, distribution(point, r)).utilitarian)
+        lambda point, c: c * r + sum(b * m for b, m in zip(offsets, point)))
     x = distribution(point, r)
+    value = social_costs(game, x).utilitarian
     return OptimumResult(x, value, game.exact and x.exact, "faces")
 
 
@@ -197,7 +205,6 @@ def min_social_cost(game: Game, which="utilitarian") -> OptimumResult:
                        for t, c in zip(clipped, costs)) / float(r)
     else:
         def objective(v):
-            import math
             clipped = [t if t > 0 else 0.0 for t in v]
             costs = [float(c) for c in cost_vector(game, clipped)]
             peak = max(costs)
@@ -242,6 +249,12 @@ class PriceReport:
 
 
 def _ratio(num, den):
+    """num / den for a price. An optimum of 0 gives 1 when the equilibrium
+    cost is 0 too (every equilibrium is then optimal), else math.inf."""
+    if den == 0:
+        if num != 0:
+            return math.inf
+        return Fraction(1) if numeric.all_exact((num, den)) else 1.0
     if numeric.all_exact((num, den)):
         return num / den
     return float(num) / float(den)

@@ -6,8 +6,9 @@ feasible region by rows (value, coefs), each meaning
     value + coefs . t >= 0.
 
 One-parameter regions are intervals and are computed exactly; larger
-regions go to linear programming, which runs in float HiGHS. scipy is
-imported on the first LP call, so importing the package stays light.
+regions go to linear programming, which runs in float HiGHS; one LP finds
+every implicit equality of a region at once. scipy is imported on the
+first LP call, so importing the package stays light.
 """
 
 from __future__ import annotations
@@ -73,10 +74,32 @@ def feasible(rows, dim) -> bool:
     return minimize(rows, [0.0] * dim) is not None
 
 
-def maximum(rows, value, coefs):
-    """Largest value + coefs . t over the rows, or None when the program
-    fails or is unbounded (float linear programming)."""
-    found = minimize(rows, [-float(c) for c in coefs])
-    if found is None:
+def implicit_equalities(rows):
+    """Indices of the rows that hold with equality over the whole region,
+    in row order, or None when the region is empty or the LP fails.
+
+    One float LP in (t free, theta >= 1, 0 <= y <= 1) decides every row
+    (Freund, Roundy & Todd, MIT Sloan WP 1674-85, 1985):
+
+        maximise sum y_i  subject to  y_i <= value_i * theta + coefs_i . t.
+
+    (t, theta) is feasible exactly when t / theta lies in the region. An
+    implicit equality keeps y_i <= 0; every other row is positive at a
+    relative interior point, which a large enough theta scales until all
+    of them reach y_i = 1. So the optimal y is 0 on the implicit
+    equalities and 1 elsewhere, and y_i < 1/2 tells them apart.
+    """
+    from scipy.optimize import linprog
+    import numpy as np
+
+    m, d = len(rows), len(rows[0][1])
+    # columns: t, theta, y
+    region = [[-float(c) for c in coefs] + [-float(value)] for value, coefs in rows]
+    a_ub = np.hstack([np.array(region), np.eye(m)])
+    objective = [0.0] * (d + 1) + [-1.0] * m
+    bounds = [(None, None)] * d + [(1, None)] + [(0, 1)] * m
+    res = linprog(objective, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds,
+                  method="highs")
+    if res.status != 0:
         return None
-    return float(value) - float(found[0])
+    return [i for i, y in enumerate(res.x[d + 1:]) if y < 0.5]

@@ -231,6 +231,17 @@ class TestMetrics:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    def test_zero_optimum(self, capsys, tmp_path):
+        # costs x_1 and 0, no influence: every cost and both optima are 0
+        path = tmp_path / "zero.json"
+        save_game(Game.graphical(2, 1, [affine(1, 0), affine(0, 0)],
+                                 influence_from_triples(2, [])), path)
+        code, out, _ = run(capsys, "metrics", path)
+        assert code == 0
+        ratios = [line for line in out.splitlines() if line.startswith("price")]
+        assert len(ratios) == 4
+        assert all(line.endswith(": 1 [exact]") for line in ratios)
+
     def test_rejects_non_affine(self, capsys, files):
         code, _, err = run(capsys, "metrics", files / "quad.json")
         assert code == 2

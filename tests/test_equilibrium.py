@@ -219,6 +219,27 @@ class TestSolveBySupports:
             for point in family.sample_points(5):
                 assert verify_equilibrium(game, point.x).is_equilibrium
 
+    def test_one_lp_per_multiparameter_restriction(self, monkeypatch):
+        import scipy.optimize
+
+        from nbg import equilibrium
+
+        lp_calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
+        # the directions are the seventh argument; recursive calls go
+        # through the module global too
+        restrictions = []
+        restrict = equilibrium._restrict_family
+        monkeypatch.setattr(
+            equilibrium, "_restrict_family",
+            lambda *a: restrictions.append(len(a[6])) or restrict(*a))
+        solve_affine_by_supports(make_family("path", Fraction(1), n=8))
+        multi = sum(dim >= 2 for dim in restrictions)
+        assert multi > 0
+        assert len(lp_calls) == multi
+
     def test_results_sorted_by_support_bitmask(self):
         rng = random.Random(59)
         for _ in range(20):

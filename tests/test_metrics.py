@@ -1,5 +1,6 @@
 """Social costs, optimum search, and anarchy/stability ratios."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -232,6 +233,27 @@ class TestPriceReport:
         assert report.best_equilibrium_cost == Fraction(1, 3)
         assert report.worst_equilibrium_cost == Fraction(1, 3)
         assert report.poa_u == report.pos_u
+
+    def test_zero_optimum_over_zero_cost_is_one(self):
+        # costs x_1 and 0, no influence: all mass on vertex 2 costs 0
+        for zero, one in ((0, 1), (0.0, 1.0)):
+            game = Game.graphical(2, one, [affine(one, zero), constant(zero)],
+                                  influence_from_triples(2, []))
+            report = price_report(game)
+            assert report.optimum_u == report.optimum_e == 0
+            assert (report.poa_u, report.poa_e, report.pos_u,
+                    report.pos_e) == (1, 1, 1, 1)
+
+    def test_positive_cost_over_zero_optimum_is_unbounded(self):
+        # C_1 = 2 x_2 and C_2 = 2 x_1: both vertices are equilibria of
+        # cost 0, and (1/2, 1/2) is one of cost 1
+        game = Game.graphical(2, 1, [constant(0), constant(0)],
+                              influence_from_triples(2, [(0, 1, 2), (1, 0, 2)]))
+        report = price_report(game)
+        assert report.optimum_u == report.optimum_e == 0
+        assert report.worst_equilibrium_cost == 1
+        assert report.poa_u == report.poa_e == math.inf
+        assert report.pos_u == report.pos_e == 1
 
     def test_rejects_curved_and_oversized_games(self):
         with pytest.raises(UnsupportedGameError):

@@ -1,11 +1,13 @@
-"""Constraint polytopes: the exact interval rule, the LP wrapper, and the
+"""Constraint polytopes: the exact interval rule, the LP wrappers, and the
 guard that keeps every linear program behind nbg.polytope."""
 
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,9 +58,14 @@ class TestLinearPrograms:
         assert polytope.feasible(self.TRIANGLE, 2)
         assert not polytope.feasible(self.TRIANGLE + [(-2, [1, 1])], 2)
 
-    def test_maximum(self):
-        assert polytope.maximum(self.TRIANGLE, 1, [2, 1]) == pytest.approx(3.0)
-        assert polytope.maximum(self.TRIANGLE[:2], 0, [1, 1]) is None
+    def test_implicit_equalities(self):
+        assert polytope.implicit_equalities(self.TRIANGLE) == []
+        # t1 + t2 <= 0 pins the triangle to its corner (0, 0)
+        corner = self.TRIANGLE + [(0, [-1, -1])]
+        assert polytope.implicit_equalities(corner) == [0, 1, 3]
+        # an unbounded region, and a flat row that holds at zero
+        assert polytope.implicit_equalities(self.TRIANGLE[:2] + [(0, [0, 0])]) == [2]
+        assert polytope.implicit_equalities(self.TRIANGLE + [(-2, [1, 1])]) is None
 
     def test_minimize_reports_the_minimiser(self):
         value, t = polytope.minimize(self.TRIANGLE, [1.0, -1.0])
@@ -91,6 +98,69 @@ def test_interval_agrees_with_lp(rows):
         for t in bounds:
             assert isinstance(t, Fraction)
             assert all(value + coefs[0] * t >= 0 for value, coefs in rows)
+
+
+def per_row_equalities(rows):
+    """The rule `implicit_equalities` replaced, kept as its oracle: one LP
+    per row for the row's largest value, tight when at most 1e-9."""
+    tight = []
+    for i, (value, coefs) in enumerate(rows):
+        found = polytope.minimize(rows, [-float(c) for c in coefs])
+        if found is not None and float(value) - found[0] <= 1e-9:
+            tight.append(i)
+    return tight
+
+
+entry = st.one_of(small, st.fractions(min_value=-6, max_value=6,
+                                      max_denominator=4))
+
+
+@st.composite
+def planted_rows(draw):
+    """Rows in 2 or 3 parameters with planted implicit equalities: a row
+    next to its negation, and a row that is minus the sum of two others."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    row = st.tuples(entry, st.lists(entry, min_size=dim, max_size=dim))
+    rows = draw(st.lists(row, max_size=5))
+    if draw(st.booleans()):
+        value, coefs = draw(row)
+        rows += [(value, coefs), (-value, [-c for c in coefs])]
+    if draw(st.booleans()):
+        (v1, c1), (v2, c2) = draw(row), draw(row)
+        rows += [(v1, c1), (v2, c2),
+                 (-v1 - v2, [-a - b for a, b in zip(c1, c2)])]
+    if not rows:
+        rows = [draw(row)]
+    return dim, draw(st.permutations(rows))
+
+
+def with_solver_noise(rows):
+    """`implicit_equalities` with every y HiGHS returns moved 1e-7 towards
+    1/2, the slack its default feasibility tolerance allows."""
+    import scipy.optimize
+
+    linprog = scipy.optimize.linprog
+
+    def noisy(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        if res.status == 0:
+            ys = res.x[-len(rows):]
+            ys += 1e-7 * np.sign(0.5 - ys)
+        return res
+
+    with mock.patch.object(scipy.optimize, "linprog", noisy):
+        return polytope.implicit_equalities(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_rows())
+def test_implicit_equalities_match_the_per_row_rule(drawn):
+    dim, rows = drawn
+    found = polytope.implicit_equalities(rows)
+    assert (found is None) == (polytope.minimize(rows, [0] * dim) is None)
+    if found is not None:
+        assert found == per_row_equalities(rows)
+    assert with_solver_noise(rows) == found
 
 
 class TestSingleLpSite:
