@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
     report = verify_equilibrium(game, x, tol=args.tol)
     if args.delta is not None:
         delta = _parse_cli_scalar(args.delta)
-        cert = verify_delta_strong(game, x, delta)
+        cert = verify_delta_strong(game, x, delta, tol=args.tol)
     cls = classify(game)
     label = cls.label + (", symmetric" if cls.symmetric else "")
     print(f"game: n = {game.n}, total mass {_short(game.r)}, class {label}")

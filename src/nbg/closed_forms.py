@@ -194,7 +194,7 @@ class RuleViolation:
     detail: str
 
 
-def check_rules(game: Game, x, tol=None) -> list:
+def check_rules(game: Game, x) -> list:
     """Necessary equilibrium conditions on uniform-coefficient games.
 
     1. No uncharged vertex may have only uncharged neighbours.
@@ -215,8 +215,7 @@ def check_rules(game: Game, x, tol=None) -> list:
     alpha = cls.alpha
     graph = underlying_graph(game)
     x = x if isinstance(x, MassDistribution) else MassDistribution(tuple(x), game.r)
-    if tol is None:
-        tol = numeric.auto_tolerance(x.exact and game.exact, 1e-9)
+    tol = numeric.auto_tolerance(x.exact and game.exact, 1e-9)
     charged = set(x.support())
     violations = []
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import numeric, polytope
 from .errors import DimensionMismatchError, UnsupportedGameError
-from .games import Game, MassDistribution, cost_vector
+from .games import Game, MassDistribution, _vertex_cost, cost_vector
 from .linalg import solve_linear_system
 
 #: float-mode slack for cost comparisons, and the worst cost gap at
@@ -482,7 +482,7 @@ def support_systems(coefficients, offsets, r):
             yield support, solution
 
 
-def solve_affine_by_supports(game: Game, tol=None) -> list:
+def solve_affine_by_supports(game: Game) -> list:
     """All equilibria of an affine game, by support enumeration.
 
     For each candidate support S, charged costs are equalised by a linear
@@ -491,27 +491,25 @@ def solve_affine_by_supports(game: Game, tol=None) -> list:
     families; families whose feasible region collapses to one point are
     demoted to points, and points lying inside a family are dropped.
     """
-    matrix, offsets = affine_coefficients(game)
-    return _equilibria_from_systems(game, matrix, offsets,
-                                    _equal_cost_systems(game, matrix, offsets), tol)
+    return _equilibria_from_systems(game, _equal_cost_systems(game))
 
 
-def _equal_cost_systems(game: Game, matrix, offsets):
+def _equal_cost_systems(game: Game):
     """The equal-cost support systems of an affine game (`support_systems`
     with its cost matrix), refused above SUPPORT_ENUMERATION_MAX_N vertices."""
+    matrix, offsets = affine_coefficients(game)
     if game.n > SUPPORT_ENUMERATION_MAX_N:
         raise UnsupportedGameError("support enumeration is exponential; use games"
                                    f" with n <= {SUPPORT_ENUMERATION_MAX_N}")
     return support_systems(matrix, offsets, game.r)
 
 
-def _equilibria_from_systems(game: Game, matrix, offsets, systems, tol=None) -> list:
+def _equilibria_from_systems(game: Game, systems) -> list:
     """The equilibrium set from the equal-cost support systems `systems`;
     see solve_affine_by_supports."""
     n = game.n
     exact = game.exact
-    if tol is None:
-        tol = numeric.auto_tolerance(exact, EQUILIBRIUM_TOLERANCE)
+    tol = numeric.auto_tolerance(exact, EQUILIBRIUM_TOLERANCE)
     zero = 0 if exact else 0.0
 
     points = []
@@ -523,8 +521,7 @@ def _equilibria_from_systems(game: Game, matrix, offsets, systems, tol=None) -> 
             base_masses[s] = solution.solution[idx]
         cost_base = solution.solution[k]
         if solution.status == "unique":
-            point = _accept_point(game, matrix, offsets, support,
-                                  base_masses, cost_base, tol, zero)
+            point = _accept_point(game, support, base_masses, cost_base, tol, zero)
             if point is not None:
                 points.append(point)
             continue
@@ -536,8 +533,7 @@ def _equilibria_from_systems(game: Game, matrix, offsets, systems, tol=None) -> 
                 direction[s] = vec[idx]
             directions.append(tuple(direction))
             cost_dirs.append(vec[k])
-        family = _restrict_family(game, matrix, offsets, support,
-                                  tuple(base_masses), cost_base,
+        family = _restrict_family(game, support, tuple(base_masses), cost_base,
                                   tuple(directions), tuple(cost_dirs), tol, zero)
         if family is None:
             continue
@@ -546,12 +542,20 @@ def _equilibria_from_systems(game: Game, matrix, offsets, systems, tol=None) -> 
         else:
             families.append(family)
 
+    # A point x of common cost c lies on the hull of a family F over
+    # support T exactly when supp(x) is in T and C_i(x) = c on T. x meets
+    # every row of F, so it lies in F's region, where folded-back implicit
+    # equalities vanish. Float games count costs within tol of c as tied.
     kept_points = []
     seen = set()
     for point in sorted(points, key=lambda p: (p.bitmask,
                                                tuple(float(m) for m in p.x.masses))):
-        if any(f.contains(point.x) is not None for f in families):
-            continue
+        covering = [f.bitmask for f in families if point.bitmask & ~f.bitmask == 0]
+        if covering:
+            tied = sum(1 << i for i, c in enumerate(cost_vector(game, point.x))
+                       if abs(c - point.cost) <= tol)
+            if any(mask & ~tied == 0 for mask in covering):
+                continue
         key = (tuple(point.x.masses) if exact
                else tuple(round(float(m), 9) for m in point.x.masses))
         if key in seen:
@@ -562,47 +566,36 @@ def _equilibria_from_systems(game: Game, matrix, offsets, systems, tol=None) -> 
     return sorted(kept_points + families, key=lambda e: e.bitmask)
 
 
-def _off_support_gap(matrix, offsets, support, masses, cost, j):
-    # masses vanish off the support
-    value = offsets[j]
-    for i in support:
-        value = value + matrix[i][j] * masses[i]
-    return value - cost
-
-
-def _accept_point(game, matrix, offsets, support, masses, cost, tol, zero):
+def _accept_point(game, support, masses, cost, tol, zero):
     if any(masses[s] < -tol for s in support):
         return None
     clipped = [m if m > 0 else zero for m in masses]
     for j in range(game.n):
-        if j in support:
-            continue
-        if _off_support_gap(matrix, offsets, support, clipped, cost, j) < -tol:
+        if j not in support and _vertex_cost(game, clipped, j) - cost < -tol:
             return None
     x = MassDistribution(tuple(clipped), game.r)
     return EquilibriumPoint(x, cost, x.support())
 
 
-def _family_rows(matrix, offsets, support, base, cost_base, directions, cost_dirs):
+def _family_rows(game, support, base, cost_base, directions, cost_dirs):
     """Feasibility rows (value at base, coefficient per direction), each
     meaning >= 0: masses on the support stay nonnegative, and every
-    off-support vertex costs at least the common cost."""
-    n = len(base)
+    off-support vertex costs at least the common cost. Costs are affine,
+    so C_j(d) - C_j(0) is the exact slope of C_j along direction d."""
     rows = [(base[s], [d[s] for d in directions]) for s in support]
-    for j in range(n):
+    origin = [0] * game.n
+    for j in range(game.n):
         if j in support:
             continue
-        at_base = _off_support_gap(matrix, offsets, support, base, cost_base, j)
-        coefs = []
-        for d, dc in zip(directions, cost_dirs):
-            slope = sum(matrix[i][j] * d[i] for i in range(n)) - dc
-            coefs.append(slope)
-        rows.append((at_base, coefs))
+        at_origin = _vertex_cost(game, origin, j)
+        rows.append((_vertex_cost(game, base, j) - cost_base,
+                     [_vertex_cost(game, d, j) - at_origin - dc
+                      for d, dc in zip(directions, cost_dirs)]))
     return rows
 
 
-def _restrict_family(game, matrix, offsets, support, base, cost_base,
-                     directions, cost_dirs, tol, zero):
+def _restrict_family(game, support, base, cost_base, directions, cost_dirs,
+                     tol, zero):
     """Clip a solution family to the feasible region.
 
     One-parameter families get an exact interval. Multi-parameter
@@ -613,8 +606,7 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
     (possibly a single point).
     """
     n = game.n
-    constraints = _family_rows(matrix, offsets, support, base, cost_base,
-                               directions, cost_dirs)
+    constraints = _family_rows(game, support, base, cost_base, directions, cost_dirs)
 
     if len(directions) == 1:
         bounds = polytope.interval(constraints, tol)
@@ -622,7 +614,7 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
             return None
         lo, hi = bounds
         if hi - lo <= tol:
-            return _accept_point(game, matrix, offsets, support,
+            return _accept_point(game, support,
                                  [b + lo * d for b, d in zip(base, directions[0])],
                                  cost_base + lo * cost_dirs[0], tol, zero)
         return EquilibriumFamily(n, game.r, support, base, cost_base,
@@ -630,7 +622,7 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
 
     # rows that bind across the whole region squeeze it into a
     # lower-dimensional slice
-    equalities = polytope.implicit_equalities(constraints)
+    equalities = polytope.implicit_equalities(constraints, tol)
     if equalities is None:
         return None
     tight = [constraints[i] for i in equalities
@@ -651,15 +643,14 @@ def _restrict_family(game, matrix, offsets, support, base, cost_base,
                      for i, b in enumerate(base))
     new_cost = cost_base + sum(t * dc for t, dc in zip(t0, cost_dirs))
     if reduced.status == "unique":
-        return _accept_point(game, matrix, offsets, support, list(new_base),
-                             new_cost, tol, zero)
+        return _accept_point(game, support, list(new_base), new_cost, tol, zero)
     new_dirs = tuple(
         tuple(sum(u * d[i] for u, d in zip(vec, directions)) for i in range(n))
         for vec in reduced.basis)
     new_cdirs = tuple(sum(u * dc for u, dc in zip(vec, cost_dirs))
                       for vec in reduced.basis)
-    return _restrict_family(game, matrix, offsets, support, new_base,
-                            new_cost, new_dirs, new_cdirs, tol, zero)
+    return _restrict_family(game, support, new_base, new_cost, new_dirs,
+                            new_cdirs, tol, zero)
 
 
 def family_cost_range(game, family: EquilibriumFamily):
@@ -678,10 +669,9 @@ def family_cost_range(game, family: EquilibriumFamily):
 
     import numpy as np
 
-    matrix, offsets = affine_coefficients(game)
-    rows = _family_rows(matrix, offsets, family.support, family.base,
-                        family.cost_base, family.directions,
-                        family.cost_directions)
+    affine_coefficients(game)  # refuses games that are not affine
+    rows = _family_rows(game, family.support, family.base, family.cost_base,
+                        family.directions, family.cost_directions)
     obj = np.array([float(c) for c in family.cost_directions])
     values = []
     for sign in (1.0, -1.0):

@@ -288,8 +288,8 @@ class InfluenceMatrix:
         for (i, j), alpha in sorted(cleaned.items()):
             outgoing[i].append((j, alpha))
             incoming[j].append((i, alpha))
-        self._in = incoming
-        self._out = outgoing
+        self._in = {i: tuple(pairs) for i, pairs in incoming.items()}
+        self._out = {i: tuple(pairs) for i, pairs in outgoing.items()}
 
     def value(self, i: int, j: int):
         return self._entries.get((i, j), 0)
@@ -302,10 +302,10 @@ class InfluenceMatrix:
 
     def in_coefficients(self, i: int):
         """Pairs (j, alpha_{j,i}) of vertices whose mass the cost at i sees."""
-        return list(self._in[i])
+        return self._in[i]
 
     def out_coefficients(self, i: int):
-        return list(self._out[i])
+        return self._out[i]
 
     @property
     def is_symmetric(self) -> bool:
@@ -452,13 +452,16 @@ def cost_vector(game: Game, x) -> tuple:
     masses = _coerce_masses(game, x)
     if game.kind == "general":
         return tuple(ev(masses) for ev in game.evaluators)
-    out = []
-    for i in range(game.n):
-        total = game.vertex_costs[i].value(masses[i])
-        for j, alpha in game.influence.in_coefficients(i):
-            total = total + alpha * masses[j]
-        out.append(total)
-    return tuple(out)
+    return tuple(_vertex_cost(game, masses, i) for i in range(game.n))
+
+
+def _vertex_cost(game: Game, masses, i):
+    """C_i at `masses` on a graphical game: the one cost evaluation that
+    cost_vector and the support solver share."""
+    total = game.vertex_costs[i].value(masses[i])
+    for j, alpha in game.influence.in_coefficients(i):
+        total = total + alpha * masses[j]
+    return total
 
 
 # ---------------------------------------------------------------------------

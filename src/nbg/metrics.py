@@ -181,11 +181,9 @@ def min_social_cost(game: Game, which="utilitarian") -> OptimumResult:
 
     affine_parts = _affine_or_none(game)
     if affine_parts is not None and n <= SUPPORT_ENUMERATION_MAX_N:
-        matrix, offsets = affine_parts
         if which == "egalitarian":
-            return _exact_egalitarian_minimum(
-                game, _equal_cost_systems(game, matrix, offsets))
-        return _exact_utilitarian_minimum(game, matrix, offsets)
+            return _exact_egalitarian_minimum(game, _equal_cost_systems(game))
+        return _exact_utilitarian_minimum(game, *affine_parts)
 
     pool = []
 
@@ -270,15 +268,13 @@ def price_report(game: Game) -> PriceReport:
     support systems, so no descent runs and both are exact on exact
     input.
     """
-    affine_parts = _affine_or_none(game)
-    if affine_parts is None:
+    if _affine_or_none(game) is None:
         raise UnsupportedGameError("price report needs an affine game")
 
     # the equilibrium set and the egalitarian optimum share these systems;
     # _equal_cost_systems refuses games above the support cap
-    matrix, offsets = affine_parts
-    systems = list(_equal_cost_systems(game, matrix, offsets))
-    equilibria = _equilibria_from_systems(game, matrix, offsets, systems)
+    systems = list(_equal_cost_systems(game))
+    equilibria = _equilibria_from_systems(game, systems)
     if not equilibria:
         raise NbgError("no equilibrium found; affine costs should admit one")
 

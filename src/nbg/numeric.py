@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 #: default absolute tolerance used by float-mode comparisons
 FLOAT_TOLERANCE = 1e-9
@@ -219,7 +219,7 @@ def auto_tolerance(exact: bool, default: float = FLOAT_TOLERANCE):
 
 
 def parse_scalar(raw):
-    """Read a scalar from JSON data: int, float, or a 'p/q' string."""
+    """Read a scalar from JSON data: int, float, or a 'p/q' string, q > 0."""
     if isinstance(raw, bool):
         raise ValueError(f"not a scalar: {raw!r}")
     if isinstance(raw, int):

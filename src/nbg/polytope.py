@@ -17,8 +17,13 @@ from fractions import Fraction
 
 from . import numeric
 
-#: float slopes smaller than this count as zero in the interval rule
+#: float coefficients smaller than this count as zero in the zero-slope rule
 SLOPE_TOLERANCE = 1e-13
+
+
+def _is_zero(coef) -> bool:
+    return coef == 0 or (not numeric.is_exact_scalar(coef)
+                         and abs(float(coef)) < SLOPE_TOLERANCE)
 
 
 def interval(rows, tol=0):
@@ -32,8 +37,7 @@ def interval(rows, tol=0):
     """
     lo = hi = None
     for value, (slope,) in rows:
-        if slope == 0 or (not numeric.is_exact_scalar(slope)
-                          and abs(float(slope)) < SLOPE_TOLERANCE):
+        if _is_zero(slope):
             if value < -tol:
                 return None
             continue
@@ -74,11 +78,13 @@ def feasible(rows, dim) -> bool:
     return minimize(rows, [0.0] * dim) is not None
 
 
-def implicit_equalities(rows):
+def implicit_equalities(rows, tol=0):
     """Indices of the rows that hold with equality over the whole region,
     in row order, or None when the region is empty or the LP fails.
 
-    One float LP in (t free, theta >= 1, 0 <= y <= 1) decides every row
+    A row free of parameters with value below -tol empties the region,
+    which needs no LP (the zero-slope rule of `interval`). Otherwise one
+    float LP in (t free, theta >= 1, 0 <= y <= 1) decides every row
     (Freund, Roundy & Todd, MIT Sloan WP 1674-85, 1985):
 
         maximise sum y_i  subject to  y_i <= value_i * theta + coefs_i . t.
@@ -89,6 +95,8 @@ def implicit_equalities(rows):
     of them reach y_i = 1. So the optimal y is 0 on the implicit
     equalities and 1 elsewhere, and y_i < 1/2 tells them apart.
     """
+    if any(value < -tol and all(_is_zero(c) for c in coefs) for value, coefs in rows):
+        return None
     from scipy.optimize import linprog
     import numpy as np
 

@@ -30,6 +30,8 @@ PROBE_STEP = Fraction(1, 100000)
 PROBE_SLACK = 1e-12
 #: random descent starts on games without an exact path
 DEFAULT_STARTS = 30
+#: worst cost gap at which a descent end point counts as an equilibrium
+DESCENT_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,7 @@ def is_local_minimum(game: Game, x, step=None) -> bool:
     return True
 
 
-def minimize_potential(game: Game, starts=DEFAULT_STARTS, tol=1e-7,
-                       seed=0) -> tuple:
+def minimize_potential(game: Game, starts=DEFAULT_STARTS, seed=0) -> tuple:
     """Distinct local minima of Phi over the simplex, as distributions.
 
     Every local minimum is an equilibrium, so affine games with at most
@@ -99,9 +100,9 @@ def minimize_potential(game: Game, starts=DEFAULT_STARTS, tol=1e-7,
     enumeration and run no descent: the isolated equilibria and three
     samples of each family, exact on exact games. Other games take the
     end points of projected-gradient descent that pass verify_equilibrium
-    at `tol`, started from every simplex vertex and from `starts` random
-    interior points drawn with `seed`. Candidates that pass the
-    local-minimum probe are returned sorted, one per 1e-6 neighbourhood.
+    at DESCENT_TOLERANCE, started from every simplex vertex and from
+    `starts` random interior points drawn with `seed`. Candidates that pass
+    the local-minimum probe are returned sorted, one per 1e-6 neighbourhood.
     """
     _require_symmetric(game)
     if game.n <= SUPPORT_ENUMERATION_MAX_N and _affine_or_none(game) is not None:
@@ -113,7 +114,7 @@ def minimize_potential(game: Game, starts=DEFAULT_STARTS, tol=1e-7,
                 candidates.append(found.x)
     else:
         candidates = [x for x in _descent_end_points(game, starts, seed)
-                      if verify_equilibrium(game, x, tol=tol).is_equilibrium]
+                      if verify_equilibrium(game, x, DESCENT_TOLERANCE).is_equilibrium]
     minima = [x for x in candidates if is_local_minimum(game, x)]
 
     unique = []

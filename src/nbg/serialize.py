@@ -81,14 +81,17 @@ def game_from_dict(data) -> Game:
         if key not in data:
             raise InputFormatError(f"game file is missing {key!r}")
     n = data["n"]
-    if not isinstance(n, int) or n <= 0:
+    # JSON true and false load as bool, a subclass of int
+    if type(n) is not int or n <= 0:
         raise InputFormatError(f"'n' must be a positive integer, got {n!r}")
     r = _parse_scalar(data["r"], "'r'")
     costs = data["costs"]
     if not isinstance(costs, list) or len(costs) != n:
         raise InputFormatError(f"'costs' must list exactly n={n} entries")
     forms = [_cost_from_dict(entry, f"costs[{k}]") for k, entry in enumerate(costs)]
-    symmetric = bool(data.get("symmetric", False))
+    symmetric = data.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise InputFormatError(f"'symmetric' must be true or false, got {symmetric!r}")
     entries = {}
     raw_alpha = data["alpha"]
     if not isinstance(raw_alpha, list):
@@ -98,7 +101,7 @@ def game_from_dict(data) -> Game:
         if not isinstance(triple, list) or len(triple) != 3:
             raise InputFormatError(f"{where}: expected [i, j, value]")
         i, j, raw = triple
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise InputFormatError(f"{where}: vertex ids must be integers")
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise InputFormatError(f"{where}: bad arc ({i}, {j}) for n={n}")

@@ -587,6 +587,72 @@ class TestDistributionFileErrors:
         self.check_located(capsys, files, tmp_path, '{"masses": 5}\n',
                            "'masses' must be a list")
 
+    def test_zero_denominator(self, capsys, files, tmp_path):
+        self.check_located(capsys, files, tmp_path, '["1/0", 1]\n',
+                           "masses[0]: not a rational literal: '1/0'")
+
+
+class TestMalformedInput:
+    GAME = ('{"n": 2, "r": 1, "costs": [{"type": "affine", "a": 1, "b": 0},'
+            ' {"type": "affine", "a": 1, "b": 0}], "alpha": [[1, 2, "1/2"]],'
+            ' "symmetric": true}')
+
+    def check_rejected(self, capsys, tmp_path, text, message):
+        game = tmp_path / "game.json"
+        game.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", game, "--dist", "1/2,1/2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {game}: {message}\n"
+
+    def test_well_formed_game_is_accepted(self, capsys, tmp_path):
+        game = tmp_path / "game.json"
+        game.write_text(self.GAME, encoding="utf-8")
+        assert run(capsys, "verify", game, "--dist", "1/2,1/2")[0] == 0
+
+    def test_zero_denominator_in_game_file(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path,
+                            self.GAME.replace('"b": 0}]', '"b": "1/0"}]'),
+                            "costs[1]: not a rational literal: '1/0'")
+        self.check_rejected(capsys, tmp_path,
+                            self.GAME.replace('"1/2"', '"1/0"'),
+                            "alpha[0]: not a rational literal: '1/0'")
+
+    def test_symmetric_flag_must_be_a_boolean(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path,
+                            self.GAME.replace('"symmetric": true', '"symmetric": "false"'),
+                            "'symmetric' must be true or false, got 'false'")
+
+    def test_booleans_are_not_integers(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path,
+                            self.GAME.replace('"n": 2', '"n": true'),
+                            "'n' must be a positive integer, got True")
+        self.check_rejected(capsys, tmp_path,
+                            self.GAME.replace('[1, 2, "1/2"]', '[true, 2, "1/2"]'),
+                            "alpha[0]: vertex ids must be integers")
+
+    def test_zero_denominator_inline(self, capsys, files):
+        code, out, err = run(capsys, "verify", files / "triangle.json",
+                             "--dist", "1/0,1,0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad mass '1/0': not a rational literal: '1/0'\n"
+
+
+class TestVerifyTolerance:
+    def test_tolerance_applies_to_the_deviation_check(self, capsys, tmp_path):
+        # C_i = x_i on two vertices: the mass split is 2e-4 off balance,
+        # within --tol, so both checks must pass
+        game = tmp_path / "split.json"
+        save_game(Game.graphical(2, 1, [affine(1, 0), affine(1, 0)],
+                                 influence_from_triples(2, [])), game)
+        code, out, _ = run(capsys, "verify", game, "--dist", "0.5001,0.4999",
+                           "--tol", "0.001", "--delta", "0.1")
+        assert code == 0
+        assert "equilibrium: yes" in out
+        assert "survives deviations up to 0.1: yes (exact check)" in out
+        assert "witness" not in out
+
 
 class TestSeedAndUsage:
     def test_seed_env_is_read(self, capsys, files, monkeypatch):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  Game, PHI, QuadExt, UnsupportedGameError, affine,
@@ -14,6 +16,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  solve_affine_by_supports, three_equilibria_game,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
+from nbg.equilibrium import support_systems
 from util import (dense_costs, families_of, family_matches, grid_delta_strong,
                   is_equilibrium_oracle, point_masses,
                   random_affine_symmetric_game, random_affine_game,
@@ -228,17 +231,25 @@ class TestSolveBySupports:
         linprog = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
-        # the directions are the seventh argument; recursive calls go
-        # through the module global too
+        # the arguments are (game, support, base, cost_base, directions,
+        # cost_dirs, tol, zero); recursive calls go through the module
+        # global too. A negative row free of parameters empties the
+        # region without an LP.
         restrictions = []
         restrict = equilibrium._restrict_family
-        monkeypatch.setattr(
-            equilibrium, "_restrict_family",
-            lambda *a: restrictions.append(len(a[6])) or restrict(*a))
+
+        def recording(*a):
+            rows = equilibrium._family_rows(*a[:6])
+            empty = any(value < 0 and all(c == 0 for c in coefs)
+                        for value, coefs in rows)
+            restrictions.append((len(a[4]), empty))
+            return restrict(*a)
+
+        monkeypatch.setattr(equilibrium, "_restrict_family", recording)
         solve_affine_by_supports(make_family("path", Fraction(1), n=8))
-        multi = sum(dim >= 2 for dim in restrictions)
-        assert multi > 0
-        assert len(lp_calls) == multi
+        multi = [empty for dim, empty in restrictions if dim >= 2]
+        assert len(multi) == 25
+        assert len(lp_calls) == multi.count(False) == 16
 
     def test_results_sorted_by_support_bitmask(self):
         rng = random.Random(59)
@@ -262,6 +273,55 @@ class TestSolveBySupports:
             solve_affine_by_supports(big)
         with pytest.raises(UnsupportedGameError):
             solve_affine_by_supports(dilemma_game())
+
+
+@st.composite
+def degenerate_games(draw):
+    """Games with many singular support systems: paths and cycles at
+    alpha = 1 with n <= 8, K_{p,q} with p <= 4, and random {0, 1} affine
+    games with n <= 6, half of them float."""
+    kind = draw(st.sampled_from(["path", "cycle", "complete_bipartite", "random"]))
+    if kind in ("path", "cycle"):
+        return make_family(kind, Fraction(1), n=draw(st.integers(3, 8)))
+    if kind == "complete_bipartite":
+        p = draw(st.integers(1, 4))
+        alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1)]))
+        return make_family(kind, alpha, p=p, q=draw(st.integers(1, p)))
+    scalar = draw(st.sampled_from([Fraction, float]))
+    n = draw(st.integers(1, 6))
+    bit = st.integers(0, 1)
+    costs = [affine(scalar(draw(bit)), scalar(draw(bit))) for _ in range(n)]
+    triples = [(i, j, scalar(1)) for i in range(n) for j in range(n)
+               if i != j and draw(bit)]
+    return Game.graphical(n, scalar(1), costs, influence_from_triples(n, triples))
+
+
+@settings(max_examples=80)
+@given(degenerate_games())
+def test_points_on_a_family_are_dropped_and_no_others(game):
+    # EquilibriumFamily.contains, an exact linear solve per point and
+    # family, is the oracle for the solver's cost-tie dedup
+    solved = solve_affine_by_supports(game)
+    families = families_of(solved)
+    kept = [e for e in solved if isinstance(e, EquilibriumPoint)]
+    for point in kept:
+        assert all(f.contains(point.x) is None for f in families)
+
+    matrix, offsets = affine_coefficients(game)
+    tol = 0 if game.exact else 1e-9
+    zero = 0 * game.r
+    for support, solution in support_systems(matrix, offsets, game.r):
+        masses = [zero] * game.n
+        for idx, s in enumerate(support):
+            masses[s] = solution.solution[idx]
+        if solution.status != "unique" or min(masses) < -tol:
+            continue
+        x = distribution([m if m > 0 else zero for m in masses], game.r)
+        if not verify_equilibrium(game, x).is_equilibrium:
+            continue
+        assert (any(max(abs(a - b) for a, b in zip(p.x.masses, x.masses)) <= tol
+                    for p in kept)
+                or any(f.contains(x) is not None for f in families)), support
 
 
 class TestFamilyMechanics:

@@ -159,9 +159,11 @@ class TestInfluenceMatrix:
     def test_neighborhood_views(self):
         inf = influence_from_triples(
             4, [(0, 2, 1), (1, 2, 2), (2, 0, 3), (3, 2, 4)])
-        assert inf.in_coefficients(2) == [(0, 1), (1, 2), (3, 4)]
-        assert inf.out_coefficients(2) == [(0, 3)]
-        assert inf.in_coefficients(1) == []
+        assert inf.in_coefficients(2) == ((0, 1), (1, 2), (3, 4))
+        assert inf.out_coefficients(2) == ((0, 3),)
+        assert inf.in_coefficients(1) == ()
+        # the stored views are handed out as they are, not copied
+        assert inf.in_coefficients(2) is inf.in_coefficients(2)
 
     def test_symmetry_and_uniformity(self):
         sym = influence_from_triples(3, [(0, 1, 2), (1, 0, 2), (1, 2, 2), (2, 1, 2)])
