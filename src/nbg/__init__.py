@@ -19,10 +19,9 @@ from .linalg import (LinearSolution, determinant, matvec, rref,
 from .graphs import (Digraph, UndirectedGraph, digraph, load_digraph,
                      save_digraph, undirected_graph)
 from .games import (CHARGE_TOLERANCE, CLASS_LADDER, MASS_TOLERANCE,
-                    AffineCost, Classification, ConstantCost, Game,
-                    InfluenceMatrix, MassDistribution, OpaqueCost,
-                    PolynomialCost, affine, class_conditions, classify,
-                    constant, cost_vector, distribution,
+                    Classification, Game, InfluenceMatrix, MassDistribution,
+                    OpaqueCost, PolynomialCost, affine, class_conditions,
+                    classify, constant, cost_vector, distribution,
                     influence_from_triples, opaque, polynomial,
                     underlying_graph, validate_game)
 from .equilibrium import (EQUILIBRIUM_TOLERANCE, DynamicsResult,

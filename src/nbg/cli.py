@@ -34,28 +34,12 @@ from .kernel_structure import (digraph_to_nbg, enumerate_kernels,
                                strong_supports_match_kernels)
 from .metrics import price_report
 from .potential import DEFAULT_STARTS, minimize_potential, potential
-from .serialize import load_distribution, load_game, parse_masses, save_game
+from .serialize import (load_distribution, load_game, parse_masses,
+                        parse_scalar_text, save_game)
 
 
 def _seed() -> int:
     return int(os.environ.get("NBG_SEED", "0"))
-
-
-def _parse_cli_scalar(text):
-    token = text.strip()
-    try:
-        return Fraction(int(token))
-    except ValueError:
-        pass
-    try:
-        if "/" in token:
-            return Fraction(token)
-        value = float(token)
-    except (ValueError, ZeroDivisionError):
-        raise InputFormatError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise InputFormatError(f"not a finite scalar: {text!r}")
-    return value
 
 
 def _short(value) -> str:
@@ -111,7 +95,7 @@ def cmd_verify(args) -> int:
             f"--tol must be finite and nonnegative, got {args.tol}")
     report = verify_equilibrium(game, x, tol=args.tol)
     if args.delta is not None:
-        delta = _parse_cli_scalar(args.delta)
+        delta = parse_scalar_text(args.delta)
         cert = verify_delta_strong(game, x, delta, tol=args.tol)
     cls = classify(game)
     label = cls.label + (", symmetric" if cls.symmetric else "")
@@ -257,8 +241,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_family(args) -> int:
-    alpha = _parse_cli_scalar(args.alpha)
-    r = _parse_cli_scalar(args.total_mass)
+    alpha = parse_scalar_text(args.alpha)
+    r = parse_scalar_text(args.total_mass)
     game = make_family(args.kind, alpha, r=r, n=args.n, p=args.p, q=args.q)
     if args.closed_form and r != 1:
         raise UnsupportedGameError(
@@ -286,7 +270,7 @@ def cmd_scan_det(args) -> int:
         raise InputFormatError(
             f"empty size range [{n_min}, {args.n_max}]")
     if args.alphas:
-        alphas = [_parse_cli_scalar(tok) for tok in args.alphas.split(",")]
+        alphas = [parse_scalar_text(tok) for tok in args.alphas.split(",")]
     else:
         alphas = [Fraction(k, 20) for k in range(1, 10)]
     report = conjecture_scan(args.family, range(n_min, args.n_max + 1), alphas)
@@ -318,7 +302,7 @@ def _run_dynamics(game: Game, args, keep_trace):
     chunk --step and iteration cap --steps; returns (start, result)."""
     x0 = (game.distribution(parse_masses(args.x0)) if args.x0
           else _uniform_start(game))
-    step = _parse_cli_scalar(args.step) if args.step else None
+    step = parse_scalar_text(args.step) if args.step else None
     return x0, best_response_dynamics(game, x0, step=step, max_iters=args.steps,
                                       keep_trace=keep_trace)
 

@@ -7,6 +7,10 @@ Games come in two kinds. "general" games carry opaque per-vertex evaluators.
 alpha_{j,i} * x_j for every influence arc (j, i). The influence coefficients
 double as a digraph: arc (i, j) exists exactly when alpha_{i,j} > 0, meaning
 mass on i raises the cost at j.
+
+A cost form f_i is either a PolynomialCost with nonnegative coefficients,
+of any degree (the constant and affine factories build degrees 0 and 1),
+or an OpaqueCost wrapping a callable.
 """
 
 from __future__ import annotations
@@ -98,62 +102,12 @@ def distribution(masses, total=None) -> MassDistribution:
 
 
 @dataclass(frozen=True)
-class ConstantCost:
-    """f(t) = b."""
-
-    b: object
-
-    def __post_init__(self):
-        _require_nonnegative("constant term", self.b)
-
-    def value(self, t):
-        return self.b
-
-    def integral(self, upper):
-        return self.b * upper
-
-    def as_affine(self):
-        return (0, self.b)
-
-    def max_degree(self):
-        return 0
-
-    @property
-    def exact(self):
-        return numeric.is_exact_scalar(self.b)
-
-
-@dataclass(frozen=True)
-class AffineCost:
-    """f(t) = a*t + b with a, b >= 0."""
-
-    a: object
-    b: object
-
-    def __post_init__(self):
-        _require_nonnegative("slope", self.a)
-        _require_nonnegative("intercept", self.b)
-
-    def value(self, t):
-        return self.a * t + self.b
-
-    def integral(self, upper):
-        return self.a * upper * upper / 2 + self.b * upper
-
-    def as_affine(self):
-        return (self.a, self.b)
-
-    def max_degree(self):
-        return 1 if self.a != 0 else 0
-
-    @property
-    def exact(self):
-        return numeric.all_exact((self.a, self.b))
-
-
-@dataclass(frozen=True)
 class PolynomialCost:
-    """f(t) = sum coeffs[k] * t^k with nonnegative coefficients."""
+    """f(t) = sum coeffs[k] * t^k with nonnegative coefficients.
+
+    The one form for every polynomial degree: constant(b) is (b,) and
+    affine(a, b) is (b, a).
+    """
 
     coeffs: tuple
 
@@ -166,17 +120,20 @@ class PolynomialCost:
             _require_nonnegative(f"coefficient of t^{k}", c)
 
     def value(self, t):
-        result = 0
-        for c in reversed(self.coeffs):
+        # Horner from the leading coefficient: affine forms cost one
+        # multiply-add, and the support solver reads every cost through here
+        *lower, result = self.coeffs
+        for c in reversed(lower):
             result = result * t + c
         return result
 
     def integral(self, upper):
-        total = 0
+        # Fraction divisors keep exact input exact; float terms divide as floats
+        total = self.coeffs[0] * upper
         power = upper
-        for k, c in enumerate(self.coeffs):
-            total = total + c * power / (k + 1)
+        for k, c in enumerate(self.coeffs[1:], start=2):
             power = power * upper
+            total = total + c * power / Fraction(k)
         return total
 
     def as_affine(self):
@@ -238,12 +195,14 @@ def _require_nonnegative(name, value):
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
-def constant(b) -> ConstantCost:
-    return ConstantCost(b)
+def constant(b) -> PolynomialCost:
+    """f(t) = b."""
+    return PolynomialCost((b,))
 
 
-def affine(a, b) -> AffineCost:
-    return AffineCost(a, b)
+def affine(a, b) -> PolynomialCost:
+    """f(t) = a*t + b."""
+    return PolynomialCost((b, a))
 
 
 def polynomial(coeffs) -> PolynomialCost:
@@ -415,11 +374,7 @@ def validate_game(game: Game) -> list:
     if game.kind != "graphical":
         return warnings
     for i, form in enumerate(game.vertex_costs):
-        if isinstance(form, ConstantCost) and form.b == 0:
-            warnings.append(f"vertex {i + 1}: cost form is identically zero")
-        elif isinstance(form, PolynomialCost) and all(c == 0 for c in form.coeffs):
-            warnings.append(f"vertex {i + 1}: cost form is identically zero")
-        elif isinstance(form, AffineCost) and form.a == 0 and form.b == 0:
+        if isinstance(form, PolynomialCost) and all(c == 0 for c in form.coeffs):
             warnings.append(f"vertex {i + 1}: cost form is identically zero")
         elif isinstance(form, OpaqueCost):
             warnings.extend(_sample_opaque(form, i, game.r))

@@ -23,12 +23,11 @@ mirrored on load.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import numeric
 from .errors import InputFormatError
-from .games import (AffineCost, ConstantCost, Game, InfluenceMatrix,
-                    MassDistribution, PolynomialCost, distribution)
+from .games import (Game, InfluenceMatrix, MassDistribution, PolynomialCost,
+                    affine, constant, distribution, polynomial)
 
 
 def _parse_scalar(raw, where):
@@ -44,15 +43,15 @@ def _cost_from_dict(entry, where):
     kind = entry["type"]
     try:
         if kind == "const":
-            return ConstantCost(numeric.parse_scalar(entry["b"]))
+            return constant(numeric.parse_scalar(entry["b"]))
         if kind == "affine":
-            return AffineCost(numeric.parse_scalar(entry["a"]),
-                              numeric.parse_scalar(entry["b"]))
+            return affine(numeric.parse_scalar(entry["a"]),
+                          numeric.parse_scalar(entry["b"]))
         if kind == "poly":
             coeffs = entry["coeffs"]
             if not isinstance(coeffs, list) or not coeffs:
                 raise InputFormatError(f"{where}: 'coeffs' must be a nonempty list")
-            return PolynomialCost(tuple(numeric.parse_scalar(c) for c in coeffs))
+            return polynomial(numeric.parse_scalar(c) for c in coeffs)
     except KeyError as exc:
         raise InputFormatError(f"{where}: missing field {exc}") from None
     except InputFormatError:
@@ -63,15 +62,16 @@ def _cost_from_dict(entry, where):
 
 
 def _cost_to_dict(form):
-    if isinstance(form, ConstantCost):
-        return {"type": "const", "b": numeric.scalar_to_json(form.b)}
-    if isinstance(form, AffineCost):
-        return {"type": "affine", "a": numeric.scalar_to_json(form.a),
-                "b": numeric.scalar_to_json(form.b)}
-    if isinstance(form, PolynomialCost):
-        return {"type": "poly", "coeffs": [numeric.scalar_to_json(c) for c in form.coeffs]}
-    raise InputFormatError(
-        f"cost form {type(form).__name__} has no file representation")
+    """The file entry of a polynomial form, typed by its coefficient count."""
+    if not isinstance(form, PolynomialCost):
+        raise InputFormatError(
+            f"cost form {type(form).__name__} has no file representation")
+    coeffs = [numeric.scalar_to_json(c) for c in form.coeffs]
+    if len(coeffs) == 1:
+        return {"type": "const", "b": coeffs[0]}
+    if len(coeffs) == 2:
+        return {"type": "affine", "a": coeffs[1], "b": coeffs[0]}
+    return {"type": "poly", "coeffs": coeffs}
 
 
 def game_from_dict(data) -> Game:
@@ -172,10 +172,22 @@ def parse_masses(text: str) -> list:
     masses = []
     for part in parts:
         try:
-            masses.append(numeric.parse_scalar(_maybe_number(part)))
-        except ValueError as exc:
+            masses.append(parse_scalar_text(part))
+        except InputFormatError as exc:
             raise InputFormatError(f"bad mass {part!r}: {exc}") from None
     return masses
+
+
+def parse_scalar_text(text: str):
+    """Read one scalar typed as text: an int, a float or 'p/q' with q > 0.
+
+    Ints and fractions come back as Fraction, floats as float; anything
+    else, or a non-finite float, raises InputFormatError.
+    """
+    try:
+        return numeric.parse_scalar(_maybe_number(text.strip()))
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
 
 
 def _maybe_number(text: str):

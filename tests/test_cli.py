@@ -505,6 +505,13 @@ class TestReproduce:
         assert list(directory.iterdir()) == []
 
 
+def test_scalar_options_read_text_like_mass_lists(capsys, tmp_path):
+    code, out, err = run(capsys, "family", "--kind", "path", "--alpha", "1_0/3",
+                         "--n", "4", "-o", tmp_path / "x.json")
+    assert (code, out) == (2, "")
+    assert err == "error: not a rational literal: '1_0/3'\n"
+
+
 class TestNonFiniteInput:
     NAN_GAME = ('{"n": 2, "r": 1, "costs": [{"type": "affine", "a": 1, "b": NaN},'
                 ' {"type": "affine", "a": 1, "b": NaN}], "alpha": [[1, 2, "1/2"]],'

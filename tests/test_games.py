@@ -10,7 +10,8 @@ from nbg import (CHARGE_TOLERANCE, Digraph, DimensionMismatchError, Game,
                  InfluenceMatrix, MassDistribution, MassMismatchError,
                  UndirectedGraph, UnsupportedGameError, affine, classify,
                  constant, cost_vector, distribution, influence_from_triples,
-                 opaque, polynomial, underlying_graph, validate_game)
+                 is_exact_scalar, opaque, polynomial, underlying_graph,
+                 validate_game)
 from util import dense_costs, random_affine_game, random_masses
 
 
@@ -75,6 +76,13 @@ class TestCostForms:
         assert affine(2, 3).integral(2) == 10
         assert polynomial([1, 2, 3]).integral(Fraction(1, 2)) == (
             Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 8))
+
+    def test_integrals_of_exact_forms_stay_exact(self):
+        for form in (constant(2), affine(1, 1), polynomial([1, 2, 3])):
+            for upper in (0, 1, 3, Fraction(1, 2)):
+                assert is_exact_scalar(form.integral(upper))
+        assert affine(1, 1).integral(1) == Fraction(3, 2)
+        assert isinstance(affine(0.5, 1).integral(2), float)
 
     def test_integrals_match_quadrature(self):
         rng = random.Random(2)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from nbg import (EquilibriumFamily, Game, MassDistribution,
                  UnsupportedGameError, affine, cost_vector, dilemma_game,
-                 influence_from_triples, is_local_minimum, make_family,
+                 influence_from_triples, is_exact_scalar, is_local_minimum,
+                 make_family,
                  minimize_potential, polynomial, potential,
                  potential_maximum_game, solve_affine_by_supports,
                  verify_equilibrium)
@@ -49,6 +50,11 @@ class TestPotentialValue:
             t = Fraction(k, 10)
             value = potential(game, (t, 1 - t)).value
             assert value == (3 - t * t) / 2
+
+    def test_int_masses_give_an_exact_value(self):
+        value = potential(potential_maximum_game(), (1, 0)).value
+        assert is_exact_scalar(value)
+        assert value == 1
 
     def test_gradient_equals_cost_vector(self):
         rng = random.Random(73)
