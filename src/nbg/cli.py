@@ -60,6 +60,11 @@ def _vector(values) -> str:
     return "(" + ", ".join(_short(v) for v in values) + ")"
 
 
+def _require_count(option, value):
+    if value < 0:
+        raise InputFormatError(f"{option} must be nonnegative, got {value}")
+
+
 def _uniform_start(game: Game):
     if isinstance(game.r, int):
         share = Fraction(game.r, game.n)
@@ -164,6 +169,7 @@ def cmd_solve(args) -> int:
     if args.method == "supports":
         return _print_equilibria(game, solve_affine_by_supports(game))
     if args.method == "potential":
+        _require_count("--starts", args.starts)
         minima = minimize_potential(game, starts=args.starts, seed=_seed())
         print(f"potential minima found: {len(minima)}")
         ok = bool(minima)
@@ -300,6 +306,7 @@ def cmd_scan_det(args) -> int:
 def _run_dynamics(game: Game, args, keep_trace):
     """Best-response dynamics from --x0 (default: the uniform split), with
     chunk --step and iteration cap --steps; returns (start, result)."""
+    _require_count("--steps", args.steps)
     x0 = (game.distribution(parse_masses(args.x0)) if args.x0
           else _uniform_start(game))
     step = parse_scalar_text(args.step) if args.step else None

@@ -58,7 +58,7 @@ def make_family(family, alpha, r=1, n=None, p=None, q=None) -> Game:
     star's centre is its last vertex.
     """
     if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+        raise ValueError(f"alpha must be nonnegative, got {numeric.scalar_text(alpha)}")
     count, edges = _family_edges(family, n=n, p=p, q=q)
     costs = [affine(1, 0) for _ in range(count)]
     triples = []
@@ -282,7 +282,7 @@ def _check_alpha(alpha):
     if alpha == 1:
         return Fraction(1)
     raise ValueError(
-        f"closed forms cover alpha in {{1/2, 1}}, got {alpha!r}")
+        f"closed forms cover alpha in {{1/2, 1}}, got {numeric.scalar_text(alpha)}")
 
 
 def path_closed_form(n, alpha) -> tuple:
@@ -392,7 +392,7 @@ def bipartite_closed_form(p, q, alpha) -> tuple:
     if not p >= q >= 1:
         raise ValueError(f"needs p >= q >= 1, got p={p!r}, q={q!r}")
     if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+        raise ValueError(f"alpha must be nonnegative, got {numeric.scalar_text(alpha)}")
     if isinstance(alpha, int):
         alpha = Fraction(alpha)
     one = Fraction(1) if numeric.is_exact_scalar(alpha) else 1.0
@@ -501,7 +501,7 @@ def conjecture_scan(family, n_values, alpha_values) -> ScanReport:
         alpha = Fraction(alpha) if isinstance(alpha, int) else alpha
         if not 0 <= alpha < Fraction(1, 2):
             raise ValueError(
-                f"scan grid must stay inside [0, 1/2), got {alpha!r}")
+                f"scan grid must stay inside [0, 1/2), got {numeric.scalar_text(alpha)}")
         grid.append(alpha)
     rows = []
     for n in n_values:

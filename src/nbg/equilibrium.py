@@ -14,11 +14,13 @@ movers (they have no mass to move).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import numeric, polytope
 from .errors import DimensionMismatchError, UnsupportedGameError
-from .games import Game, MassDistribution, _vertex_cost, cost_vector
+from .games import Game, MassDistribution, cost_vector
 from .linalg import solve_linear_system
 
 #: float-mode slack for cost comparisons, and the worst cost gap at
@@ -454,6 +456,72 @@ class EquilibriumFamily:
         return points[:count]
 
 
+def _scaled_game(coefficients, offsets, r):
+    """(rational, D, D * coefficients, D * offsets, (p, q) with r = p/q).
+
+    When the coefficients, offsets and r are all ints or Fractions, D is
+    the lcm of the denominators of the coefficients and offsets, and
+    every scaled entry, p and q are ints. Otherwise D = q = 1 and the data
+    stay as given, so float and Q(sqrt 5) games keep their own scalars.
+    """
+    n = len(offsets)
+    flat = [v for row in coefficients for v in row] + list(offsets)
+    if not all(type(v) is int or type(v) is Fraction for v in flat + [r]):
+        return False, 1, coefficients, offsets, (r, 1)
+    scale = math.lcm(*(v.denominator for v in flat))
+    flat = [v.numerator * (scale // v.denominator) for v in flat]
+    return (True, scale, [flat[j * n:(j + 1) * n] for j in range(n)], flat[n * n:],
+            (r.numerator, r.denominator))
+
+
+class _CostGaps:
+    """Cost gaps C_j(x) - c of an affine game, decided in integers.
+
+    The costs are C_j(x) = b_j + sum_s M[s][j] x_s. The coefficients and
+    offsets are scaled once by the lcm D of their denominators. A vector
+    and a cost are read as integer numerators over their common
+    denominator L, so each gap comes out as the integer D*L*(C_j(x) - c),
+    with the sign of C_j(x) - c. Games whose data are not all rational
+    take D = L = 1 and keep their own scalars, through the same code.
+    """
+
+    __slots__ = ("n", "r", "rational", "scale", "offsets", "columns")
+
+    def __init__(self, game: Game):
+        self.n, self.r = game.n, game.r
+        self.rational, self.scale, matrix, self.offsets, _ = _scaled_game(
+            *affine_coefficients(game), game.r)
+        # nonzero (s, D*M[s][j]) of each cost, sources in increasing order
+        self.columns = [tuple((s, row[j]) for s, row in enumerate(matrix) if row[j] != 0)
+                        for j in range(self.n)]
+
+    def numerators(self, vector, cost, support):
+        """(L, numerators of vector on support and 0 elsewhere, numerator
+        of cost), all over the common denominator L."""
+        if not self.rational:
+            return 1, list(vector), cost
+        den = math.lcm(cost.denominator, *(vector[s].denominator for s in support))
+        nums = [0] * self.n
+        for s in support:
+            v = vector[s]
+            nums[s] = v.numerator * (den // v.denominator)
+        return den, nums, cost.numerator * (den // cost.denominator)
+
+    def gaps(self, nums, cost, vertices, den):
+        """D*L*(C_j - cost) for each j in vertices, from numerators over
+        den = L. A direction passes den = 0, which drops the offsets and
+        gives the slope of each gap along it. Sums run over the nonzero
+        entries of each cost, so nums is zero off its support."""
+        scaled_cost = self.scale * cost
+        for j in vertices:
+            yield sum([a * nums[s] for s, a in self.columns[j]],
+                      self.offsets[j] * den) - scaled_cost
+
+    def value(self, gap, den):
+        """The gap D*L*(C_j - c) as the scalar C_j - c."""
+        return Fraction(gap, self.scale * den) if self.rational else gap
+
+
 def support_systems(coefficients, offsets, r):
     """Yield (support, LinearSolution) for every consistent support system.
 
@@ -462,8 +530,15 @@ def support_systems(coefficients, offsets, r):
     on S summing to r: a linear system in (x_S, c). The equilibrium
     solver passes the cost matrix M; the utilitarian face search passes
     M + M^T. Inconsistent systems are skipped.
+
+    Rational data are scaled to integers once: the equal-cost rows by
+    the lcm D of the denominators of the coefficients and offsets, the
+    sum row by the denominator of r. Scaling rows leaves the solution
+    set as it is, and the elimination starts from integers.
     """
     n = len(offsets)
+    _, scale, coefficients, offsets, (r_num, r_den) = _scaled_game(
+        coefficients, offsets, r)
     columns = [[row[i] for row in coefficients] for i in range(n)]
     targets = [-b for b in offsets]
     for mask in range(1, 1 << n):
@@ -473,10 +548,10 @@ def support_systems(coefficients, offsets, r):
         rhs = []
         for i in support:
             column = columns[i]
-            rows.append([column[j] for j in support] + [-1])
+            rows.append([column[j] for j in support] + [-scale])
             rhs.append(targets[i])
-        rows.append([1] * k + [0])
-        rhs.append(r)
+        rows.append([r_den] * k + [0])
+        rhs.append(r_num)
         solution = solve_linear_system(rows, rhs)
         if solution.status != "none":
             yield support, solution
@@ -511,6 +586,7 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     exact = game.exact
     tol = numeric.auto_tolerance(exact, EQUILIBRIUM_TOLERANCE)
     zero = 0 if exact else 0.0
+    gaps = _CostGaps(game)
 
     points = []
     families = []
@@ -521,7 +597,7 @@ def _equilibria_from_systems(game: Game, systems) -> list:
             base_masses[s] = solution.solution[idx]
         cost_base = solution.solution[k]
         if solution.status == "unique":
-            point = _accept_point(game, support, base_masses, cost_base, tol, zero)
+            point = _accept_point(gaps, support, base_masses, cost_base, tol, zero)
             if point is not None:
                 points.append(point)
             continue
@@ -533,7 +609,7 @@ def _equilibria_from_systems(game: Game, systems) -> list:
                 direction[s] = vec[idx]
             directions.append(tuple(direction))
             cost_dirs.append(vec[k])
-        family = _restrict_family(game, support, tuple(base_masses), cost_base,
+        family = _restrict_family(gaps, support, tuple(base_masses), cost_base,
                                   tuple(directions), tuple(cost_dirs), tol, zero)
         if family is None:
             continue
@@ -545,16 +621,21 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     # A point x of common cost c lies on the hull of a family F over
     # support T exactly when supp(x) is in T and C_i(x) = c on T. x meets
     # every row of F, so it lies in F's region, where folded-back implicit
-    # equalities vanish. Float games count costs within tol of c as tied.
+    # equalities vanish. Float games count costs within tol of c as tied;
+    # on supp(x) the costs equal c by the support system.
+    family_masks = [f.bitmask for f in families]
     kept_points = []
     seen = set()
     for point in sorted(points, key=lambda p: (p.bitmask,
                                                tuple(float(m) for m in p.x.masses))):
-        covering = [f.bitmask for f in families if point.bitmask & ~f.bitmask == 0]
+        mask = point.bitmask
+        covering = [f for f in family_masks if mask & ~f == 0]
         if covering:
-            tied = sum(1 << i for i, c in enumerate(cost_vector(game, point.x))
-                       if abs(c - point.cost) <= tol)
-            if any(mask & ~tied == 0 for mask in covering):
+            outside = _outside(n, point.support)
+            den, nums, cost = gaps.numerators(point.x.masses, point.cost, point.support)
+            tied = mask | sum(1 << j for j, gap in zip(outside, gaps.gaps(nums, cost, outside, den))
+                              if abs(gap) <= tol)
+            if any(f & ~tied == 0 for f in covering):
                 continue
         key = (tuple(point.x.masses) if exact
                else tuple(round(float(m), 9) for m in point.x.masses))
@@ -566,35 +647,46 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     return sorted(kept_points + families, key=lambda e: e.bitmask)
 
 
-def _accept_point(game, support, masses, cost, tol, zero):
+def _outside(n, support):
+    return [j for j in range(n) if j not in support]
+
+
+def _accept_point(gaps, support, masses, cost, tol, zero):
+    # most systems fail on a mass sign, so it is read before any scaling
     if any(masses[s] < -tol for s in support):
         return None
-    clipped = [m if m > 0 else zero for m in masses]
-    for j in range(game.n):
-        if j not in support and _vertex_cost(game, clipped, j) - cost < -tol:
-            return None
-    x = MassDistribution(tuple(clipped), game.r)
+    den, nums, scaled_cost = gaps.numerators(masses, cost, support)
+    # float masses within tol below zero count as zero
+    for s in support:
+        if nums[s] < 0:
+            nums[s] = zero
+    outside = _outside(gaps.n, support)
+    if any(gap < -tol for gap in gaps.gaps(nums, scaled_cost, outside, den)):
+        return None
+    x = MassDistribution(tuple(m if m > 0 else zero for m in masses), gaps.r)
     return EquilibriumPoint(x, cost, x.support())
 
 
-def _family_rows(game, support, base, cost_base, directions, cost_dirs):
+def _family_rows(gaps, support, base, cost_base, directions, cost_dirs):
     """Feasibility rows (value at base, coefficient per direction), each
     meaning >= 0: masses on the support stay nonnegative, and every
     off-support vertex costs at least the common cost. Costs are affine,
-    so C_j(d) - C_j(0) is the exact slope of C_j along direction d."""
+    so the slope of C_j - c along a direction is its gap with the
+    offsets dropped."""
     rows = [(base[s], [d[s] for d in directions]) for s in support]
-    origin = [0] * game.n
-    for j in range(game.n):
-        if j in support:
-            continue
-        at_origin = _vertex_cost(game, origin, j)
-        rows.append((_vertex_cost(game, base, j) - cost_base,
-                     [_vertex_cost(game, d, j) - at_origin - dc
-                      for d, dc in zip(directions, cost_dirs)]))
+    outside = _outside(gaps.n, support)
+    den, nums, cost = gaps.numerators(base, cost_base, support)
+    values = [gaps.value(gap, den) for gap in gaps.gaps(nums, cost, outside, den)]
+    slopes = []
+    for d, dc in zip(directions, cost_dirs):
+        den, nums, cost = gaps.numerators(d, dc, support)
+        slopes.append([gaps.value(gap, den) for gap in gaps.gaps(nums, cost, outside, 0)])
+    rows.extend((value, [column[idx] for column in slopes])
+                for idx, value in enumerate(values))
     return rows
 
 
-def _restrict_family(game, support, base, cost_base, directions, cost_dirs,
+def _restrict_family(gaps, support, base, cost_base, directions, cost_dirs,
                      tol, zero):
     """Clip a solution family to the feasible region.
 
@@ -605,8 +697,8 @@ def _restrict_family(game, support, base, cost_base, directions, cost_dirs,
     region pinched to a lower dimension is re-derived at its true size
     (possibly a single point).
     """
-    n = game.n
-    constraints = _family_rows(game, support, base, cost_base, directions, cost_dirs)
+    n = gaps.n
+    constraints = _family_rows(gaps, support, base, cost_base, directions, cost_dirs)
 
     if len(directions) == 1:
         bounds = polytope.interval(constraints, tol)
@@ -614,10 +706,10 @@ def _restrict_family(game, support, base, cost_base, directions, cost_dirs,
             return None
         lo, hi = bounds
         if hi - lo <= tol:
-            return _accept_point(game, support,
+            return _accept_point(gaps, support,
                                  [b + lo * d for b, d in zip(base, directions[0])],
                                  cost_base + lo * cost_dirs[0], tol, zero)
-        return EquilibriumFamily(n, game.r, support, base, cost_base,
+        return EquilibriumFamily(n, gaps.r, support, base, cost_base,
                                  directions, tuple(cost_dirs), (lo, hi))
 
     # rows that bind across the whole region squeeze it into a
@@ -628,14 +720,14 @@ def _restrict_family(game, support, base, cost_base, directions, cost_dirs,
     tight = [constraints[i] for i in equalities
              if any(c != 0 for c in constraints[i][1])]
     if not tight:
-        return EquilibriumFamily(n, game.r, support, base, cost_base,
+        return EquilibriumFamily(n, gaps.r, support, base, cost_base,
                                  directions, tuple(cost_dirs), None, "",
                                  tuple(constraints))
     reduced = solve_linear_system([list(coefs) for _, coefs in tight],
                                   [-value for value, _ in tight])
     if reduced.status == "none":
         # misdetected equality; fall back to the full constraint polytope
-        return EquilibriumFamily(n, game.r, support, base, cost_base,
+        return EquilibriumFamily(n, gaps.r, support, base, cost_base,
                                  directions, tuple(cost_dirs), None, "",
                                  tuple(constraints))
     t0 = reduced.solution
@@ -643,13 +735,13 @@ def _restrict_family(game, support, base, cost_base, directions, cost_dirs,
                      for i, b in enumerate(base))
     new_cost = cost_base + sum(t * dc for t, dc in zip(t0, cost_dirs))
     if reduced.status == "unique":
-        return _accept_point(game, support, list(new_base), new_cost, tol, zero)
+        return _accept_point(gaps, support, list(new_base), new_cost, tol, zero)
     new_dirs = tuple(
         tuple(sum(u * d[i] for u, d in zip(vec, directions)) for i in range(n))
         for vec in reduced.basis)
     new_cdirs = tuple(sum(u * dc for u, dc in zip(vec, cost_dirs))
                       for vec in reduced.basis)
-    return _restrict_family(game, support, new_base, new_cost, new_dirs,
+    return _restrict_family(gaps, support, new_base, new_cost, new_dirs,
                             new_cdirs, tol, zero)
 
 
@@ -669,8 +761,8 @@ def family_cost_range(game, family: EquilibriumFamily):
 
     import numpy as np
 
-    affine_coefficients(game)  # refuses games that are not affine
-    rows = _family_rows(game, family.support, family.base, family.cost_base,
+    # _CostGaps refuses games that are not affine
+    rows = _family_rows(_CostGaps(game), family.support, family.base, family.cost_base,
                         family.directions, family.cost_directions)
     obj = np.array([float(c) for c in family.cost_directions])
     values = []

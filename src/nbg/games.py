@@ -51,7 +51,8 @@ class MassDistribution:
                 f"masses and total must be finite, got {masses!r} and {self.total!r}")
         for i, m in enumerate(masses):
             if m < -tol:
-                raise MassMismatchError(f"mass at vertex {i + 1} is negative: {m!r}")
+                raise MassMismatchError(
+                    f"mass at vertex {i + 1} is negative: {numeric.scalar_text(m)}")
         gap = sum(masses) - self.total
         if abs(gap) > tol:
             raise MassMismatchError(
@@ -121,7 +122,7 @@ class PolynomialCost:
 
     def value(self, t):
         # Horner from the leading coefficient: affine forms cost one
-        # multiply-add, and the support solver reads every cost through here
+        # multiply-add
         *lower, result = self.coeffs
         for c in reversed(lower):
             result = result * t + c
@@ -186,13 +187,13 @@ def _require_finite_scalar(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, numeric.QuadExt)):
         raise ValueError(f"{name} must be a scalar, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {numeric.scalar_text(value)}")
 
 
 def _require_nonnegative(name, value):
     _require_finite_scalar(name, value)
     if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        raise ValueError(f"{name} must be nonnegative, got {numeric.scalar_text(value)}")
 
 
 def constant(b) -> PolynomialCost:
@@ -230,14 +231,15 @@ class InfluenceMatrix:
         self.n = int(n)
         cleaned = {}
         for (i, j), alpha in dict(entries).items():
+            arc = f"influence arc {i + 1}->{j + 1}"
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"influence entry ({i}, {j}) out of range")
+                raise ValueError(f"{arc} out of range")
             if i == j:
-                raise ValueError(f"influence entry ({i}, {i}) on the diagonal")
+                raise ValueError(f"{arc} on the diagonal")
             if isinstance(alpha, float) and not math.isfinite(alpha):
-                raise ValueError(f"influence entry ({i}, {j}) is not finite: {alpha!r}")
+                raise ValueError(f"{arc} is not finite: {numeric.scalar_text(alpha)}")
             if alpha < 0:
-                raise ValueError(f"influence entry ({i}, {j}) is negative: {alpha!r}")
+                raise ValueError(f"{arc} is negative: {numeric.scalar_text(alpha)}")
             if alpha == 0:
                 continue
             cleaned[(i, j)] = alpha
@@ -296,7 +298,7 @@ def influence_from_triples(n, triples) -> InfluenceMatrix:
     entries = {}
     for i, j, alpha in triples:
         if (i, j) in entries:
-            raise ValueError(f"duplicate influence entry ({i}, {j})")
+            raise ValueError(f"duplicate influence arc {i + 1}->{j + 1}")
         entries[(i, j)] = alpha
     return InfluenceMatrix(n, entries)
 
@@ -360,7 +362,7 @@ class Game:
 def _require_positive_mass(r):
     _require_finite_scalar("total mass", r)
     if r <= 0:
-        raise ValueError(f"total mass must be positive, got {r!r}")
+        raise ValueError(f"total mass must be positive, got {numeric.scalar_text(r)}")
 
 
 def validate_game(game: Game) -> list:
@@ -407,16 +409,13 @@ def cost_vector(game: Game, x) -> tuple:
     masses = _coerce_masses(game, x)
     if game.kind == "general":
         return tuple(ev(masses) for ev in game.evaluators)
-    return tuple(_vertex_cost(game, masses, i) for i in range(game.n))
-
-
-def _vertex_cost(game: Game, masses, i):
-    """C_i at `masses` on a graphical game: the one cost evaluation that
-    cost_vector and the support solver share."""
-    total = game.vertex_costs[i].value(masses[i])
-    for j, alpha in game.influence.in_coefficients(i):
-        total = total + alpha * masses[j]
-    return total
+    out = []
+    for i, form in enumerate(game.vertex_costs):
+        total = form.value(masses[i])
+        for j, alpha in game.influence.in_coefficients(i):
+            total = total + alpha * masses[j]
+        out.append(total)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import numeric
 from .games import Game, affine, constant, influence_from_triples, opaque
 from .graphs import Digraph
 
@@ -54,7 +55,7 @@ def braess_game(b2) -> Game:
     if isinstance(b2, (int, float)):
         b2 = Fraction(b2)
     if b2 < 0:
-        raise ValueError(f"offset must be nonnegative, got {b2!r}")
+        raise ValueError(f"offset must be nonnegative, got {numeric.scalar_text(b2)}")
     costs = (constant(1), affine(1, b2))
     return Game.graphical(2, 1, costs, _symmetric_pair(Fraction(1, 4)))
 
@@ -67,7 +68,7 @@ def unbounded_anarchy_game(alpha) -> Game:
     under both social measures, so the ratio grows without bound in a.
     """
     if alpha < 0:
-        raise ValueError(f"coupling must be nonnegative, got {alpha!r}")
+        raise ValueError(f"coupling must be nonnegative, got {numeric.scalar_text(alpha)}")
     costs = (affine(1, 0), affine(1, 0))
     return Game.graphical(2, 1, costs, _symmetric_pair(alpha))
 
@@ -82,7 +83,7 @@ def stability_gap_game(lam) -> Game:
     if isinstance(lam, (int, float)):
         lam = Fraction(lam)
     if lam < 0:
-        raise ValueError(f"parameter must be nonnegative, got {lam!r}")
+        raise ValueError(f"parameter must be nonnegative, got {numeric.scalar_text(lam)}")
     costs = (constant(1 + 2 * lam), affine(2 + lam, lam))
     return Game.graphical(2, 1, costs, _symmetric_pair(Fraction(1)))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import numeric
 from .equilibrium import (EquilibriumFamily, solve_affine_by_supports,
                           verify_delta_strong)
 from .errors import UnsupportedGameError
@@ -80,7 +81,7 @@ def digraph_to_nbg(d: Digraph, alpha, r=1) -> Game:
     (alpha_{i,j} > 1 and alpha_{i,j} + alpha_{j,i} > 2 on arcs) hold.
     """
     if not alpha > 1:
-        raise ValueError(f"reduction needs alpha > 1, got {alpha!r}")
+        raise ValueError(f"reduction needs alpha > 1, got {numeric.scalar_text(alpha)}")
     costs = [affine(1, 0) for _ in range(d.n)]
     entries = [(u, v, alpha) for (u, v) in sorted(d.arcs)]
     return Game.graphical(d.n, r, costs, influence_from_triples(d.n, entries))

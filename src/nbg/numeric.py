@@ -249,6 +249,13 @@ def scalar_to_json(value):
     raise ValueError(f"cannot serialize scalar of type {type(value).__name__}")
 
 
+def scalar_text(value) -> str:
+    """A scalar as a game file writes it (-1, 1/2, 0.25), for messages."""
+    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
+        return str(scalar_to_json(value))
+    return str(value)
+
+
 def format_scalar(value, digits: int = 12) -> str:
     """Human-readable form: rationals as p/q with a decimal, floats at
     `digits` significant digits."""

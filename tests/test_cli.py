@@ -148,6 +148,12 @@ class TestSolve:
                        "minimum 1: masses (1, 0)  potential 1"
                        "  [verified equilibrium]\n")
 
+    def test_negative_start_count_rejected(self, capsys, files):
+        code, out, err = run(capsys, "solve", files / "potmax.json",
+                             "--method", "potential", "--starts", "-3")
+        assert (code, out) == (2, "")
+        assert err == "error: --starts must be nonnegative, got -3\n"
+
     def test_dynamics_method(self, capsys, files):
         code, out, _ = run(capsys, "solve", files / "braess.json",
                            "--method", "dynamics", "--x0", "0,1",
@@ -420,6 +426,13 @@ class TestDynamics:
         assert "converged: no" in out
         assert "equilibrium: no" in out
 
+    def test_negative_iteration_cap_rejected(self, capsys, files):
+        for args in (("dynamics",), ("solve", "--method", "dynamics")):
+            code, out, err = run(capsys, *args, files / "braess.json",
+                                 "--steps", "-1")
+            assert (code, out) == (2, "")
+            assert err == "error: --steps must be nonnegative, got -1\n"
+
 
 #: the full stdout of `nbg reproduce --all`
 REPRODUCE_ALL = Path(__file__).parent / "golden" / "reproduce_all.txt"
@@ -565,6 +578,43 @@ class TestNonFiniteInput:
             assert code == 2
             assert out == ""
             assert err.startswith("error: --tol must be finite and nonnegative")
+
+
+class TestScalarsInMessages:
+    """Messages print scalars as a game file writes them, and arcs 1-based."""
+
+    def check(self, capsys, tmp_path, text, message):
+        game = tmp_path / "game.json"
+        game.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", game, "--dist", "1/2,1/2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {game}: {message}\n"
+
+    def test_total_mass(self, capsys, tmp_path):
+        self.check(capsys, tmp_path,
+                   '{"n": 2, "r": -1, "costs": [{"type": "const", "b": 1},'
+                   ' {"type": "const", "b": 1}], "alpha": []}',
+                   "total mass must be positive, got -1")
+
+    def test_negative_influence(self, capsys, tmp_path):
+        self.check(capsys, tmp_path,
+                   '{"n": 2, "r": 1, "costs": [{"type": "const", "b": 1},'
+                   ' {"type": "const", "b": 1}], "alpha": [[1, 2, "-1/2"]]}',
+                   "influence arc 1->2 is negative: -1/2")
+
+    def test_negative_coefficient(self, capsys, tmp_path):
+        self.check(capsys, tmp_path,
+                   '{"n": 2, "r": 1, "costs": [{"type": "affine", "a": "-1/2",'
+                   ' "b": 0}, {"type": "const", "b": 1}], "alpha": []}',
+                   "costs[0]: coefficient of t^1 must be nonnegative, got -1/2")
+
+    def test_negative_alpha_of_a_family(self, capsys, tmp_path):
+        for alpha in ("-1", "-1/2"):
+            code, out, err = run(capsys, "family", "--kind", "complete_bipartite",
+                                 f"--alpha={alpha}", "-p", "2", "-q", "1",
+                                 "-o", tmp_path / "neg.json")
+            assert (code, out) == (2, "")
+            assert err == f"error: alpha must be nonnegative, got {alpha}\n"
 
 
 class TestDistributionFileErrors:

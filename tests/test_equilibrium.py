@@ -231,7 +231,7 @@ class TestSolveBySupports:
         linprog = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
-        # the arguments are (game, support, base, cost_base, directions,
+        # the arguments are (gaps, support, base, cost_base, directions,
         # cost_dirs, tol, zero); recursive calls go through the module
         # global too. A negative row free of parameters empties the
         # region without an LP.

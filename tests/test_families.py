@@ -384,7 +384,7 @@ class TestBipartiteAndStar:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             bipartite_closed_form(1, 2, Fraction(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"alpha must be nonnegative, got -1/2$"):
             bipartite_closed_form(2, 1, Fraction(-1, 2))
         with pytest.raises(ValueError):
             star_closed_form(1, Fraction(1, 2))

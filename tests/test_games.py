@@ -8,9 +8,10 @@ from scipy.integrate import quad
 
 from nbg import (CHARGE_TOLERANCE, Digraph, DimensionMismatchError, Game,
                  InfluenceMatrix, MassDistribution, MassMismatchError,
-                 UndirectedGraph, UnsupportedGameError, affine, classify,
-                 constant, cost_vector, distribution, influence_from_triples,
-                 is_exact_scalar, opaque, polynomial, underlying_graph,
+                 UndirectedGraph, UnsupportedGameError, affine, braess_game,
+                 classify, constant, cost_vector, distribution,
+                 influence_from_triples, is_exact_scalar, opaque, polynomial,
+                 stability_gap_game, unbounded_anarchy_game, underlying_graph,
                  validate_game)
 from util import dense_costs, random_affine_game, random_masses
 
@@ -23,7 +24,7 @@ class TestMassDistribution:
         assert x.exact
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(MassMismatchError):
+        with pytest.raises(MassMismatchError, match="vertex 1 is negative: -1/10$"):
             MassDistribution((Fraction(-1, 10), Fraction(11, 10)), 1)
 
     def test_wrong_total_rejected_exactly_for_exact_masses(self):
@@ -142,15 +143,22 @@ class TestCostForms:
                 polynomial([1, bad])
 
 
+def test_instance_parameters_print_as_written():
+    for build in (braess_game, unbounded_anarchy_game, stability_gap_game):
+        with pytest.raises(ValueError, match="nonnegative, got -1/2$"):
+            build(Fraction(-1, 2))
+
+
 class TestInfluenceMatrix:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # arcs are named 1-based, as in game files
+        with pytest.raises(ValueError, match="^influence arc 1->3 out of range$"):
             InfluenceMatrix(2, {(0, 2): 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^influence arc 2->2 on the diagonal$"):
             InfluenceMatrix(2, {(1, 1): 1})
-        with pytest.raises(ValueError):
-            InfluenceMatrix(2, {(0, 1): -1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^influence arc 1->2 is negative: -1/2$"):
+            InfluenceMatrix(2, {(0, 1): Fraction(-1, 2)})
+        with pytest.raises(ValueError, match="^duplicate influence arc 1->2$"):
             influence_from_triples(3, [(0, 1, 1), (0, 1, 2)])
 
     def test_non_finite_entry_rejected(self):

@@ -83,8 +83,8 @@ class TestReduction:
 
     def test_rejects_small_alpha(self):
         d = directed_triangle()
-        for alpha in (1, Fraction(1, 2), 0.99):
-            with pytest.raises(ValueError):
+        for alpha, text in ((1, "1"), (Fraction(1, 2), "1/2"), (0.99, "0.99")):
+            with pytest.raises(ValueError, match=f"got {text}$"):
                 digraph_to_nbg(d, alpha)
 
     def test_hypotheses_predicate(self):

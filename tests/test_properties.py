@@ -1,0 +1,186 @@
+"""Metamorphic properties of the support solver on random exact affine games.
+
+The games have n <= 6 vertices, and their slopes, offsets, influences and
+total mass mix denominators up to 60 with the values 0, 1/2 and 1, which
+make singular support systems and so solution families common. Each
+property solves a game and a transformed copy and compares the two
+equilibrium sets: points by their masses, families by their support,
+dimension and affine hull, and one-parameter families also by their end
+points.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nbg import (EquilibriumFamily, EquilibriumPoint, Game, affine,
+                 family_cost_range, influence_from_triples,
+                 solve_affine_by_supports, verify_equilibrium)
+
+scalars = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.integers(1, 60).flatmap(
+        lambda q: st.integers(0, 3 * q).map(lambda p: Fraction(p, q))))
+positive = st.integers(1, 60).flatmap(
+    lambda q: st.integers(1, 3 * q).map(lambda p: Fraction(p, q)))
+
+
+@st.composite
+def exact_games(draw):
+    n = draw(st.integers(1, 6))
+    costs = [affine(draw(scalars), draw(scalars)) for _ in range(n)]
+    triples = [(i, j, draw(scalars)) for i in range(n) for j in range(n)
+               if i != j and draw(st.booleans())]
+    return Game.graphical(n, draw(positive), costs, influence_from_triples(n, triples))
+
+
+def rebuilt(game, slope=lambda a: a, offset=lambda b: b, alpha=lambda a: a,
+            scalar=lambda v: v, perm=None):
+    """A copy of `game` with its slopes, offsets and influences mapped, every
+    scalar then passed through `scalar`, and vertex i moved to perm[i]."""
+    n = game.n
+    perm = perm or list(range(n))
+    costs = [None] * n
+    for i, form in enumerate(game.vertex_costs):
+        a, b = form.as_affine()
+        costs[perm[i]] = affine(scalar(slope(a)), scalar(offset(b)))
+    triples = [(perm[i], perm[j], scalar(alpha(v))) for (i, j), v in game.influence.items()]
+    return Game.graphical(n, scalar(game.r), costs, influence_from_triples(n, triples))
+
+
+def moved(values, perm):
+    out = [None] * len(values)
+    for i, v in enumerate(values):
+        out[perm[i]] = v
+    return tuple(out)
+
+
+def split(solved):
+    points = [e for e in solved if isinstance(e, EquilibriumPoint)]
+    families = {f.support: f for f in solved if isinstance(f, EquilibriumFamily)}
+    return points, families
+
+
+def on_hull(family, masses):
+    return family.contains(masses) is not None
+
+
+def same_hull(family, other, perm):
+    """Whether `other` spans the hull of `family` with vertices moved by perm."""
+    spanning = [family.base] + [tuple(b + d for b, d in zip(family.base, direction))
+                                for direction in family.directions]
+    return (family.dimension == other.dimension
+            and all(on_hull(other, moved(m, perm)) for m in spanning))
+
+
+def end_points(family, perm):
+    lo, hi = family.interval
+    return {moved(family.point_at((t,)).x.masses, perm) for t in (lo, hi)}
+
+
+def assert_same_set(first, second, perm, cost=lambda c: c):
+    """The equilibrium set `second` is `first` with vertex i moved to
+    perm[i] and every common cost mapped by `cost`."""
+    identity = list(range(len(perm)))
+    inverse = [perm.index(i) for i in identity]
+    points, families = split(first)
+    other_points, other_families = split(second)
+    assert ({(moved(p.x.masses, perm), cost(p.cost)) for p in points}
+            == {(tuple(p.x.masses), p.cost) for p in other_points})
+    relabelled = {tuple(sorted(perm[i] for i in s)): f for s, f in families.items()}
+    assert sorted(relabelled) == sorted(other_families)
+    for support, family in relabelled.items():
+        other = other_families[support]
+        assert same_hull(family, other, perm) and same_hull(other, family, inverse)
+        if family.dimension == 1:
+            assert end_points(family, perm) == end_points(other, identity)
+
+
+def cost_ranges_match(game, other, first, second, cost):
+    for family, twin in zip(sorted(split(first)[1].items()), sorted(split(second)[1].items())):
+        (lo, hi), exact = family_cost_range(game, family[1])
+        (other_lo, other_hi), other_exact = family_cost_range(other, twin[1])
+        assert exact == other_exact
+        for want, got in ((cost(lo), other_lo), (cost(hi), other_hi)):
+            if exact:
+                assert want == got
+            else:
+                assert math.isclose(want, got, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@settings(max_examples=60)
+@given(exact_games(), positive)
+def test_scaling_every_coefficient_scales_every_cost(game, factor):
+    solved = solve_affine_by_supports(game)
+    scaled_game = rebuilt(game, slope=lambda a: factor * a, offset=lambda b: factor * b,
+                          alpha=lambda a: factor * a)
+    scaled = solve_affine_by_supports(scaled_game)
+    assert_same_set(solved, scaled, list(range(game.n)), cost=lambda c: factor * c)
+    cost_ranges_match(game, scaled_game, solved, scaled,
+                      lambda c: factor * c if isinstance(c, Fraction) else float(factor) * c)
+
+
+@settings(max_examples=60)
+@given(exact_games(), positive)
+def test_an_offset_shift_moves_only_the_common_cost(game, shift):
+    solved = solve_affine_by_supports(game)
+    shifted_game = rebuilt(game, offset=lambda b: b + shift)
+    shifted = solve_affine_by_supports(shifted_game)
+    assert_same_set(solved, shifted, list(range(game.n)), cost=lambda c: c + shift)
+    cost_ranges_match(game, shifted_game, solved, shifted,
+                      lambda c: c + shift if isinstance(c, Fraction) else c + float(shift))
+
+
+@settings(max_examples=60)
+@given(exact_games(), st.randoms(use_true_random=False))
+def test_relabelling_the_vertices_relabels_the_equilibria(game, rng):
+    perm = list(range(game.n))
+    rng.shuffle(perm)
+    solved = solve_affine_by_supports(game)
+    assert_same_set(solved, solve_affine_by_supports(rebuilt(game, perm=perm)), perm)
+
+
+@settings(max_examples=60)
+@given(exact_games())
+def test_points_and_one_parameter_end_points_verify_exactly(game):
+    for item in solve_affine_by_supports(game):
+        if isinstance(item, EquilibriumPoint):
+            members = [item]
+        elif item.dimension == 1:
+            members = [item.point_at((t,)) for t in item.interval]
+        else:
+            continue
+        for member in members:
+            report = verify_equilibrium(game, member.x, tol=0)
+            assert report.is_equilibrium
+            assert report.common_cost == member.cost
+
+
+def close(a, b):
+    return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
+
+
+@settings(max_examples=60)
+@given(exact_games())
+def test_exact_and_float_modes_agree(game):
+    solved = solve_affine_by_supports(game)
+    floated = solve_affine_by_supports(rebuilt(game, scalar=float))
+
+    def signature(item):
+        kind = "family" if isinstance(item, EquilibriumFamily) else "point"
+        return item.bitmask, kind, getattr(item, "dimension", 0)
+
+    assert [signature(e) for e in solved] == [signature(e) for e in floated]
+    for exact, approx in zip(solved, floated):
+        if isinstance(exact, EquilibriumPoint):
+            pairs = list(zip(exact.x.masses, approx.x.masses)) + [(exact.cost, approx.cost)]
+        else:
+            pairs = list(zip(exact.base, approx.base)) + [(exact.cost_base, approx.cost_base)]
+            for d, e in zip(exact.directions, approx.directions):
+                pairs += list(zip(d, e))
+            pairs += list(zip(exact.cost_directions, approx.cost_directions))
+            if exact.interval is not None:
+                pairs += list(zip(exact.interval, approx.interval))
+        assert all(close(a, b) for a, b in pairs)
