@@ -142,19 +142,11 @@ def uniform_cost_solve(game: Game, graph_kind="general") -> UniformCostSystem:
                                  nonnegative=all(m >= 0 for m in masses))
     base = solution.solution[:n]
     directions = tuple((tuple(vec[:n]), vec[n]) for vec in solution.basis)
-    feasible = _has_nonnegative_member(base, [d for d, _ in directions])
+    feasible = polytope.feasible([(value, [d[row] for d, _ in directions])
+                                  for row, value in enumerate(base)])
     return UniformCostSystem(n, graph_kind, matrix, rhs, det, "family",
                              base_masses=base, base_cost=solution.solution[n],
                              directions=directions, nonnegative=feasible)
-
-
-def _has_nonnegative_member(base, directions) -> bool:
-    if not directions:
-        return all(b >= 0 for b in base)
-    rows = [(value, [d[row] for d in directions]) for row, value in enumerate(base)]
-    if len(directions) == 1:
-        return polytope.interval(rows) is not None
-    return polytope.feasible(rows, len(directions))
 
 
 def path_matrix(n, alpha):

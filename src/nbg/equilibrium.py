@@ -691,9 +691,10 @@ def _restrict_family(gaps, support, base, cost_base, directions, cost_dirs,
     """Clip a solution family to the feasible region.
 
     One-parameter families get an exact interval. Multi-parameter
-    families keep their constraint rows; one LP finds the constraints
-    that bind across the whole feasible region (its implicit
-    equalities), and they are folded back into the linear system, so a
+    families keep their constraint rows; `polytope.implicit_equalities`
+    finds the constraints that bind across the whole feasible region
+    (exactly on rational rows unless the region is pinched, when one LP
+    names them), and they are folded back into the linear system, so a
     region pinched to a lower dimension is re-derived at its true size
     (possibly a single point).
     """

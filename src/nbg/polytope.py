@@ -5,20 +5,32 @@ feasible region by rows (value, coefs), each meaning
 
     value + coefs . t >= 0.
 
-One-parameter regions are intervals and are computed exactly; larger
-regions go to linear programming, which runs in float HiGHS; one LP finds
-every implicit equality of a region at once. scipy is imported on the
-first LP call, so importing the package stays light.
+One-parameter regions are intervals and are computed exactly. On larger
+exact regions (every entry an int or a Fraction, tolerance 0),
+Fourier-Motzkin elimination decides whether the region is empty and
+whether it is full-dimensional; only a nonempty region pinched to a lower
+dimension, or one whose elimination would grow past a row cap, goes to
+linear programming, which runs in float HiGHS and finds every implicit
+equality of a region at once. Float and Q(sqrt 5) rows always take the
+LP. scipy is imported on the first LP call, so importing the package
+stays light.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import numeric
 
 #: float coefficients smaller than this count as zero in the zero-slope rule
 SLOPE_TOLERANCE = 1e-13
+
+#: Fourier-Motzkin elimination leaves the verdict to the LP when a step
+#: would leave more rows than this; family regions stay near their
+#: starting row count, while random dense rows can grow doubly
+#: exponentially
+ELIMINATION_ROW_CAP = 200
 
 
 def _is_zero(coef) -> bool:
@@ -73,8 +85,86 @@ def minimize(rows, objective):
     return res.fun, res.x
 
 
-def feasible(rows, dim) -> bool:
-    """Whether some t satisfies every row (float linear programming)."""
+def _violates_flat_row(rows, tol) -> bool:
+    """The zero-slope rule of `interval`: a row free of parameters with
+    value below -tol empties the region."""
+    return any(value < -tol and all(_is_zero(c) for c in coefs)
+               for value, coefs in rows)
+
+
+def _rational(rows) -> bool:
+    return all(type(v) in (int, Fraction) for value, coefs in rows
+               for v in (value, *coefs))
+
+
+def _fourier_motzkin(rows, strict):
+    """Whether some t satisfies every rational row, by Fourier-Motzkin
+    elimination (Schrijver, Theory of Linear and Integer Programming,
+    1986, section 12.2); None when a step would exceed
+    ELIMINATION_ROW_CAP rows.
+
+    With `strict`, every row with a nonzero coefficient must hold
+    strictly, so True means that no such row holds with equality over the
+    whole region. Rows are scaled to integers and divided by their gcd,
+    which merges duplicates. Each step eliminates the parameter with the
+    fewest pairs of a positive and a negative coefficient; the sum of a
+    pair cancels it, is strict when its rows are, and a sum left with no
+    parameters must be positive, or only nonnegative without `strict`.
+    """
+    live = set()
+    for value, coefs in rows:
+        entries = (value, *coefs)
+        scale = math.lcm(*[v.denominator for v in entries])
+        ints = [v.numerator * (scale // v.denominator) for v in entries]
+        if not any(ints[1:]):
+            if ints[0] < 0:
+                return False
+            continue
+        g = math.gcd(*ints)
+        live.add(tuple(v // g for v in ints))
+    columns = list(range(1, len(rows[0][1]) + 1)) if rows else []
+    while live:
+        signs = {}
+        for col in columns:
+            pos = [row for row in live if row[col] > 0]
+            neg = [row for row in live if row[col] < 0]
+            signs[col] = pos, neg
+        col = min(columns, key=lambda c: len(signs[c][0]) * len(signs[c][1]))
+        pos, neg = signs[col]
+        if len(live) - len(pos) - len(neg) + len(pos) * len(neg) > ELIMINATION_ROW_CAP:
+            return None
+        columns.remove(col)
+        kept = {row for row in live if row[col] == 0}
+        for p in pos:
+            for q in neg:
+                a, b = -q[col], p[col]
+                combined = [a * u + b * v for u, v in zip(p, q)]
+                if not any(combined[1:]):
+                    if combined[0] < 0 or (strict and combined[0] == 0):
+                        return False
+                    continue
+                g = math.gcd(*combined)
+                kept.add(tuple(v // g for v in combined))
+        live = kept
+    return True
+
+
+def feasible(rows, tol=0) -> bool:
+    """Whether some t satisfies every row. Rows free of parameters are
+    judged by the zero-slope rule and rational rows at tolerance 0 by
+    Fourier-Motzkin elimination; other one-parameter rows get `interval`,
+    and the rest a float LP."""
+    if _violates_flat_row(rows, tol):
+        return False
+    if all(_is_zero(c) for _, coefs in rows for c in coefs):
+        return True
+    if tol == 0 and _rational(rows):
+        verdict = _fourier_motzkin(rows, strict=False)
+        if verdict is not None:
+            return verdict
+    dim = len(rows[0][1])
+    if dim == 1:
+        return interval(rows, tol) is not None
     return minimize(rows, [0.0] * dim) is not None
 
 
@@ -83,8 +173,12 @@ def implicit_equalities(rows, tol=0):
     in row order, or None when the region is empty or the LP fails.
 
     A row free of parameters with value below -tol empties the region,
-    which needs no LP (the zero-slope rule of `interval`). Otherwise one
-    float LP in (t free, theta >= 1, 0 <= y <= 1) decides every row
+    which needs no LP (the zero-slope rule of `interval`). Exact rows at
+    tolerance 0 go to Fourier-Motzkin elimination first: an empty region
+    gives None, and a region where every row with parameters can hold
+    strictly gives the rows free of parameters with value 0. Otherwise,
+    and for float and Q(sqrt 5) rows, one float LP in
+    (t free, theta >= 1, 0 <= y <= 1) decides every row
     (Freund, Roundy & Todd, MIT Sloan WP 1674-85, 1985):
 
         maximise sum y_i  subject to  y_i <= value_i * theta + coefs_i . t.
@@ -95,8 +189,14 @@ def implicit_equalities(rows, tol=0):
     of them reach y_i = 1. So the optimal y is 0 on the implicit
     equalities and 1 elsewhere, and y_i < 1/2 tells them apart.
     """
-    if any(value < -tol and all(_is_zero(c) for c in coefs) for value, coefs in rows):
+    if _violates_flat_row(rows, tol):
         return None
+    if tol == 0 and _rational(rows):
+        if _fourier_motzkin(rows, strict=False) is False:
+            return None
+        if _fourier_motzkin(rows, strict=True):
+            return [i for i, (value, coefs) in enumerate(rows)
+                    if value == 0 and not any(coefs)]
     from scipy.optimize import linprog
     import numpy as np
 

@@ -20,7 +20,7 @@ from nbg.equilibrium import support_systems
 from util import (dense_costs, families_of, family_matches, grid_delta_strong,
                   is_equilibrium_oracle, point_masses,
                   random_affine_symmetric_game, random_affine_game,
-                  random_fraction, random_masses)
+                  random_fraction, random_masses, region_class)
 
 
 def two_vertex_affine_equilibria(game):
@@ -233,23 +233,25 @@ class TestSolveBySupports:
                             lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
         # the arguments are (gaps, support, base, cost_base, directions,
         # cost_dirs, tol, zero); recursive calls go through the module
-        # global too. A negative row free of parameters empties the
-        # region without an LP.
-        restrictions = []
+        # global too
+        regions = []
         restrict = equilibrium._restrict_family
 
         def recording(*a):
-            rows = equilibrium._family_rows(*a[:6])
-            empty = any(value < 0 and all(c == 0 for c in coefs)
-                        for value, coefs in rows)
-            restrictions.append((len(a[4]), empty))
+            if len(a[4]) >= 2:
+                regions.append(equilibrium._family_rows(*a[:6]))
             return restrict(*a)
 
         monkeypatch.setattr(equilibrium, "_restrict_family", recording)
         solve_affine_by_supports(make_family("path", Fraction(1), n=8))
-        multi = [empty for dim, empty in restrictions if dim >= 2]
-        assert len(multi) == 25
-        assert len(lp_calls) == multi.count(False) == 16
+        solver_lps = len(lp_calls)
+        # exact elimination settles empty and full-dimensional regions;
+        # only regions pinched to a lower dimension take an LP
+        classes = [region_class(rows) for rows in regions]
+        assert len(classes) == 25
+        assert (classes.count("empty"), classes.count("full"),
+                classes.count("pinched")) == (10, 5, 10)
+        assert solver_lps == classes.count("pinched")
 
     def test_results_sorted_by_support_bitmask(self):
         rng = random.Random(59)

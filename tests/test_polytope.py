@@ -1,6 +1,8 @@
-"""Constraint polytopes: the exact interval rule, the LP wrappers, and the
-guard that keeps every linear program behind nbg.polytope."""
+"""Constraint polytopes: the exact interval rule, Fourier-Motzkin
+elimination, the LP wrappers, and the guard that keeps every linear
+program behind nbg.polytope."""
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import nbg
 from nbg import polytope
+from util import per_row_equalities, region_class
 
 
 class TestInterval:
@@ -55,8 +58,16 @@ class TestLinearPrograms:
     TRIANGLE = [(0, [1, 0]), (0, [0, 1]), (1, [-1, -1])]
 
     def test_feasible(self):
-        assert polytope.feasible(self.TRIANGLE, 2)
-        assert not polytope.feasible(self.TRIANGLE + [(-2, [1, 1])], 2)
+        empty = self.TRIANGLE + [(-2, [1, 1])]
+        assert polytope.feasible(self.TRIANGLE)
+        assert not polytope.feasible(empty)
+        assert polytope.minimize(self.TRIANGLE, [0, 0]) is not None
+        assert polytope.minimize(empty, [0, 0]) is None
+        # float rows take the LP, flat rows the zero-slope rule
+        assert polytope.feasible([(float(v), [float(c) for c in coefs])
+                                  for v, coefs in self.TRIANGLE])
+        assert not polytope.feasible([(-1, [0, 0])])
+        assert polytope.feasible([(-1, [0, 0])], tol=2)
 
     def test_implicit_equalities(self):
         assert polytope.implicit_equalities(self.TRIANGLE) == []
@@ -93,22 +104,16 @@ def family_rows(draw):
 @given(family_rows())
 def test_interval_agrees_with_lp(rows):
     bounds = polytope.interval(rows)
-    assert (bounds is not None) == polytope.feasible(rows, 1)
+    assert (bounds is not None) == (polytope.minimize(rows, [0]) is not None)
+    assert (bounds is not None) == polytope.feasible(rows)
+    # both sides are bounded, so a region is full-dimensional exactly
+    # when its interval has positive length
+    assert (polytope._fourier_motzkin(rows, strict=True)
+            == (bounds is not None and bounds[0] < bounds[1]))
     if bounds is not None:
         for t in bounds:
             assert isinstance(t, Fraction)
             assert all(value + coefs[0] * t >= 0 for value, coefs in rows)
-
-
-def per_row_equalities(rows):
-    """The rule `implicit_equalities` replaced, kept as its oracle: one LP
-    per row for the row's largest value, tight when at most 1e-9."""
-    tight = []
-    for i, (value, coefs) in enumerate(rows):
-        found = polytope.minimize(rows, [-float(c) for c in coefs])
-        if found is not None and float(value) - found[0] <= 1e-9:
-            tight.append(i)
-    return tight
 
 
 entry = st.one_of(small, st.fractions(min_value=-6, max_value=6,
@@ -117,11 +122,11 @@ entry = st.one_of(small, st.fractions(min_value=-6, max_value=6,
 
 @st.composite
 def planted_rows(draw):
-    """Rows in 2 or 3 parameters with planted implicit equalities: a row
+    """Rows in 1 to 4 parameters with planted implicit equalities: a row
     next to its negation, and a row that is minus the sum of two others."""
-    dim = draw(st.integers(min_value=2, max_value=3))
+    dim = draw(st.integers(min_value=1, max_value=4))
     row = st.tuples(entry, st.lists(entry, min_size=dim, max_size=dim))
-    rows = draw(st.lists(row, max_size=5))
+    rows = draw(st.lists(row, max_size=7))
     if draw(st.booleans()):
         value, coefs = draw(row)
         rows += [(value, coefs), (-value, [-c for c in coefs])]
@@ -152,15 +157,45 @@ def with_solver_noise(rows):
         return polytope.implicit_equalities(rows)
 
 
+def check_against_highs(rows):
+    """Every verdict on `rows` against the HiGHS oracles. Returns the
+    region's class and the implicit equalities found."""
+    expected = region_class(rows)
+    for strict, holds in ((False, expected != "empty"), (True, expected == "full")):
+        assert polytope._fourier_motzkin(rows, strict) in (None, holds)
+    assert polytope.feasible(rows) == (expected != "empty")
+    found = polytope.implicit_equalities(rows)
+    assert (found is None) == (expected == "empty")
+    if found is not None:
+        assert found == per_row_equalities(rows)
+    return expected, found
+
+
 @settings(max_examples=200, deadline=None)
 @given(planted_rows())
 def test_implicit_equalities_match_the_per_row_rule(drawn):
-    dim, rows = drawn
-    found = polytope.implicit_equalities(rows)
-    assert (found is None) == (polytope.minimize(rows, [0] * dim) is None)
-    if found is not None:
-        assert found == per_row_equalities(rows)
+    _, rows = drawn
+    _, found = check_against_highs(rows)
     assert with_solver_noise(rows) == found
+
+
+def test_row_cap_leaves_the_verdict_to_the_lp():
+    rng = random.Random(3)
+    verdicts = set()
+    for k in range(6):
+        # 8 positive and 8 negative coefficients in every column grow the
+        # first step to 64 rows and the second past the cap
+        columns = [rng.sample([rng.randint(1, 6) for _ in range(8)]
+                              + [-rng.randint(1, 6) for _ in range(8)], 16)
+                   for _ in range(6)]
+        rows = [(rng.randint(-2, 6), [column[i] for column in columns])
+                for i in range(16)]
+        if k % 2:
+            value, coefs = rows[0]
+            rows[1] = (-value, [-c for c in coefs])
+        assert polytope._fourier_motzkin(rows, strict=False) is None
+        verdicts.add(check_against_highs(rows)[0])
+    assert verdicts == {"empty", "full", "pinched"}
 
 
 class TestSingleLpSite:

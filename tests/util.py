@@ -13,7 +13,32 @@ from fractions import Fraction
 from itertools import combinations
 
 from nbg import (Digraph, EquilibriumFamily, EquilibriumPoint, Game, affine,
-                 digraph, influence_from_triples)
+                 digraph, influence_from_triples, polytope)
+
+
+# ---------------------------------------------------------------------------
+# linear programming oracles
+
+
+def per_row_equalities(rows):
+    """Implicit equalities by one HiGHS LP per row (`polytope.minimize`):
+    a row is tight when its largest value over the region is at most 1e-9."""
+    tight = []
+    for i, (value, coefs) in enumerate(rows):
+        found = polytope.minimize(rows, [-float(c) for c in coefs])
+        if found is not None and float(value) - found[0] <= 1e-9:
+            tight.append(i)
+    return tight
+
+
+def region_class(rows):
+    """"empty", "full" or "pinched" by the HiGHS oracles: no point, no row
+    with parameters tight over the whole region, or some such row tight."""
+    if polytope.minimize(rows, [0.0] * len(rows[0][1])) is None:
+        return "empty"
+    if any(any(rows[i][1]) for i in per_row_equalities(rows)):
+        return "pinched"
+    return "full"
 
 
 # ---------------------------------------------------------------------------
