@@ -10,7 +10,6 @@ and Q(sqrt 5) ones; a determinant is read off that elimination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,10 +24,10 @@ _RATIONAL, _QUADRATIC, _FLOAT = "rational", "quadratic", "float"
 
 def _classify(rows):
     kinds = {type(v) for row in rows for v in row}
+    if numeric.rational_types(kinds):
+        return _RATIONAL
     if any(issubclass(t, bool) for t in kinds):
         return _FLOAT
-    if all(issubclass(t, (int, Fraction)) for t in kinds):
-        return _RATIONAL
     if all(issubclass(t, (int, Fraction, numeric.QuadExt)) for t in kinds):
         return _QUADRATIC
     return _FLOAT
@@ -57,9 +56,9 @@ def _bareiss(rows):
     m = []
     scales = 1
     for row in rows:
-        scale = math.lcm(*{v.denominator for v in row})
+        ints, scale = numeric.integer_row(row)
         scales *= scale
-        m.append([v.numerator * (scale // v.denominator) for v in row])
+        m.append(ints)
     n_rows, n_cols = len(m), len(m[0])
     pivots = []
     prev = 1

@@ -209,6 +209,20 @@ def all_exact(values) -> bool:
     return all(is_exact_scalar(v) for v in values)
 
 
+def rational_types(kinds) -> bool:
+    """Whether every type in `kinds` is an exact rational: int or
+    Fraction, with bool, an int subclass, counted as inexact."""
+    return all(issubclass(t, (int, Fraction)) and not issubclass(t, bool)
+               for t in kinds)
+
+
+def integer_row(row):
+    """(integers, scale) for a row of ints and Fractions: the row times
+    the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*{v.denominator for v in row})
+    return [v.numerator * (scale // v.denominator) for v in row], scale
+
+
 def to_float(value) -> float:
     return float(value)
 

@@ -93,8 +93,8 @@ def _violates_flat_row(rows, tol) -> bool:
 
 
 def _rational(rows) -> bool:
-    return all(type(v) in (int, Fraction) for value, coefs in rows
-               for v in (value, *coefs))
+    return numeric.rational_types({type(v) for value, coefs in rows
+                                   for v in (value, *coefs)})
 
 
 def _fourier_motzkin(rows, strict):
@@ -113,9 +113,7 @@ def _fourier_motzkin(rows, strict):
     """
     live = set()
     for value, coefs in rows:
-        entries = (value, *coefs)
-        scale = math.lcm(*[v.denominator for v in entries])
-        ints = [v.numerator * (scale // v.denominator) for v in entries]
+        ints, _ = numeric.integer_row((value, *coefs))
         if not any(ints[1:]):
             if ints[0] < 0:
                 return False
@@ -149,22 +147,22 @@ def _fourier_motzkin(rows, strict):
     return True
 
 
-def feasible(rows, tol=0) -> bool:
+def feasible(rows) -> bool:
     """Whether some t satisfies every row. Rows free of parameters are
-    judged by the zero-slope rule and rational rows at tolerance 0 by
-    Fourier-Motzkin elimination; other one-parameter rows get `interval`,
-    and the rest a float LP."""
-    if _violates_flat_row(rows, tol):
+    judged by the zero-slope rule and rational rows by Fourier-Motzkin
+    elimination; other one-parameter rows get `interval`, and the rest a
+    float LP."""
+    if _violates_flat_row(rows, 0):
         return False
     if all(_is_zero(c) for _, coefs in rows for c in coefs):
         return True
-    if tol == 0 and _rational(rows):
+    if _rational(rows):
         verdict = _fourier_motzkin(rows, strict=False)
         if verdict is not None:
             return verdict
     dim = len(rows[0][1])
     if dim == 1:
-        return interval(rows, tol) is not None
+        return interval(rows) is not None
     return minimize(rows, [0.0] * dim) is not None
 
 
