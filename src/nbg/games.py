@@ -56,8 +56,8 @@ class MassDistribution:
         gap = sum(masses) - self.total
         if abs(gap) > tol:
             raise MassMismatchError(
-                f"masses sum to {sum(masses)!r}, expected total {self.total!r}"
-            )
+                f"masses sum to {numeric.scalar_text(sum(masses))},"
+                f" expected total {numeric.scalar_text(self.total)}")
 
     @property
     def n(self) -> int:

@@ -270,15 +270,22 @@ def scalar_text(value) -> str:
     return str(value)
 
 
-def format_scalar(value, digits: int = 12) -> str:
-    """Human-readable form: rationals as p/q with a decimal, floats at
-    `digits` significant digits."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator} ({float(value):.{digits}g})"
-    if isinstance(value, QuadExt):
-        return f"{value} ({float(value):.{digits}g})"
-    if isinstance(value, int):
+def short_text(value) -> str:
+    """Compact form: rationals as p/q, Q(sqrt 5) as a + b*sqrt(5), floats
+    at 12 significant digits."""
+    if isinstance(value, (int, Fraction, QuadExt)):
         return str(value)
-    return f"{float(value):.{digits}g}"
+    return f"{float(value):.12g}"
+
+
+def vector_text(values) -> str:
+    return "(" + ", ".join(short_text(v) for v in values) + ")"
+
+
+def format_scalar(value) -> str:
+    """`short_text`, followed by the decimal value of a rational that is
+    not an integer and of a Q(sqrt 5) number."""
+    if isinstance(value, QuadExt) or (isinstance(value, Fraction)
+                                      and value.denominator != 1):
+        return f"{value} ({float(value):.12g})"
+    return short_text(value)

@@ -45,7 +45,8 @@ def interval(rows, tol=0):
     value below -tol or when lo exceeds hi by more than tol. Exact rows
     give exact end points. Rows of a support family bound t on both
     sides, since a kernel direction sums to zero on its support; a side
-    left unbounded collapses onto the other one.
+    left unbounded collapses onto the other one. Rows that bound t on
+    neither side raise ValueError.
     """
     lo = hi = None
     for value, (slope,) in rows:
@@ -60,9 +61,11 @@ def interval(rows, tol=0):
             lo = bound if lo is None or bound > lo else lo
         else:
             hi = bound if hi is None or bound < hi else hi
+    if lo is None and hi is None:
+        raise ValueError("the rows bound the parameter on neither side")
     lo = lo if lo is not None else hi
     hi = hi if hi is not None else lo
-    if lo is None or lo - hi > tol:
+    if lo - hi > tol:
         return None
     return lo, hi
 
@@ -97,26 +100,27 @@ def _rational(rows) -> bool:
                                    for v in (value, *coefs)})
 
 
-def _fourier_motzkin(rows, strict):
-    """Whether some t satisfies every rational row, by Fourier-Motzkin
+def _fourier_motzkin(rows):
+    """The class of the region of rational rows by Fourier-Motzkin
     elimination (Schrijver, Theory of Linear and Integer Programming,
-    1986, section 12.2); None when a step would exceed
-    ELIMINATION_ROW_CAP rows.
+    1986, section 12.2): "empty", "pinched" when some row with a nonzero
+    coefficient holds with equality over the whole region, else "full";
+    None when a step would exceed ELIMINATION_ROW_CAP rows.
 
-    With `strict`, every row with a nonzero coefficient must hold
-    strictly, so True means that no such row holds with equality over the
-    whole region. Rows are scaled to integers and divided by their gcd,
-    which merges duplicates. Each step eliminates the parameter with the
-    fewest pairs of a positive and a negative coefficient; the sum of a
-    pair cancels it, is strict when its rows are, and a sum left with no
-    parameters must be positive, or only nonnegative without `strict`.
+    Rows are scaled to integers and divided by their gcd, which merges
+    duplicates. Each step eliminates the parameter with the fewest pairs
+    of a positive and a negative coefficient, and the sum of a pair
+    cancels it. A sum left with no parameters holds over the region; it
+    empties the region when negative and, with every row that has a
+    parameter read as strict, pinches it when zero.
     """
+    pinched = False
     live = set()
     for value, coefs in rows:
         ints, _ = numeric.integer_row((value, *coefs))
         if not any(ints[1:]):
             if ints[0] < 0:
-                return False
+                return "empty"
             continue
         g = math.gcd(*ints)
         live.add(tuple(v // g for v in ints))
@@ -138,13 +142,14 @@ def _fourier_motzkin(rows, strict):
                 a, b = -q[col], p[col]
                 combined = [a * u + b * v for u, v in zip(p, q)]
                 if not any(combined[1:]):
-                    if combined[0] < 0 or (strict and combined[0] == 0):
-                        return False
+                    if combined[0] < 0:
+                        return "empty"
+                    pinched = pinched or combined[0] == 0
                     continue
                 g = math.gcd(*combined)
                 kept.add(tuple(v // g for v in combined))
         live = kept
-    return True
+    return "pinched" if pinched else "full"
 
 
 def feasible(rows) -> bool:
@@ -157,9 +162,9 @@ def feasible(rows) -> bool:
     if all(_is_zero(c) for _, coefs in rows for c in coefs):
         return True
     if _rational(rows):
-        verdict = _fourier_motzkin(rows, strict=False)
+        verdict = _fourier_motzkin(rows)
         if verdict is not None:
-            return verdict
+            return verdict != "empty"
     dim = len(rows[0][1])
     if dim == 1:
         return interval(rows) is not None
@@ -190,9 +195,10 @@ def implicit_equalities(rows, tol=0):
     if _violates_flat_row(rows, tol):
         return None
     if tol == 0 and _rational(rows):
-        if _fourier_motzkin(rows, strict=False) is False:
+        verdict = _fourier_motzkin(rows)
+        if verdict == "empty":
             return None
-        if _fourier_motzkin(rows, strict=True):
+        if verdict == "full":
             return [i for i, (value, coefs) in enumerate(rows)
                     if value == 0 and not any(coefs)]
     from scipy.optimize import linprog

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from nbg import (Digraph, Game, affine, braess_game, digraph_to_nbg,
-                 directed_triangle, influence_from_triples, polynomial,
-                 potential_maximum_game)
+from nbg import (Digraph, Game, affine, braess_game, cycle_closed_form,
+                 digraph_to_nbg, directed_triangle, influence_from_triples,
+                 make_family, polynomial, potential_maximum_game,
+                 solve_affine_by_supports, star_closed_form)
 from nbg.cli import main
+from nbg.reproduce import Recorder
 from nbg.serialize import load_game, save_distribution, save_game
 
 
@@ -436,6 +438,8 @@ class TestDynamics:
 
 #: the full stdout of `nbg reproduce --all`
 REPRODUCE_ALL = Path(__file__).parent / "golden" / "reproduce_all.txt"
+#: the cost-curve files of `nbg reproduce --all --csv-dir`
+FIGURES = Path(__file__).parent / "golden" / "figures"
 GROUP_SIZES = {"2.1": 8, "3.4": 15, "3.8": 4, "3.9": 6, "3.10": 9,
                "4.1": 7, "4.2": 4, "4.3": 5}
 
@@ -510,6 +514,34 @@ class TestReproduce:
         assert lines[1] == "0,1.25,1.5"
         assert len(lines) == 102
 
+    def test_every_figure_matches_the_golden_files(self, capsys, tmp_path):
+        directory = tmp_path / "figs"
+        code, out, _ = run(capsys, "reproduce", "--all", "--csv-dir", directory)
+        assert code == 0
+        names = sorted(p.name for p in directory.iterdir())
+        assert names == sorted(p.name for p in FIGURES.iterdir())
+        assert len(names) == 8
+        for name in names:
+            assert (directory / name).read_bytes() == (FIGURES / name).read_bytes()
+
+    def test_point_check_compares_every_printed_field(self):
+        star = (Fraction(4, 17),) * 4 + (Fraction(1, 17),)
+        closed = star_closed_form(5, Fraction(1, 5))
+        solved = solve_affine_by_supports(make_family("star", Fraction(1, 5), n=5))
+        rec = Recorder("t")
+        assert rec.point("a", star, Fraction(21, 85), closed, solved) is solved[0]
+        # a wrong cost, and a wrong closed form behind a right solver list
+        rec.point("b", star, Fraction(22, 85), closed, solved)
+        rec.point("c", star, Fraction(21, 85), cycle_closed_form(5, Fraction(1, 2)),
+                  solved)
+        # with no cost given, only the masses are printed and compared
+        rec.point("d", star, None, solved)
+        rec.point("e", star[::-1], None, solved)
+        assert [line[:4] for line in rec.lines] == ["PASS", "FAIL", "FAIL",
+                                                    "PASS", "FAIL"]
+        assert rec.lines[3].endswith("computed (4/17, 4/17, 4/17, 4/17, 1/17)")
+        assert rec.failures == 3
+
     def test_group_without_figures_writes_nothing(self, capsys, tmp_path):
         directory = tmp_path / "figs"
         code, _, _ = run(capsys, "reproduce", "--section", "4.1",
@@ -580,6 +612,34 @@ class TestNonFiniteInput:
             assert err.startswith("error: --tol must be finite and nonnegative")
 
 
+class TestBeyondFloatRange:
+    """Exact scalars too large for a float exit 2 with one error line."""
+
+    HUGE = "1" + "0" * 400
+
+    def check_rejected(self, capsys, *args):
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert err == "error: integer division result too large for a float\n"
+
+    def test_total_mass(self, capsys, tmp_path):
+        game = tmp_path / "huge_r.json"
+        game.write_text(
+            f'{{"n": 2, "r": "{self.HUGE}", "costs": [{{"type": "affine", "a": 1,'
+            ' "b": 0}, {"type": "affine", "a": 1, "b": 0}],'
+            ' "alpha": [[1, 2, "1/2"]], "symmetric": true}', encoding="utf-8")
+        for args in (("solve",), ("metrics",), ("solve", "--method", "potential")):
+            self.check_rejected(capsys, args[0], game, *args[1:])
+
+    def test_cost_offset(self, capsys, tmp_path):
+        game = tmp_path / "huge_b.json"
+        game.write_text(
+            f'{{"n": 2, "r": 1, "costs": [{{"type": "affine", "a": 1,'
+            f' "b": "{self.HUGE}"}}, {{"type": "affine", "a": 1, "b": 0}}],'
+            ' "alpha": [[2, 1, "1/2"]]}', encoding="utf-8")
+        self.check_rejected(capsys, "verify", game, "--dist", "0,1")
+
+
 class TestScalarsInMessages:
     """Messages print scalars as a game file writes them, and arcs 1-based."""
 
@@ -607,6 +667,12 @@ class TestScalarsInMessages:
                    '{"n": 2, "r": 1, "costs": [{"type": "affine", "a": "-1/2",'
                    ' "b": 0}, {"type": "const", "b": 1}], "alpha": []}',
                    "costs[0]: coefficient of t^1 must be nonnegative, got -1/2")
+
+    def test_mass_sum(self, capsys, files):
+        code, out, err = run(capsys, "verify", files / "braess.json",
+                             "--dist", "1/2,1/4")
+        assert (code, out) == (2, "")
+        assert err == "error: masses sum to 3/4, expected total 1\n"
 
     def test_negative_alpha_of_a_family(self, capsys, tmp_path):
         for alpha in ("-1", "-1/2"):

@@ -8,7 +8,7 @@ import pytest
 
 from nbg import (PHI, SQRT5, QuadExt, auto_tolerance, format_scalar,
                  is_exact_scalar, parse_scalar, quadext, scalar_to_json)
-from nbg.numeric import quadext_diff_sign
+from nbg.numeric import quadext_diff_sign, short_text, vector_text
 
 
 def random_quadext(rng):
@@ -145,6 +145,15 @@ class TestScalarIO:
         assert format_scalar(0.125) == "0.125"
         text = format_scalar(SQRT5)
         assert "sqrt(5)" in text and "2.2360679" in text
+
+    def test_short_text(self):
+        assert short_text(Fraction(-3, 4)) == "-3/4"
+        assert short_text(Fraction(7)) == "7"
+        assert short_text(True) == "True"
+        assert short_text(0.1 + 0.2) == "0.3"
+        assert short_text(PHI) == "-1/2 + 1/2*sqrt(5)"
+        assert vector_text([Fraction(1, 3), 0, 0.5]) == "(1/3, 0, 0.5)"
+        assert vector_text([]) == "()"
 
     def test_exactness_predicates(self):
         assert is_exact_scalar(3)

@@ -52,6 +52,15 @@ class TestInterval:
     def test_one_sided_rows_collapse(self):
         assert polytope.interval([(-1, [1]), (-3, [1])]) == (3, 3)
 
+    def test_rows_bounding_neither_side(self):
+        # every t satisfies these rows, so no interval describes them
+        for rows in ([(1, [0])], [(0, [0]), (2, [0.0])], []):
+            with pytest.raises(ValueError, match="neither side"):
+                polytope.interval(rows)
+        # a violated flat row still empties the region
+        assert polytope.interval([(-1, [0])]) is None
+        assert polytope.interval([(1, [0]), (-1, [0])]) is None
+
 
 class TestLinearPrograms:
     # triangle t1, t2 >= 0, t1 + t2 <= 1
@@ -107,8 +116,10 @@ def test_interval_agrees_with_lp(rows):
     assert (bounds is not None) == polytope.feasible(rows)
     # both sides are bounded, so a region is full-dimensional exactly
     # when its interval has positive length
-    assert (polytope._fourier_motzkin(rows, strict=True)
-            == (bounds is not None and bounds[0] < bounds[1]))
+    expected = ("empty" if bounds is None
+                else "full" if bounds[0] < bounds[1] else "pinched")
+    assert polytope._fourier_motzkin(rows) == expected
+    assert region_class(rows) == expected
     if bounds is not None:
         for t in bounds:
             assert isinstance(t, Fraction)
@@ -161,9 +172,7 @@ def check_against_highs(rows):
     region's class and the implicit equalities found."""
     expected = region_class(rows)
     if polytope._rational(rows):
-        for strict, holds in ((False, expected != "empty"),
-                              (True, expected == "full")):
-            assert polytope._fourier_motzkin(rows, strict) in (None, holds)
+        assert polytope._fourier_motzkin(rows) in (None, expected)
     assert polytope.feasible(rows) == (expected != "empty")
     found = polytope.implicit_equalities(rows)
     assert (found is None) == (expected == "empty")
@@ -198,7 +207,7 @@ def test_row_cap_leaves_the_verdict_to_the_lp():
         if k % 2:
             value, coefs = rows[0]
             rows[1] = (-value, [-c for c in coefs])
-        assert polytope._fourier_motzkin(rows, strict=False) is None
+        assert polytope._fourier_motzkin(rows) is None
         verdicts.add(check_against_highs(rows)[0])
     assert verdicts == {"empty", "full", "pinched"}
 
