@@ -13,17 +13,16 @@ from .errors import (DimensionMismatchError, InputFormatError,
                      MassMismatchError, NbgError, UnsupportedGameError)
 from .numeric import (FLOAT_TOLERANCE, PHI, SQRT5, QuadExt, all_exact,
                       auto_tolerance, format_scalar, is_exact_scalar,
-                      parse_scalar, quadext, scalar_to_json, to_float)
+                      parse_scalar, quadext, scalar_to_json)
 from .linalg import (LinearSolution, determinant, matvec, rref,
                      solve_linear_system, solve_with_determinant)
-from .graphs import (Digraph, UndirectedGraph, digraph, load_digraph,
-                     save_digraph, undirected_graph)
+from .graphs import Digraph, UndirectedGraph, digraph
 from .games import (CHARGE_TOLERANCE, CLASS_LADDER, MASS_TOLERANCE,
                     Classification, Game, InfluenceMatrix, MassDistribution,
-                    OpaqueCost, PolynomialCost, affine, class_conditions,
-                    classify, constant, cost_vector, distribution,
-                    influence_from_triples, opaque, polynomial,
-                    underlying_graph, validate_game)
+                    PolynomialCost, affine, class_conditions, classify,
+                    constant, cost_vector, distribution,
+                    influence_from_triples, polynomial, underlying_graph,
+                    validate_game)
 from .equilibrium import (EQUILIBRIUM_TOLERANCE, DynamicsResult,
                           EquilibriumFamily, EquilibriumPoint,
                           EquilibriumReport, IterationResult,

@@ -11,6 +11,8 @@ replay), and 2 on bad input or an unsupported game.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import sys
@@ -418,11 +420,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the report reaches stdout only when the command returns, so a run
+    # that exits 2 prints its error line and nothing else
+    report = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(report):
+            code = args.func(args)
     except (NbgError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(report.getvalue())
+    return code
 
 
 if __name__ == "__main__":

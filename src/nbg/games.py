@@ -2,15 +2,15 @@
 
 A game is a triple (n, r, C): n vertices, total mass r, and a cost map C
 assigning each vertex a cost that depends on the whole mass distribution.
-Games come in two kinds. "general" games carry opaque per-vertex evaluators.
+Games come in two kinds. "general" games carry one cost callable per vertex.
 "graphical" games have separable structure: vertex i pays f_i(x_i) plus
 alpha_{j,i} * x_j for every influence arc (j, i). The influence coefficients
 double as a digraph: arc (i, j) exists exactly when alpha_{i,j} > 0, meaning
 mass on i raises the cost at j.
 
-A cost form f_i is either a PolynomialCost with nonnegative coefficients,
-of any degree (the constant and affine factories build degrees 0 and 1),
-or an OpaqueCost wrapping a callable.
+Every cost form f_i is a PolynomialCost with nonnegative coefficients, of
+any degree (the constant and affine factories build degrees 0 and 1). Any
+other cost is written as a general game.
 """
 
 from __future__ import annotations
@@ -155,34 +155,6 @@ class PolynomialCost:
         return numeric.all_exact(self.coeffs)
 
 
-@dataclass(frozen=True)
-class OpaqueCost:
-    """f given only as a callable; integrals fall back to quadrature."""
-
-    fn: object
-    label: str = "opaque"
-
-    def value(self, t):
-        return self.fn(t)
-
-    def integral(self, upper):
-        from scipy.integrate import quad
-
-        value, _ = quad(lambda t: float(self.fn(t)), 0.0, float(upper),
-                        epsabs=1e-12, epsrel=1e-12, limit=200)
-        return value
-
-    def as_affine(self):
-        return None
-
-    def max_degree(self):
-        return None
-
-    @property
-    def exact(self):
-        return False
-
-
 def _require_finite_scalar(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, numeric.QuadExt)):
         raise ValueError(f"{name} must be a scalar, got {value!r}")
@@ -208,10 +180,6 @@ def affine(a, b) -> PolynomialCost:
 
 def polynomial(coeffs) -> PolynomialCost:
     return PolynomialCost(tuple(coeffs))
-
-
-def opaque(fn, label="opaque") -> OpaqueCost:
-    return OpaqueCost(fn, label)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +296,11 @@ class Game:
         if influence.n != n:
             raise DimensionMismatchError(
                 f"influence is over {influence.n} vertices, game has {n}")
+        for i, form in enumerate(vertex_costs):
+            if not isinstance(form, PolynomialCost):
+                raise ValueError(
+                    f"vertex {i + 1}: cost form must be a PolynomialCost, got"
+                    f" {type(form).__name__}; write other costs as Game.general")
         _require_positive_mass(r)
         game = cls(n=n, r=r, kind="graphical",
                    vertex_costs=vertex_costs, influence=influence)
@@ -368,31 +341,16 @@ def _require_positive_mass(r):
 def validate_game(game: Game) -> list:
     """Soft checks on a graphical game's cost forms; returns warnings.
 
-    Forms are expected nondecreasing and positive away from zero. Violations
-    are reported, not rejected: several meaningful instances (and one
-    counterexample with no equilibrium) sit outside the strict conditions.
+    Nonnegative coefficients make every form nonnegative and nondecreasing,
+    so the one check left is a form that is identically zero. It is
+    reported, not rejected.
     """
     warnings = []
     if game.kind != "graphical":
         return warnings
     for i, form in enumerate(game.vertex_costs):
-        if isinstance(form, PolynomialCost) and all(c == 0 for c in form.coeffs):
+        if all(c == 0 for c in form.coeffs):
             warnings.append(f"vertex {i + 1}: cost form is identically zero")
-        elif isinstance(form, OpaqueCost):
-            warnings.extend(_sample_opaque(form, i, game.r))
-    return warnings
-
-
-def _sample_opaque(form, i, r, points=101):
-    warnings = []
-    grid = [float(r) * k / (points - 1) for k in range(points)]
-    values = [float(form.value(t)) for t in grid]
-    if any(v < 0 for v in values):
-        warnings.append(f"vertex {i + 1}: sampled cost form takes negative values")
-    if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
-        warnings.append(f"vertex {i + 1}: sampled cost form is decreasing somewhere")
-    if all(abs(v) <= 1e-15 for v in values[1:]):
-        warnings.append(f"vertex {i + 1}: sampled cost form is zero on (0, r]")
     return warnings
 
 

@@ -1,14 +1,12 @@
-"""Directed and undirected graphs, with the plain-text digraph format.
+"""Directed and undirected graphs.
 
-Vertices are 0-indexed in memory. Files and console output use 1-indexed
-vertices, matching the usual notation for the game families.
+Vertices are 0-indexed in memory. Game files and console output use
+1-indexed vertices, matching the usual notation for the game families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .errors import InputFormatError
 
 
 @dataclass(frozen=True)
@@ -25,12 +23,6 @@ class Digraph:
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
-
-    def out_neighbors(self, u: int):
-        return sorted(v for (a, v) in self.arcs if a == u)
-
-    def in_neighbors(self, v: int):
-        return sorted(u for (u, b) in self.arcs if b == v)
 
 
 @dataclass(frozen=True)
@@ -55,44 +47,3 @@ class UndirectedGraph:
 
 def digraph(n, arc_pairs) -> Digraph:
     return Digraph(n, frozenset((int(u), int(v)) for u, v in arc_pairs))
-
-
-def undirected_graph(n, edge_pairs) -> UndirectedGraph:
-    return UndirectedGraph(n, frozenset(frozenset((int(u), int(v))) for u, v in edge_pairs))
-
-
-def load_digraph(path) -> Digraph:
-    """Read the text format: first line n, then one '<u> <v>' arc per line,
-    1-indexed. Blank lines and lines starting with '#' are skipped."""
-    with open(path, encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not rows:
-        raise InputFormatError(f"{path}: empty digraph file")
-    try:
-        n = int(rows[0])
-    except ValueError:
-        raise InputFormatError(f"{path}: first line must be the vertex count") from None
-    arcs = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputFormatError(f"{path}: bad arc line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputFormatError(f"{path}: bad arc line {ln!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InputFormatError(f"{path}: arc ({u}, {v}) out of range")
-        arcs.append((u - 1, v - 1))
-    try:
-        return digraph(n, arcs)
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-
-
-def save_digraph(graph: Digraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{graph.n}\n")
-        for u, v in sorted(graph.arcs):
-            handle.write(f"{u + 1} {v + 1}\n")

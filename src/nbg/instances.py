@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import numeric
-from .games import Game, affine, constant, influence_from_triples, opaque
+from .games import Game, affine, constant, influence_from_triples
 from .graphs import Digraph
 
 
@@ -102,15 +102,16 @@ def potential_maximum_game() -> Game:
 def three_equilibria_game() -> Game:
     """Curved two-vertex game with equilibria x1 in {0, 3/4, 1}.
 
-    C1 = 9 + x1 - 4*x1**2 and C2 = 9 - 2*x1 on the mass line. The corner
-    x1 = 0 stays an equilibrium under deviations up to 1/4, the corner
-    x1 = 1 under all deviations, and the interior point under none.
+    C1 = 2 + 8*x1 - 4*x1**2 + 7*x2 and C2 = 9*x2 + 7*x1, which read
+    C1 = 9 + x1 - 4*x1**2 and C2 = 9 - 2*x1 on the mass line. The curve
+    has a negative coefficient, so the game is general, not graphical. The
+    corner x1 = 0 stays an equilibrium under deviations up to 1/4, the
+    corner x1 = 1 under all deviations, and the interior point under none.
     """
-    def curve(t):
-        return 2 + 8 * t - 4 * t * t
-
-    costs = (opaque(curve, label="2 + 8*t - 4*t**2"), affine(9, 0))
-    return Game.graphical(2, 1, costs, _symmetric_pair(Fraction(7)))
+    return Game.general(2, 1, (
+        lambda m: 2 + 8 * m[0] - 4 * m[0] * m[0] + 7 * m[1],
+        lambda m: 9 * m[1] + 7 * m[0],
+    ))
 
 
 def unique_nonstrong_game() -> Game:

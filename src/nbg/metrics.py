@@ -333,14 +333,8 @@ def gamma_for_class(max_degree: int):
 
 
 def cost_degree(game: Game):
-    """Largest polynomial degree among vertex-cost forms, or None when a
-    form is not polynomial (no stability bound available)."""
+    """Largest polynomial degree among vertex-cost forms; None for general
+    games (no stability bound available)."""
     if game.kind != "graphical":
         return None
-    worst = 0
-    for form in game.vertex_costs:
-        degree = form.max_degree()
-        if degree is None:
-            return None
-        worst = max(worst, degree)
-    return worst
+    return max(form.max_degree() for form in game.vertex_costs)

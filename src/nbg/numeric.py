@@ -223,10 +223,6 @@ def integer_row(row):
     return [v.numerator * (scale // v.denominator) for v in row], scale
 
 
-def to_float(value) -> float:
-    return float(value)
-
-
 def auto_tolerance(exact: bool, default: float = FLOAT_TOLERANCE):
     """Zero for exact computations, the float default otherwise."""
     return 0 if exact else default

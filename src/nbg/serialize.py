@@ -26,8 +26,8 @@ import json
 
 from . import numeric
 from .errors import InputFormatError
-from .games import (Game, InfluenceMatrix, MassDistribution, PolynomialCost,
-                    affine, constant, distribution, polynomial)
+from .games import (Game, InfluenceMatrix, MassDistribution, affine, constant,
+                    distribution, polynomial)
 
 
 def _parse_scalar(raw, where):
@@ -63,9 +63,6 @@ def _cost_from_dict(entry, where):
 
 def _cost_to_dict(form):
     """The file entry of a polynomial form, typed by its coefficient count."""
-    if not isinstance(form, PolynomialCost):
-        raise InputFormatError(
-            f"cost form {type(form).__name__} has no file representation")
     coeffs = [numeric.scalar_to_json(c) for c in form.coeffs]
     if len(coeffs) == 1:
         return {"type": "const", "b": coeffs[0]}

@@ -639,6 +639,18 @@ class TestBeyondFloatRange:
             ' "alpha": [[2, 1, "1/2"]]}', encoding="utf-8")
         self.check_rejected(capsys, "verify", game, "--dist", "0,1")
 
+    def test_failed_commands_leave_stdout_empty(self, capsys, tmp_path):
+        # both commands print report lines before the overflow is reached
+        game = tmp_path / "huge_const.json"
+        game.write_text(
+            f'{{"n": 2, "r": 1, "costs": [{{"type": "const", "b": "{self.HUGE}"}},'
+            ' {"type": "affine", "a": 1, "b": 0}], "alpha": [[1, 2, "1/2"]],'
+            ' "symmetric": true}', encoding="utf-8")
+        for args in (("verify", "--dist", "0,1"), ("dynamics", "--steps", "3")):
+            code, out, err = run(capsys, args[0], game, *args[1:])
+            assert (code, out) == (2, "")
+            assert err == "error: integer division result too large for a float\n"
+
 
 class TestScalarsInMessages:
     """Messages print scalars as a game file writes them, and arcs 1-based."""

@@ -2,10 +2,10 @@
 
 Hypothesis writes small well-formed game files (n <= 4) and mutates them:
 keys dropped or retyped, scalars made negative, huge or tiny, and arcs
-made bad. Each file goes through `verify`, `solve` and `metrics` in
-process. Every run must return 0, 1 or 2 with no exception escaping
-`main`, and exit 2 must print exactly one stderr line, starting with
-"error:".
+made bad. Each file goes through `verify`, `solve`, `metrics` and
+`dynamics` in process. Every run must return 0, 1 or 2 with no exception
+escaping `main`, and exit 2 must print nothing on stdout and exactly one
+stderr line, starting with "error:".
 """
 
 import contextlib
@@ -90,7 +90,7 @@ def run(*args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in args])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def dist_text(data):
@@ -110,9 +110,11 @@ def test_game_files_exit_cleanly(data):
         path = Path(directory) / "game.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         for args in (("verify", path, f"--dist={dist_text(data)}"),
-                     ("solve", path), ("metrics", path)):
-            code, err = run(*args)
+                     ("solve", path), ("metrics", path),
+                     ("dynamics", path, "--steps=3")):
+            code, out, err = run(*args)
             assert code in (0, 1, 2), (args[0], code)
             if code == 2:
+                assert out == "", (args[0], out)
                 lines = err.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error:"), err

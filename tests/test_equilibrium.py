@@ -12,7 +12,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  affine_coefficients, braess_game, best_response_dynamics, brouwer_iterate,
                  brouwer_map, cost_vector, dilemma_game, distribution,
                  family_cost_range, influence_from_triples, make_family,
-                 no_equilibrium_game, opaque, path_determinant,
+                 no_equilibrium_game, path_determinant, polynomial,
                  solve_affine_by_supports, three_equilibria_game,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
@@ -133,7 +133,7 @@ class TestAffineCoefficients:
     def test_refuses_non_affine(self):
         with pytest.raises(UnsupportedGameError):
             affine_coefficients(dilemma_game())
-        curved = Game.graphical(1, 1, [opaque(lambda t: t * t)],
+        curved = Game.graphical(1, 1, [polynomial([0, 0, 1])],
                                 influence_from_triples(1, []))
         with pytest.raises(UnsupportedGameError):
             affine_coefficients(curved)
@@ -492,9 +492,9 @@ class TestDeltaStrong:
         for _ in range(12):
             n = rng.randint(2, 4)
             game = random_affine_symmetric_game(rng, n)
-            shadow = Game.graphical(
-                n, game.r, [opaque(f.value) for f in game.vertex_costs],
-                game.influence)
+            shadow = Game.general(
+                n, game.r, [lambda m, i=i: cost_vector(game, m)[i]
+                            for i in range(n)])
             for item in solve_affine_by_supports(game):
                 if not isinstance(item, EquilibriumPoint):
                     continue

@@ -10,7 +10,7 @@ from nbg import (CHARGE_TOLERANCE, Digraph, DimensionMismatchError, Game,
                  InfluenceMatrix, MassDistribution, MassMismatchError,
                  UndirectedGraph, UnsupportedGameError, affine, braess_game,
                  classify, constant, cost_vector, distribution,
-                 influence_from_triples, is_exact_scalar, opaque, polynomial,
+                 influence_from_triples, is_exact_scalar, polynomial,
                  stability_gap_game, unbounded_anarchy_game, underlying_graph,
                  validate_game)
 from util import dense_costs, random_affine_game, random_masses
@@ -70,7 +70,6 @@ class TestCostForms:
         assert constant(5).value(Fraction(1, 3)) == 5
         assert affine(2, 3).value(Fraction(1, 2)) == 4
         assert polynomial([1, 0, 2]).value(Fraction(1, 2)) == Fraction(3, 2)
-        assert opaque(lambda t: t * t).value(3) == 9
 
     def test_exact_integrals(self):
         assert constant(5).integral(Fraction(1, 2)) == Fraction(5, 2)
@@ -95,17 +94,12 @@ class TestCostForms:
             expected, _ = quad(lambda t: float(form.value(t)), 0, float(upper))
             assert float(form.integral(upper)) == pytest.approx(expected, rel=1e-9)
 
-    def test_opaque_integral_uses_quadrature(self):
-        form = opaque(lambda t: 3 * t * t)
-        assert form.integral(2.0) == pytest.approx(8.0, rel=1e-9)
-
     def test_as_affine(self):
         assert constant(4).as_affine() == (0, 4)
         assert affine(2, 1).as_affine() == (2, 1)
         assert polynomial([1, 2]).as_affine() == (2, 1)
         assert polynomial([1, 2, 0]).as_affine() == (2, 1)
         assert polynomial([1, 2, 3]).as_affine() is None
-        assert opaque(lambda t: t).as_affine() is None
 
     def test_max_degree(self):
         assert constant(4).max_degree() == 0
@@ -113,12 +107,10 @@ class TestCostForms:
         assert affine(2, 0).max_degree() == 1
         assert polynomial([0, 0, 1]).max_degree() == 2
         assert polynomial([5, 0, 0]).max_degree() == 0
-        assert opaque(lambda t: t).max_degree() is None
 
     def test_exact_flags(self):
         assert affine(Fraction(1, 2), 1).exact
         assert not affine(0.5, 1).exact
-        assert not opaque(lambda t: t).exact
 
     def test_negative_and_bool_coefficients_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +200,11 @@ class TestGameConstruction:
         with pytest.raises(DimensionMismatchError):
             Game.general(2, 1, [lambda x: 0])
 
+    def test_cost_forms_must_be_polynomial(self):
+        inf = influence_from_triples(2, [])
+        with pytest.raises(ValueError, match="vertex 2: .*Game.general"):
+            Game.graphical(2, 1, [constant(1), lambda t: t], inf)
+
     def test_total_mass_must_be_positive_scalar(self):
         inf = influence_from_triples(1, [])
         for bad in (0, -1, Fraction(-1, 2), True, "1"):
@@ -234,12 +231,6 @@ class TestGameConstruction:
         game = Game.graphical(2, 1, [constant(0), affine(0, 0)], inf)
         assert len(game.warnings) == 2
         assert "identically zero" in game.warnings[0]
-        decreasing = Game.graphical(
-            2, 1, [opaque(lambda t: 1.0 - t), constant(1)], inf)
-        assert any("decreasing" in w for w in decreasing.warnings)
-        negative = Game.graphical(
-            2, 1, [opaque(lambda t: t - 0.5), constant(1)], inf)
-        assert any("negative" in w for w in negative.warnings)
         clean = Game.graphical(2, 1, [affine(1, 1), constant(1)], inf)
         assert clean.warnings == ()
         assert validate_game(clean) == []
@@ -285,7 +276,7 @@ class TestClassification:
         assert classify(general).label == "general"
         assert classify(general).symmetric is None
 
-        graphical = self.build([opaque(lambda t: t), constant(1)],
+        graphical = self.build([polynomial([0, 0, 1]), constant(1)],
                                [(0, 1, 1), (1, 0, 1)])
         assert classify(graphical).label == "graphical"
 

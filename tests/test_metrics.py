@@ -12,7 +12,7 @@ from nbg import metrics, polytope
 from nbg import (EquilibriumFamily, Game, UnsupportedGameError, affine,
                  affine_coefficients, braess_game, constant, cost_degree,
                  dilemma_game, gamma_for_class, influence_from_triples,
-                 make_family, min_social_cost, opaque, polynomial, potential,
+                 make_family, min_social_cost, polynomial, potential,
                  potential_maximum_game, price_report, social_costs,
                  solve_affine_by_supports, stability_gap_game,
                  unbounded_anarchy_game)
@@ -397,7 +397,3 @@ class TestDegreeConstants:
         curved = Game.graphical(3, 1, [polynomial([1, 0, 2])] * 3, game.influence)
         assert cost_degree(curved) == 2
         assert cost_degree(dilemma_game()) is None
-        shadow = Game.graphical(
-            3, 1, [opaque(lambda t: t)] + list(game.vertex_costs[1:]),
-            game.influence)
-        assert cost_degree(shadow) is None

@@ -226,3 +226,14 @@ class TestSingleLpSite:
         out = subprocess.run([sys.executable, "-c", code, src], check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+    def test_import_loads_no_scipy_module(self):
+        package = Path(nbg.__file__).parent
+        users = sorted(path.name for path in package.glob("*.py")
+                       if "scipy" in path.read_text(encoding="utf-8"))
+        assert users == ["polytope.py"]
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code, str(package.parent)],
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbg import (Game, InputFormatError, cost_vector, game_from_dict,
-                 game_to_dict, load_distribution, load_game, opaque,
-                 parse_masses, save_distribution, save_game)
+                 game_to_dict, load_distribution, load_game, parse_masses,
+                 save_distribution, save_game)
 from nbg import (FAMILY_KINDS, affine, braess_game, constant, distribution,
                  influence_from_triples, make_family, polynomial,
                  potential_maximum_game, stability_gap_game,
@@ -163,11 +163,7 @@ class TestGameFormatErrors:
         with pytest.raises(InputFormatError):
             game_from_dict(data)
 
-    def test_opaque_and_general_games_not_serializable(self):
-        game = Game.graphical(1, 1, [opaque(lambda t: t)],
-                              influence_from_triples(1, []))
-        with pytest.raises(InputFormatError):
-            game_to_dict(game)
+    def test_general_games_not_serializable(self):
         with pytest.raises(InputFormatError):
             game_to_dict(Game.general(1, 1, [lambda x: 0]))
 
