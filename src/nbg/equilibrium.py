@@ -479,10 +479,13 @@ class _CostGaps:
 
     The costs are C_j(x) = b_j + sum_s M[s][j] x_s. The coefficients and
     offsets are scaled once by the lcm D of their denominators. A vector
-    and a cost are read as integer numerators over their common
-    denominator L, so each gap comes out as the integer D*L*(C_j(x) - c),
-    with the sign of C_j(x) - c. Games whose data are not all rational
-    take D = L = 1 and keep their own scalars, through the same code.
+    and a cost are read as integer numerators over one positive
+    denominator L: the kernel denominator of their support system (see
+    `LinearSolution`), or a multiple of it once a family is restricted.
+    So each gap comes out as the integer D*L*(C_j(x) - c), with the sign
+    of C_j(x) - c, and no lcm is taken. Games whose data are not all
+    rational take D = L = 1 and keep their own scalars, through the same
+    code.
     """
 
     __slots__ = ("n", "r", "rational", "scale", "offsets", "columns")
@@ -495,18 +498,6 @@ class _CostGaps:
         self.columns = [tuple((s, row[j]) for s, row in enumerate(matrix) if row[j] != 0)
                         for j in range(self.n)]
 
-    def numerators(self, vector, cost, support):
-        """(L, numerators of vector on support and 0 elsewhere, numerator
-        of cost), all over the common denominator L."""
-        if not self.rational:
-            return 1, list(vector), cost
-        den = math.lcm(cost.denominator, *(vector[s].denominator for s in support))
-        nums = [0] * self.n
-        for s in support:
-            v = vector[s]
-            nums[s] = v.numerator * (den // v.denominator)
-        return den, nums, cost.numerator * (den // cost.denominator)
-
     def gaps(self, nums, cost, vertices, den):
         """D*L*(C_j - cost) for each j in vertices, from numerators over
         den = L. A direction passes den = 0, which drops the offsets and
@@ -517,9 +508,10 @@ class _CostGaps:
             yield sum([a * nums[s] for s, a in self.columns[j]],
                       self.offsets[j] * den) - scaled_cost
 
-    def value(self, gap, den):
-        """The gap D*L*(C_j - c) as the scalar C_j - c."""
-        return Fraction(gap, self.scale * den) if self.rational else gap
+    def scalar(self, num, den):
+        """num / den as a scalar of the game: a Fraction when it is
+        rational; other games read numerators over den = 1 as they are."""
+        return Fraction(num, den) if self.rational else num
 
 
 def support_systems(coefficients, offsets, r):
@@ -581,7 +573,12 @@ def _equal_cost_systems(game: Game):
 
 def _equilibria_from_systems(game: Game, systems) -> list:
     """The equilibrium set from the equal-cost support systems `systems`;
-    see solve_affine_by_supports."""
+    see solve_affine_by_supports.
+
+    On rational games every test runs on the integer numerators that the
+    elimination hands over (see `_CostGaps`), and Fractions are built
+    only for the points and families that are kept.
+    """
     n = game.n
     exact = game.exact
     tol = numeric.auto_tolerance(exact, EQUILIBRIUM_TOLERANCE)
@@ -591,32 +588,20 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     points = []
     families = []
     for support, solution in systems:
-        k = len(support)
-        base_masses = [zero] * n
-        for idx, s in enumerate(support):
-            base_masses[s] = solution.solution[idx]
-        cost_base = solution.solution[k]
+        den, particular, basis = _over_denominator(solution, gaps.rational)
         if solution.status == "unique":
-            point = _accept_point(gaps, support, base_masses, cost_base, tol, zero)
+            point = _accept_point(gaps, support, particular, den, tol, zero)
             if point is not None:
                 points.append(point)
             continue
-        directions = []
-        cost_dirs = []
-        for vec in solution.basis:
-            direction = [zero] * n
-            for idx, s in enumerate(support):
-                direction[s] = vec[idx]
-            directions.append(tuple(direction))
-            cost_dirs.append(vec[k])
-        family = _restrict_family(gaps, support, tuple(base_masses), cost_base,
-                                  tuple(directions), tuple(cost_dirs), tol, zero)
-        if family is None:
-            continue
-        if isinstance(family, EquilibriumPoint):
-            points.append(family)
-        else:
+        family = _restrict_family(
+            gaps, support, den, _family_vectors(n, support, particular, basis, zero),
+            lambda: _family_vectors(n, support, solution.solution, solution.basis, zero),
+            tol, zero)
+        if isinstance(family, EquilibriumFamily):
             families.append(family)
+        elif family is not None:
+            points.append(family)
 
     # A point x of common cost c lies on the hull of a family F over
     # support T exactly when supp(x) is in T and C_i(x) = c on T. x meets
@@ -626,14 +611,14 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     family_masks = [f.bitmask for f in families]
     kept_points = []
     seen = set()
-    for point in sorted(points, key=lambda p: (p.bitmask,
-                                               tuple(float(m) for m in p.x.masses))):
+    for point, den, masses, cost in sorted(
+            points, key=lambda p: (p[0].bitmask, tuple(float(m) for m in p[0].x.masses))):
         mask = point.bitmask
         covering = [f for f in family_masks if mask & ~f == 0]
         if covering:
             outside = _outside(n, point.support)
-            den, nums, cost = gaps.numerators(point.x.masses, point.cost, point.support)
-            tied = mask | sum(1 << j for j, gap in zip(outside, gaps.gaps(nums, cost, outside, den))
+            tied = mask | sum(1 << j for j, gap in
+                              zip(outside, gaps.gaps(masses, cost, outside, den))
                               if abs(gap) <= tol)
             if any(f & ~tied == 0 for f in covering):
                 continue
@@ -647,49 +632,115 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     return sorted(kept_points + families, key=lambda e: e.bitmask)
 
 
+def _over_denominator(solution, integers):
+    """(den, particular, basis) of a consistent LinearSolution: with
+    `integers` set and a rational system, its integer numerators over the
+    positive kernel denominator; otherwise the solution itself over
+    den = 1. Games that are not rational may still pose some systems in
+    integers, and keep their own scalars by leaving `integers` unset."""
+    if integers and solution.denominator is not None:
+        return solution.denominator, solution.numerators, solution.basis_numerators
+    return 1, solution.solution, solution.basis
+
+
 def _outside(n, support):
     return [j for j in range(n) if j not in support]
 
 
-def _accept_point(gaps, support, masses, cost, tol, zero):
-    # most systems fail on a mass sign, so it is read before any scaling
-    if any(masses[s] < -tol for s in support):
-        return None
-    den, nums, scaled_cost = gaps.numerators(masses, cost, support)
-    # float masses within tol below zero count as zero
-    for s in support:
-        if nums[s] < 0:
-            nums[s] = zero
-    outside = _outside(gaps.n, support)
-    if any(gap < -tol for gap in gaps.gaps(nums, scaled_cost, outside, den)):
-        return None
-    x = MassDistribution(tuple(m if m > 0 else zero for m in masses), gaps.r)
-    return EquilibriumPoint(x, cost, x.support())
+def _family_vectors(n, support, particular, basis, zero):
+    """(base, cost_base, directions, cost_dirs) of a support system's
+    solution: each vector of the system (masses on the support, then the
+    common cost) placed on the n vertices, with zero elsewhere."""
+    k = len(support)
+    placed = []
+    for vec in (particular, *basis):
+        masses = [zero] * n
+        for s, m in zip(support, vec):
+            masses[s] = m
+        placed.append(tuple(masses))
+    return placed[0], particular[k], tuple(placed[1:]), tuple(vec[k] for vec in basis)
 
 
-def _family_rows(gaps, support, base, cost_base, directions, cost_dirs):
+def _accept_point(gaps, support, values, den, tol, zero):
+    """(point, den, masses, cost) for the equilibrium whose masses on the
+    support and common cost are values / den, or None when a mass is
+    negative or an off-support vertex costs less. masses and cost are the
+    numerators, masses placed on all n vertices."""
+    # most systems fail on a mass sign, so it is read first
+    if any(m < -tol for m in values[:len(support)]):
+        return None
+    masses = _masses(gaps.n, support, values, zero)
+    cost = values[len(support)]
+    if any(gap < -tol for gap in gaps.gaps(masses, cost, _outside(gaps.n, support), den)):
+        return None
+    return _point(gaps, masses, cost, den, zero)
+
+
+def _masses(n, support, values, zero):
+    """The masses on the support in values placed on the n vertices;
+    masses that are not positive (float masses within tol below zero)
+    count as zero."""
+    masses = [zero] * n
+    for s, m in zip(support, values):
+        if m > 0:
+            masses[s] = m
+    return masses
+
+
+def _point(gaps, masses, cost, den, zero):
+    """(point, den, masses, cost) for the nonnegative masses / den of
+    common cost cost / den; only here do rational games build Fractions."""
+    x = MassDistribution(tuple(gaps.scalar(m, den) if m > 0 else zero for m in masses),
+                         gaps.r)
+    return EquilibriumPoint(x, gaps.scalar(cost, den), x.support()), den, masses, cost
+
+
+def _family_rows(gaps, support, den, base, cost_base, directions, cost_dirs):
     """Feasibility rows (value at base, coefficient per direction), each
-    meaning >= 0: masses on the support stay nonnegative, and every
-    off-support vertex costs at least the common cost. Costs are affine,
-    so the slope of C_j - c along a direction is its gap with the
-    offsets dropped."""
+    meaning >= 0, of the family (base + sum_k t_k * directions[k]) / den:
+    masses on the support stay nonnegative, and every off-support vertex
+    costs at least the common cost. Costs are affine, so the slope of
+    C_j - c along a direction is its gap with the offsets dropped. Mass
+    rows are den times the rows in t, and cost rows D*den times them, so
+    integer numerators give integer rows."""
     rows = [(base[s], [d[s] for d in directions]) for s in support]
     outside = _outside(gaps.n, support)
-    den, nums, cost = gaps.numerators(base, cost_base, support)
-    values = [gaps.value(gap, den) for gap in gaps.gaps(nums, cost, outside, den)]
-    slopes = []
-    for d, dc in zip(directions, cost_dirs):
-        den, nums, cost = gaps.numerators(d, dc, support)
-        slopes.append([gaps.value(gap, den) for gap in gaps.gaps(nums, cost, outside, 0)])
+    slopes = [list(gaps.gaps(d, dc, outside, 0)) for d, dc in zip(directions, cost_dirs)]
     rows.extend((value, [column[idx] for column in slopes])
-                for idx, value in enumerate(values))
+                for idx, value in enumerate(gaps.gaps(base, cost_base, outside, den)))
     return rows
 
 
-def _restrict_family(gaps, support, base, cost_base, directions, cost_dirs,
-                     tol, zero):
+def _scalar_rows(gaps, support, den, rows, base, directions):
+    """The rows of `_family_rows` in the family's own scalars: mass rows
+    from base and directions, cost rows divided by D*den."""
+    scale = gaps.scale * den
+    return ([(base[s], [d[s] for d in directions]) for s in support]
+            + [(gaps.scalar(value, scale), [gaps.scalar(c, scale) for c in coefs])
+               for value, coefs in rows[len(support):]])
+
+
+def _fold(vectors, scale, t0, units):
+    """The family (base, cost_base, directions, cost_dirs) restricted to
+    t = t0 + sum_k u_k * units[k], times scale: a base of
+    scale * base + sum_i t0_i * directions[i], and one direction
+    sum_i u_i * directions[i] per unit vector u."""
+    base, cost_base, directions, cost_dirs = vectors
+    new_base = tuple(scale * b + sum(t * d[i] for t, d in zip(t0, directions))
+                     for i, b in enumerate(base))
+    new_cost = scale * cost_base + sum(t * dc for t, dc in zip(t0, cost_dirs))
+    new_dirs = tuple(tuple(sum(u * d[i] for u, d in zip(vec, directions))
+                           for i in range(len(base))) for vec in units)
+    new_cdirs = tuple(sum(u * dc for u, dc in zip(vec, cost_dirs)) for vec in units)
+    return new_base, new_cost, new_dirs, new_cdirs
+
+
+def _restrict_family(gaps, support, den, vectors, view, tol, zero):
     """Clip a solution family to the feasible region.
 
+    vectors = (base, cost_base, directions, cost_dirs) are numerators
+    over den, integers on rational games (see `_over_denominator`);
+    view() gives the same family in the scalars a kept family stores.
     One-parameter families get an exact interval. Multi-parameter
     families keep their constraint rows; `polytope.implicit_equalities`
     finds the constraints that bind across the whole feasible region
@@ -699,51 +750,52 @@ def _restrict_family(gaps, support, base, cost_base, directions, cost_dirs,
     (possibly a single point).
     """
     n = gaps.n
-    constraints = _family_rows(gaps, support, base, cost_base, directions, cost_dirs)
+    base, cost_base, directions, cost_dirs = vectors
+    rows = _family_rows(gaps, support, den, *vectors)
 
     if len(directions) == 1:
-        bounds = polytope.interval(constraints, tol)
+        bounds = polytope.interval(rows, tol)
         if bounds is None:
             return None
         lo, hi = bounds
         if hi - lo <= tol:
-            return _accept_point(gaps, support,
-                                 [b + lo * d for b, d in zip(base, directions[0])],
-                                 cost_base + lo * cost_dirs[0], tol, zero)
-        return EquilibriumFamily(n, gaps.r, support, base, cost_base,
-                                 directions, tuple(cost_dirs), (lo, hi))
+            # the point at t = lo = num / scale
+            num, scale = (lo.numerator, lo.denominator) if gaps.rational else (lo, 1)
+            values = ([base[s] * scale + num * directions[0][s] for s in support]
+                      + [cost_base * scale + num * cost_dirs[0]])
+            if not gaps.rational:
+                return _accept_point(gaps, support, values, 1, tol, zero)
+            # every row holds at lo, so the point needs no second test
+            return _point(gaps, _masses(n, support, values, zero), values[-1],
+                          den * scale, zero)
+        return EquilibriumFamily(n, gaps.r, support, *view(), (lo, hi))
 
     # rows that bind across the whole region squeeze it into a
     # lower-dimensional slice
-    equalities = polytope.implicit_equalities(constraints, tol)
+    equalities = polytope.implicit_equalities(rows, tol)
     if equalities is None:
         return None
-    tight = [constraints[i] for i in equalities
-             if any(c != 0 for c in constraints[i][1])]
-    if not tight:
-        return EquilibriumFamily(n, gaps.r, support, base, cost_base,
-                                 directions, tuple(cost_dirs), None, "",
-                                 tuple(constraints))
-    reduced = solve_linear_system([list(coefs) for _, coefs in tight],
-                                  [-value for value, _ in tight])
-    if reduced.status == "none":
-        # misdetected equality; fall back to the full constraint polytope
-        return EquilibriumFamily(n, gaps.r, support, base, cost_base,
-                                 directions, tuple(cost_dirs), None, "",
-                                 tuple(constraints))
-    t0 = reduced.solution
-    new_base = tuple(b + sum(t * d[i] for t, d in zip(t0, directions))
-                     for i, b in enumerate(base))
-    new_cost = cost_base + sum(t * dc for t, dc in zip(t0, cost_dirs))
+    tight = [rows[i] for i in equalities if any(c != 0 for c in rows[i][1])]
+    reduced = None
+    if tight:
+        reduced = solve_linear_system([list(coefs) for _, coefs in tight],
+                                      [-value for value, _ in tight])
+    # with no tight row, or a misdetected equality, the family keeps the
+    # full constraint polytope
+    if reduced is None or reduced.status == "none":
+        shown = view()
+        return EquilibriumFamily(n, gaps.r, support, *shown, None, "",
+                                 tuple(_scalar_rows(gaps, support, den, rows,
+                                                    shown[0], shown[2])))
+    q, t0, units = _over_denominator(reduced, gaps.rational)
+    folded = _fold(vectors, q, t0, units)
     if reduced.status == "unique":
-        return _accept_point(gaps, support, list(new_base), new_cost, tol, zero)
-    new_dirs = tuple(
-        tuple(sum(u * d[i] for u, d in zip(vec, directions)) for i in range(n))
-        for vec in reduced.basis)
-    new_cdirs = tuple(sum(u * dc for u, dc in zip(vec, cost_dirs))
-                      for vec in reduced.basis)
-    return _restrict_family(gaps, support, new_base, new_cost, new_dirs,
-                            new_cdirs, tol, zero)
+        new_base, new_cost = folded[:2]
+        return _accept_point(gaps, support, [new_base[s] for s in support] + [new_cost],
+                             q * den, tol, zero)
+    return _restrict_family(
+        gaps, support, q * den, folded,
+        lambda: _fold(view(), 1, reduced.solution, reduced.basis), tol, zero)
 
 
 def family_cost_range(game, family: EquilibriumFamily):
@@ -762,9 +814,13 @@ def family_cost_range(game, family: EquilibriumFamily):
 
     import numpy as np
 
-    # _CostGaps refuses games that are not affine
-    rows = _family_rows(_CostGaps(game), family.support, family.base, family.cost_base,
-                        family.directions, family.cost_directions)
+    # _CostGaps refuses games that are not affine; the family's own
+    # scalars are numerators over den = 1
+    gaps = _CostGaps(game)
+    vectors = (family.base, family.cost_base, family.directions, family.cost_directions)
+    rows = _scalar_rows(gaps, family.support, 1,
+                        _family_rows(gaps, family.support, 1, *vectors),
+                        family.base, family.directions)
     obj = np.array([float(c) for c in family.cost_directions])
     values = []
     for sign in (1.0, -1.0):

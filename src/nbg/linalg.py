@@ -6,11 +6,17 @@ through one interface. Matrices are plain lists of lists. Each routine
 eliminates a matrix once, fraction-free in integers for rational
 matrices and by Gauss-Jordan with largest-magnitude pivots for float
 and Q(sqrt 5) ones; a determinant is read off that elimination.
+
+The fraction-free elimination ends with every pivot row equal to the
+last pivot times the reduced row, so a rational solution comes out as
+integer numerators over that one denominator (Bareiss, Math. Comp. 22,
+1968). `LinearSolution` hands those integers on as they are and builds
+its Fractions only when they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
 
 from . import numeric
@@ -132,10 +138,13 @@ def _eliminate(m, is_zero, kind):
 def _reduce(m):
     """Eliminate the nonempty matrix m once, with the kernel for its kind.
 
-    Returns (kind, pivots, entry, det): entry(i, col) reads the reduced
-    row echelon form, and det() is the determinant of the first n = len(m)
-    columns, zero unless the n-th pivot is column n - 1. Float and
-    Q(sqrt 5) matrices are reduced in place.
+    Returns (kind, pivots, reduced, last, det). Row i < len(pivots) of the
+    reduced row echelon form is reduced[i] / last: for rational matrices
+    the integer rows of `_bareiss` over its last pivot, which may be
+    negative; for float and Q(sqrt 5) matrices, which are reduced in
+    place, the reduced rows themselves and last = 1. det() is the
+    determinant of the first n = len(m) columns, zero unless the n-th
+    pivot is column n - 1.
     """
     kind = _classify(m)
     n = len(m)
@@ -143,12 +152,11 @@ def _reduce(m):
         m, pivots, last, sign, scale = _bareiss(m)
         if pivots[n - 1:n] != [n - 1]:
             sign = 0
-        return (kind, pivots, lambda i, col: Fraction(m[i][col], last),
-                lambda: Fraction(sign * last, scale))
+        return kind, pivots, m, last, lambda: Fraction(sign * last, scale)
     pivots, product = _eliminate(m, _zero_test_for(m, kind), kind)
     if pivots[n - 1:n] != [n - 1]:
         product = 0.0 if kind == _FLOAT else Fraction(0)
-    return kind, pivots, lambda i, col: m[i][col], lambda: product
+    return kind, pivots, m, 1, lambda: product
 
 
 def rref(rows):
@@ -160,29 +168,85 @@ def rref(rows):
     m = [list(row) for row in rows]
     if not m:
         return m, []
-    kind, pivots, entry, _ = _reduce(m)
-    if kind != _FLOAT:
+    kind, pivots, reduced, last, _ = _reduce(m)
+    if kind == _RATIONAL:
         # rows past the pivots are zero but may still hold int 0
-        m = [[entry(i, col) if i < len(pivots) else Fraction(0)
-              for col in range(len(row))] for i, row in enumerate(m)]
+        return [[Fraction(v, last) if i < len(pivots) else Fraction(0) for v in row]
+                for i, row in enumerate(reduced)], pivots
+    if kind == _QUADRATIC:
+        m = [[v if i < len(pivots) else Fraction(0) for v in row]
+             for i, row in enumerate(m)]
     return m, pivots
 
 
-@dataclass(frozen=True)
 class LinearSolution:
     """Solution set of A x = b.
 
     status is one of "unique", "family", "none". For a family, `solution`
     is one particular solution and `basis` spans the kernel of A.
+    Entries at pivot columns come from the reduced rows (Fractions for
+    rational input); free columns hold the literal 0 and 1 (0.0 and 1.0
+    for float input).
+
+    For rational input that is consistent, `numerators` and
+    `basis_numerators` hold the same vectors as integers over one
+    positive `denominator`: the last pivot of the fraction-free
+    elimination, with its sign moved onto the numerators. A free column
+    holds 0, or the denominator itself in its own basis vector.
+    `solution` and `basis` are built from them on first read. All three
+    are None for float and Q(sqrt 5) input and for "none".
+
+    Equality, hashing and repr go by (status, solution, basis).
     """
 
-    status: str
-    solution: tuple | None
-    basis: tuple
+    denominator = numerators = basis_numerators = None
+
+    def __init__(self, status, solution, basis):
+        self.status = status
+        self.solution = solution
+        self.basis = basis
+
+    @classmethod
+    def _from_numerators(cls, status, pivots, denominator, numerators, basis_numerators):
+        self = cls.__new__(cls)
+        self.status, self._pivots = status, pivots
+        self.denominator, self.numerators = denominator, numerators
+        self.basis_numerators = basis_numerators
+        return self
+
+    def _fractions(self, vector):
+        den = self.denominator
+        # a free column holds 0 or den, the literal 0 or 1
+        return tuple(Fraction(v, den) if col in self._pivots else v // den
+                     for col, v in enumerate(vector))
+
+    # instance values set by __init__ take precedence over these
+    @functools.cached_property
+    def solution(self):
+        return self._fractions(self.numerators)
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        return tuple(self._fractions(vec) for vec in self.basis_numerators)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.basis if self.denominator is None else self.basis_numerators)
+
+    def _key(self):
+        return self.status, self.solution, self.basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"LinearSolution(status={self.status!r}, solution={self.solution!r},"
+                f" basis={self.basis!r})")
 
 
 def _solve(a_rows, rhs):
@@ -192,22 +256,31 @@ def _solve(a_rows, rhs):
     if not a_rows:
         return LinearSolution("unique", (), ()), lambda: 1
     n_cols = len(a_rows[0])
-    kind, pivots, entry, det = _reduce([list(row) + [b] for row, b in zip(a_rows, rhs)])
+    kind, pivots, reduced, last, det = _reduce(
+        [list(row) + [b] for row, b in zip(a_rows, rhs)])
     if n_cols in pivots:
         return LinearSolution("none", None, ()), det
+    free_cols = [c for c in range(n_cols) if c not in pivots]
+    status = "family" if free_cols else "unique"
+    rational = kind == _RATIONAL
+    # rational entries stay integers over the last pivot, whose sign moves
+    # onto them; a free column's 1 is then the denominator itself
+    sign = -1 if rational and last < 0 else 1
     zero = 0.0 if kind == _FLOAT else 0
+    one = sign * last if rational else zero + 1
     particular = [zero] * n_cols
     for i, col in enumerate(pivots):
-        particular[col] = entry(i, n_cols)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+        particular[col] = sign * reduced[i][n_cols]
     basis = []
     for free in free_cols:
         direction = [zero] * n_cols
-        direction[free] = zero + 1
+        direction[free] = one
         for i, col in enumerate(pivots):
-            direction[col] = -entry(i, free)
+            direction[col] = -sign * reduced[i][free]
         basis.append(tuple(direction))
-    status = "unique" if not basis else "family"
+    if rational:
+        return LinearSolution._from_numerators(status, pivots, one, tuple(particular),
+                                               tuple(basis)), det
     return LinearSolution(status, tuple(particular), tuple(basis)), det
 
 
@@ -216,7 +289,10 @@ def solve_linear_system(a_rows, rhs) -> LinearSolution:
 
     Entries of the particular solution and the basis at pivot columns come
     from the reduced rows (Fractions for rational input); free columns hold
-    the literal 0 and 1 (0.0 and 1.0 for float input).
+    the literal 0 and 1 (0.0 and 1.0 for float input). Rational input
+    also gives them as integer numerators over one positive denominator,
+    and builds the Fractions only when `solution` or `basis` is read (see
+    `LinearSolution`).
     """
     return _solve(a_rows, rhs)[0]
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 from . import numeric
 from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily,
                           _affine_or_none, _equal_cost_systems,
-                          _equilibria_from_systems, family_cost_range,
-                          support_systems)
+                          _equilibria_from_systems, _over_denominator,
+                          family_cost_range, support_systems)
 from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
 from .simplexopt import multistart_minimize, project_to_simplex
@@ -112,10 +112,11 @@ def _least_support_point(game: Game, systems, value):
         if solution.status != "unique":
             continue
         k = len(support)
-        masses_s = solution.solution[:k]
-        if any(m < -tol for m in masses_s):
+        # at tol = 0 the integer numerators have the signs of the masses,
+        # and Fractions are built only for candidates
+        if any(m < -tol for m in _over_denominator(solution, tol == 0)[1][:k]):
             continue
-        point = _assemble(game.n, support, masses_s, exact)
+        point = _assemble(game.n, support, solution.solution[:k], exact)
         candidate = value(point, solution.solution[k])
         if best is None or candidate < best[1]:
             best = (point, candidate)

@@ -5,15 +5,17 @@ feasible region by rows (value, coefs), each meaning
 
     value + coefs . t >= 0.
 
-One-parameter regions are intervals and are computed exactly. On larger
-exact regions (every entry an int or a Fraction, tolerance 0),
-Fourier-Motzkin elimination decides whether the region is empty and
-whether it is full-dimensional; only a nonempty region pinched to a lower
-dimension, or one whose elimination would grow past a row cap, goes to
-linear programming, which runs in float HiGHS and finds every implicit
-equality of a region at once. Float and Q(sqrt 5) rows always take the
-LP. scipy is imported on the first LP call, so importing the package
-stays light.
+One-parameter regions are intervals and are computed exactly; on
+rational rows at tolerance 0 by cross-multiplication, which builds
+Fractions for the two end points only. On larger exact regions (every
+entry an int or a Fraction, tolerance 0), Fourier-Motzkin elimination
+decides whether the region is empty and whether it is full-dimensional;
+only a nonempty region pinched to a lower dimension, or one whose
+elimination would grow past a row cap, goes to linear programming, which
+runs in float HiGHS and finds every implicit equality of a region at
+once. Rows of ints are taken as they are. Float and Q(sqrt 5) rows
+always take the LP. scipy is imported on the first LP call, so importing
+the package stays light.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def interval(rows, tol=0):
     left unbounded collapses onto the other one. Rows that bound t on
     neither side raise ValueError.
     """
+    if tol == 0 and _rational(rows):
+        return _rational_interval(rows)
     lo = hi = None
     for value, (slope,) in rows:
         if _is_zero(slope):
@@ -68,6 +72,30 @@ def interval(rows, tol=0):
     if lo - hi > tol:
         return None
     return lo, hi
+
+
+def _rational_interval(rows):
+    """`interval` on int and Fraction rows at tolerance 0. Each bound
+    -value/slope is kept as a pair (numerator, positive denominator), and
+    pairs are compared by cross-multiplication."""
+    lo = hi = None
+    for value, (slope,) in rows:
+        if not slope:
+            if value < 0:
+                return None
+            continue
+        if slope > 0:
+            if lo is None or -value * lo[1] > lo[0] * slope:
+                lo = (-value, slope)
+        elif hi is None or value * hi[1] < hi[0] * -slope:
+            hi = (value, -slope)
+    if lo is None and hi is None:
+        raise ValueError("the rows bound the parameter on neither side")
+    lo = lo or hi
+    hi = hi or lo
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return Fraction(*lo), Fraction(*hi)
 
 
 def minimize(rows, objective):
@@ -107,17 +135,20 @@ def _fourier_motzkin(rows):
     coefficient holds with equality over the whole region, else "full";
     None when a step would exceed ELIMINATION_ROW_CAP rows.
 
-    Rows are scaled to integers and divided by their gcd, which merges
-    duplicates. Each step eliminates the parameter with the fewest pairs
-    of a positive and a negative coefficient, and the sum of a pair
-    cancels it. A sum left with no parameters holds over the region; it
-    empties the region when negative and, with every row that has a
-    parameter read as strict, pinches it when zero.
+    Rows are scaled to integers (rows of ints as they are) and divided
+    by their gcd, which merges duplicates. Each step eliminates the
+    parameter with the fewest pairs of a positive and a negative
+    coefficient, and the sum of a pair cancels it. A sum left with no
+    parameters holds over the region; it empties the region when
+    negative and, with every row that has a parameter read as strict,
+    pinches it when zero.
     """
     pinched = False
     live = set()
     for value, coefs in rows:
-        ints, _ = numeric.integer_row((value, *coefs))
+        ints = (value, *coefs)
+        if not all(type(v) is int for v in ints):
+            ints, _ = numeric.integer_row(ints)
         if not any(ints[1:]):
             if ints[0] < 0:
                 return "empty"

@@ -550,6 +550,25 @@ class TestReproduce:
         assert list(directory.iterdir()) == []
 
 
+#: the `nbg solve` and `nbg metrics` stdout of the games that
+#: tests/golden/cli/games.txt generates with `nbg family`, one per line:
+#: a name, then the family options
+CLI_GOLDEN = Path(__file__).parent / "golden" / "cli"
+CLI_GAMES = dict(line.split(maxsplit=1) for line in
+                 (CLI_GOLDEN / "games.txt").read_text(encoding="utf-8").splitlines())
+
+
+@pytest.mark.parametrize("command", ["solve", "metrics"])
+@pytest.mark.parametrize("name", sorted(CLI_GAMES))
+def test_family_games_match_the_golden_output(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    code, _, _ = run(capsys, "family", *CLI_GAMES[name].split(), "-o", path)
+    assert code == 0
+    code, out, _ = run(capsys, command, path)
+    assert code == 0
+    assert out.encode("utf-8") == (CLI_GOLDEN / f"{command}_{name}.txt").read_bytes()
+
+
 def test_scalar_options_read_text_like_mass_lists(capsys, tmp_path):
     code, out, err = run(capsys, "family", "--kind", "path", "--alpha", "1_0/3",
                          "--n", "4", "-o", tmp_path / "x.json")

@@ -231,18 +231,18 @@ class TestSolveBySupports:
         linprog = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
-        # the arguments are (gaps, support, base, cost_base, directions,
-        # cost_dirs, tol, zero); recursive calls go through the module
-        # global too
+        # every region's rows are built once, by the module global, also
+        # for the regions that folding re-derives
         regions = []
-        restrict = equilibrium._restrict_family
+        family_rows = equilibrium._family_rows
 
         def recording(*a):
-            if len(a[4]) >= 2:
-                regions.append(equilibrium._family_rows(*a[:6]))
-            return restrict(*a)
+            rows = family_rows(*a)
+            if len(rows[0][1]) >= 2:
+                regions.append(rows)
+            return rows
 
-        monkeypatch.setattr(equilibrium, "_restrict_family", recording)
+        monkeypatch.setattr(equilibrium, "_family_rows", recording)
         solve_affine_by_supports(make_family("path", Fraction(1), n=8))
         solver_lps = len(lp_calls)
         # exact elimination settles empty and full-dimensional regions;
@@ -252,6 +252,19 @@ class TestSolveBySupports:
         assert (classes.count("empty"), classes.count("full"),
                 classes.count("pinched")) == (10, 5, 10)
         assert solver_lps == classes.count("pinched")
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, PHI], ids=["half", "one", "phi"])
+    def test_games_not_rational_with_integer_support_systems(self, alpha):
+        # unit slopes and zero offsets pose the singleton support systems
+        # in integers even when the influence is a float or in Q(sqrt 5);
+        # the solver must read their solutions as values, not numerators
+        for kind, n in (("path", 5), ("cycle", 6)):
+            game = make_family(kind, alpha, n=n)
+            solved = solve_affine_by_supports(game)
+            assert solved
+            for item in solved:
+                if isinstance(item, EquilibriumPoint):
+                    assert verify_equilibrium(game, item.x).is_equilibrium
 
     def test_results_sorted_by_support_bitmask(self):
         rng = random.Random(59)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbg import (PHI, QuadExt, determinant, matvec, rref, solve_linear_system,
+from nbg import (PHI, QuadExt, determinant, linalg, matvec, rref, solve_linear_system,
                  solve_with_determinant)
 from util import cofactor_determinant
 
@@ -324,3 +324,70 @@ def test_solve_with_determinant_rejects_non_square():
 def test_matvec():
     assert matvec([[1, 2], [3, 4]], [5, 6]) == [17, 39]
     assert matvec([], []) == []
+
+
+def rebuilt_from_numerators(nums, den):
+    return tuple(Fraction(v, den) for v in nums)
+
+
+@settings(max_examples=200)
+@given(matrices(), st.booleans(), st.data())
+def test_rational_solutions_hand_over_integer_numerators(a, consistent, data):
+    n_cols = len(a[0])
+    if consistent:
+        rhs = matvec(a, data.draw(st.lists(scalars, min_size=n_cols, max_size=n_cols)))
+    else:
+        rhs = data.draw(st.lists(scalars, min_size=len(a), max_size=len(a)))
+    result = solve_linear_system(a, rhs)
+    if result.status == "none":
+        assert result.denominator is result.numerators is result.basis_numerators is None
+        return
+    den = result.denominator
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in result.numerators)
+    assert all(type(v) is int for vec in result.basis_numerators for v in vec)
+    assert len(result.basis_numerators) == result.dimension
+    # the numerators over the denominator are the solution and the basis
+    assert rebuilt_from_numerators(result.numerators, den) == result.solution
+    assert tuple(rebuilt_from_numerators(vec, den) for vec in result.basis_numerators) \
+        == result.basis
+    # free columns hold 0, or den in their own basis vector: the literals 0 and 1
+    _, pivots = reference_rref(a)
+    free_cols = [c for c in range(n_cols) if c not in pivots]
+    assert [result.numerators[c] for c in free_cols] == [0] * len(free_cols)
+    assert all(type(result.solution[c]) is int for c in free_cols)
+    for free, nums, vec in zip(free_cols, result.basis_numerators, result.basis):
+        assert [nums[c] for c in free_cols] == [den * (c == free) for c in free_cols]
+        assert [vec[c] for c in free_cols] == [int(c == free) for c in free_cols]
+        assert all(type(vec[c]) is int for c in free_cols)
+
+
+@pytest.mark.parametrize("a, rhs", [([[-3]], [2]),
+                                    ([[1, 2], [3, 4]], [1, 1]),
+                                    ([[1, 2, 1], [3, 4, 1]], [1, Fraction(1, 2)])])
+def test_a_negative_last_pivot_moves_its_sign_onto_the_numerators(a, rhs):
+    _, _, last, _, _ = linalg._bareiss([list(row) + [b] for row, b in zip(a, rhs)])
+    assert last < 0
+    result = solve_linear_system(a, rhs)
+    assert result.denominator == -last
+    assert rebuilt_from_numerators(result.numerators, result.denominator) == result.solution
+    assert matvec(a, list(result.solution)) == rhs
+    for nums, vec in zip(result.basis_numerators, result.basis):
+        assert rebuilt_from_numerators(nums, result.denominator) == vec
+        assert all(v == 0 for v in matvec(a, list(vec)))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "float"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_float_and_quadratic_solutions_carry_no_integers(kind, data):
+    entries = ENTRY_KINDS[kind]
+    a = data.draw(matrices(max_rows=4, entries=entries))
+    rhs = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    # a matrix of rational entries only is solved as a rational one
+    if kind == "quadratic":
+        rhs[0] = rhs[0] + PHI
+    result = solve_linear_system(a, rhs)
+    assert result.denominator is result.numerators is result.basis_numerators is None
+    assert result == solve_linear_system(a, rhs)
+    assert len(result.basis) == result.dimension
