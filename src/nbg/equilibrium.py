@@ -457,43 +457,47 @@ class EquilibriumFamily:
 
 
 def _scaled_game(coefficients, offsets, r):
-    """(rational, D, D * coefficients, D * offsets, (p, q) with r = p/q).
+    """(D, D * coefficients, D * offsets, (p, q) with r = p/q), the one
+    place where a game's scalar kind is decided.
 
-    When the coefficients, offsets and r are all ints or Fractions, D is
-    the lcm of the denominators of the coefficients and offsets, and
-    every scaled entry, p and q are ints. Otherwise D = q = 1 and the data
-    stay as given, so float and Q(sqrt 5) games keep their own scalars.
+    A rational game (every coefficient, offset and r an int or a
+    Fraction) is scaled by the lcm D of the denominators of its
+    coefficients and offsets, so every scaled entry, p and q are ints. A
+    game with any float entry becomes floats throughout, so each of its
+    support systems is a float system. A Q(sqrt 5) game keeps its own
+    scalars. The last two take D = q = 1.
     """
     n = len(offsets)
     flat = [v for row in coefficients for v in row] + list(offsets)
-    if not all(type(v) is int or type(v) is Fraction for v in flat + [r]):
-        return False, 1, coefficients, offsets, (r, 1)
-    scale = math.lcm(*(v.denominator for v in flat))
-    flat = [v.numerator * (scale // v.denominator) for v in flat]
-    return (True, scale, [flat[j * n:(j + 1) * n] for j in range(n)], flat[n * n:],
-            (r.numerator, r.denominator))
+    scale = r_den = 1
+    if numeric.rational_types({type(v) for v in flat + [r]}):
+        scale = math.lcm(*(v.denominator for v in flat))
+        flat = [v.numerator * (scale // v.denominator) for v in flat]
+        r, r_den = r.numerator, r.denominator
+    elif not numeric.all_exact(flat + [r]):
+        flat, r = [float(v) for v in flat], float(r)
+    return scale, [flat[j * n:(j + 1) * n] for j in range(n)], flat[n * n:], (r, r_den)
 
 
 class _CostGaps:
-    """Cost gaps C_j(x) - c of an affine game, decided in integers.
+    """Cost gaps C_j(x) - c of an affine game, decided on numerators.
 
-    The costs are C_j(x) = b_j + sum_s M[s][j] x_s. The coefficients and
-    offsets are scaled once by the lcm D of their denominators. A vector
-    and a cost are read as integer numerators over one positive
+    The costs are C_j(x) = b_j + sum_s M[s][j] x_s, with the coefficients
+    and offsets of `_scaled_game`: ints times D on a rational game. A
+    vector and a cost are read as numerators over one positive
     denominator L: the kernel denominator of their support system (see
-    `LinearSolution`), or a multiple of it once a family is restricted.
-    So each gap comes out as the integer D*L*(C_j(x) - c), with the sign
-    of C_j(x) - c, and no lcm is taken. Games whose data are not all
-    rational take D = L = 1 and keep their own scalars, through the same
-    code.
+    `LinearSolution`), or a multiple of it once a family is restricted,
+    and 1 for a system that is not rational. Each gap comes out as
+    D*L*(C_j(x) - c), with the sign of C_j(x) - c, and no lcm is taken;
+    on a rational game it is an integer. `scalar` turns a numerator over
+    its denominator back into a value.
     """
 
-    __slots__ = ("n", "r", "rational", "scale", "offsets", "columns")
+    __slots__ = ("n", "r", "scale", "offsets", "columns")
 
     def __init__(self, game: Game):
         self.n, self.r = game.n, game.r
-        self.rational, self.scale, matrix, self.offsets, _ = _scaled_game(
-            *affine_coefficients(game), game.r)
+        self.scale, matrix, self.offsets, _ = _scaled_game(*affine_coefficients(game), game.r)
         # nonzero (s, D*M[s][j]) of each cost, sources in increasing order
         self.columns = [tuple((s, row[j]) for s, row in enumerate(matrix) if row[j] != 0)
                         for j in range(self.n)]
@@ -508,10 +512,11 @@ class _CostGaps:
             yield sum([a * nums[s] for s, a in self.columns[j]],
                       self.offsets[j] * den) - scaled_cost
 
-    def scalar(self, num, den):
-        """num / den as a scalar of the game: a Fraction when it is
-        rational; other games read numerators over den = 1 as they are."""
-        return Fraction(num, den) if self.rational else num
+    @staticmethod
+    def scalar(num, den):
+        """The value num / den: a Fraction for an int numerator (the
+        numerators of a rational system), plain division otherwise."""
+        return Fraction(num, den) if isinstance(num, int) else num / den
 
 
 def support_systems(coefficients, offsets, r):
@@ -523,14 +528,14 @@ def support_systems(coefficients, offsets, r):
     solver passes the cost matrix M; the utilitarian face search passes
     M + M^T. Inconsistent systems are skipped.
 
-    Rational data are scaled to integers once: the equal-cost rows by
-    the lcm D of the denominators of the coefficients and offsets, the
-    sum row by the denominator of r. Scaling rows leaves the solution
-    set as it is, and the elimination starts from integers.
+    The data take the scalar kind of `_scaled_game`. Rational data are
+    scaled to integers once: the equal-cost rows by the lcm D of the
+    denominators of the coefficients and offsets, the sum row by the
+    denominator of r. Scaling rows leaves the solution set as it is, and
+    the elimination starts from integers.
     """
     n = len(offsets)
-    _, scale, coefficients, offsets, (r_num, r_den) = _scaled_game(
-        coefficients, offsets, r)
+    scale, coefficients, offsets, (r_num, r_den) = _scaled_game(coefficients, offsets, r)
     columns = [[row[i] for row in coefficients] for i in range(n)]
     targets = [-b for b in offsets]
     for mask in range(1, 1 << n):
@@ -575,9 +580,10 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     """The equilibrium set from the equal-cost support systems `systems`;
     see solve_affine_by_supports.
 
-    On rational games every test runs on the integer numerators that the
-    elimination hands over (see `_CostGaps`), and Fractions are built
-    only for the points and families that are kept.
+    Every test runs on the numerators that the elimination hands over,
+    over their one denominator (see `_CostGaps`): integers on rational
+    games. Values are built only for the points and families that are
+    kept.
     """
     n = game.n
     exact = game.exact
@@ -588,16 +594,15 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     points = []
     families = []
     for support, solution in systems:
-        den, particular, basis = _over_denominator(solution, gaps.rational)
+        den, particular, basis = _over_denominator(solution)
         if solution.status == "unique":
             point = _accept_point(gaps, support, particular, den, tol, zero)
             if point is not None:
                 points.append(point)
             continue
-        family = _restrict_family(
-            gaps, support, den, _family_vectors(n, support, particular, basis, zero),
-            lambda: _family_vectors(n, support, solution.solution, solution.basis, zero),
-            tol, zero)
+        family = _restrict_family(gaps, support, den,
+                                  _family_vectors(n, support, particular, basis, zero),
+                                  tol, zero)
         if isinstance(family, EquilibriumFamily):
             families.append(family)
         elif family is not None:
@@ -632,15 +637,13 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     return sorted(kept_points + families, key=lambda e: e.bitmask)
 
 
-def _over_denominator(solution, integers):
-    """(den, particular, basis) of a consistent LinearSolution: with
-    `integers` set and a rational system, its integer numerators over the
-    positive kernel denominator; otherwise the solution itself over
-    den = 1. Games that are not rational may still pose some systems in
-    integers, and keep their own scalars by leaving `integers` unset."""
-    if integers and solution.denominator is not None:
-        return solution.denominator, solution.numerators, solution.basis_numerators
-    return 1, solution.solution, solution.basis
+def _over_denominator(solution):
+    """(den, particular, basis) of a consistent LinearSolution: the
+    integer numerators of a rational system over its positive kernel
+    denominator, and any other solution itself over den = 1."""
+    if solution.denominator is None:
+        return 1, solution.solution, solution.basis
+    return solution.denominator, solution.numerators, solution.basis_numerators
 
 
 def _outside(n, support):
@@ -689,7 +692,7 @@ def _masses(n, support, values, zero):
 
 def _point(gaps, masses, cost, den, zero):
     """(point, den, masses, cost) for the nonnegative masses / den of
-    common cost cost / den; only here do rational games build Fractions."""
+    common cost cost / den; only here do points build their values."""
     x = MassDistribution(tuple(gaps.scalar(m, den) if m > 0 else zero for m in masses),
                          gaps.r)
     return EquilibriumPoint(x, gaps.scalar(cost, den), x.support()), den, masses, cost
@@ -700,10 +703,11 @@ def _family_rows(gaps, support, den, base, cost_base, directions, cost_dirs):
     meaning >= 0, of the family (base + sum_k t_k * directions[k]) / den:
     masses on the support stay nonnegative, and every off-support vertex
     costs at least the common cost. Costs are affine, so the slope of
-    C_j - c along a direction is its gap with the offsets dropped. Mass
-    rows are den times the rows in t, and cost rows D*den times them, so
-    integer numerators give integer rows."""
-    rows = [(base[s], [d[s] for d in directions]) for s in support]
+    C_j - c along a direction is its gap with the offsets dropped. Every
+    row is D*den times the row in t, so integer numerators give integer
+    rows."""
+    scale = gaps.scale
+    rows = [(scale * base[s], [scale * d[s] for d in directions]) for s in support]
     outside = _outside(gaps.n, support)
     slopes = [list(gaps.gaps(d, dc, outside, 0)) for d, dc in zip(directions, cost_dirs)]
     rows.extend((value, [column[idx] for column in slopes])
@@ -711,13 +715,12 @@ def _family_rows(gaps, support, den, base, cost_base, directions, cost_dirs):
     return rows
 
 
-def _scalar_rows(gaps, support, den, rows, base, directions):
-    """The rows of `_family_rows` in the family's own scalars: mass rows
-    from base and directions, cost rows divided by D*den."""
-    scale = gaps.scale * den
-    return ([(base[s], [d[s] for d in directions]) for s in support]
-            + [(gaps.scalar(value, scale), [gaps.scalar(c, scale) for c in coefs])
-               for value, coefs in rows[len(support):]])
+def _values(den, numerators):
+    """A numerator, or a tuple or list of them nested at any depth, over
+    den, each entry by `_CostGaps.scalar`."""
+    if isinstance(numerators, (tuple, list)):
+        return type(numerators)(_values(den, v) for v in numerators)
+    return _CostGaps.scalar(numerators, den)
 
 
 def _fold(vectors, scale, t0, units):
@@ -735,40 +738,35 @@ def _fold(vectors, scale, t0, units):
     return new_base, new_cost, new_dirs, new_cdirs
 
 
-def _restrict_family(gaps, support, den, vectors, view, tol, zero):
+def _restrict_family(gaps, support, den, vectors, tol, zero):
     """Clip a solution family to the feasible region.
 
     vectors = (base, cost_base, directions, cost_dirs) are numerators
-    over den, integers on rational games (see `_over_denominator`);
-    view() gives the same family in the scalars a kept family stores.
-    One-parameter families get an exact interval. Multi-parameter
-    families keep their constraint rows; `polytope.implicit_equalities`
-    finds the constraints that bind across the whole feasible region
-    (exactly on rational rows unless the region is pinched, when one LP
-    names them), and they are folded back into the linear system, so a
-    region pinched to a lower dimension is re-derived at its true size
-    (possibly a single point).
+    over den (see `_over_denominator`). One-parameter families get an
+    exact interval, and one that collapses to a point becomes that
+    point. Multi-parameter families keep their constraint rows;
+    `polytope.implicit_equalities` finds the constraints that bind
+    across the whole feasible region (exactly on rational rows unless the
+    region is pinched, when one LP names them), and they are folded back
+    into the linear system, so a region pinched to a lower dimension is
+    re-derived at its true size (possibly a single point).
     """
     n = gaps.n
-    base, cost_base, directions, cost_dirs = vectors
     rows = _family_rows(gaps, support, den, *vectors)
 
-    if len(directions) == 1:
+    if len(vectors[2]) == 1:
         bounds = polytope.interval(rows, tol)
         if bounds is None:
             return None
         lo, hi = bounds
         if hi - lo <= tol:
-            # the point at t = lo = num / scale
-            num, scale = (lo.numerator, lo.denominator) if gaps.rational else (lo, 1)
-            values = ([base[s] * scale + num * directions[0][s] for s in support]
-                      + [cost_base * scale + num * cost_dirs[0]])
-            if not gaps.rational:
-                return _accept_point(gaps, support, values, 1, tol, zero)
-            # every row holds at lo, so the point needs no second test
-            return _point(gaps, _masses(n, support, values, zero), values[-1],
-                          den * scale, zero)
-        return EquilibriumFamily(n, gaps.r, support, *view(), (lo, hi))
+            # every row holds at t = lo = num / q, so the point needs no
+            # second test
+            num, q = (lo.numerator, lo.denominator) if isinstance(lo, Fraction) else (lo, 1)
+            base, cost = _fold(vectors, q, (num,), ())[:2]
+            return _point(gaps, _masses(n, support, [base[s] for s in support], zero),
+                          cost, q * den, zero)
+        return EquilibriumFamily(n, gaps.r, support, *_values(den, vectors), (lo, hi))
 
     # rows that bind across the whole region squeeze it into a
     # lower-dimensional slice
@@ -783,19 +781,16 @@ def _restrict_family(gaps, support, den, vectors, view, tol, zero):
     # with no tight row, or a misdetected equality, the family keeps the
     # full constraint polytope
     if reduced is None or reduced.status == "none":
-        shown = view()
-        return EquilibriumFamily(n, gaps.r, support, *shown, None, "",
-                                 tuple(_scalar_rows(gaps, support, den, rows,
-                                                    shown[0], shown[2])))
-    q, t0, units = _over_denominator(reduced, gaps.rational)
+        # each row is D*den times the row in t
+        return EquilibriumFamily(n, gaps.r, support, *_values(den, vectors), None, "",
+                                 tuple(_values(gaps.scale * den, rows)))
+    q, t0, units = _over_denominator(reduced)
     folded = _fold(vectors, q, t0, units)
     if reduced.status == "unique":
         new_base, new_cost = folded[:2]
         return _accept_point(gaps, support, [new_base[s] for s in support] + [new_cost],
                              q * den, tol, zero)
-    return _restrict_family(
-        gaps, support, q * den, folded,
-        lambda: _fold(view(), 1, reduced.solution, reduced.basis), tol, zero)
+    return _restrict_family(gaps, support, q * den, folded, tol, zero)
 
 
 def family_cost_range(game, family: EquilibriumFamily):
@@ -815,12 +810,10 @@ def family_cost_range(game, family: EquilibriumFamily):
     import numpy as np
 
     # _CostGaps refuses games that are not affine; the family's own
-    # scalars are numerators over den = 1
+    # values are numerators over den = 1, and its rows D times the rows in t
     gaps = _CostGaps(game)
     vectors = (family.base, family.cost_base, family.directions, family.cost_directions)
-    rows = _scalar_rows(gaps, family.support, 1,
-                        _family_rows(gaps, family.support, 1, *vectors),
-                        family.base, family.directions)
+    rows = _values(gaps.scale, _family_rows(gaps, family.support, 1, *vectors))
     obj = np.array([float(c) for c in family.cost_directions])
     values = []
     for sign in (1.0, -1.0):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import numeric
 from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily,
                           _affine_or_none, _equal_cost_systems,
-                          _equilibria_from_systems, _over_denominator,
+                          _equilibria_from_systems, _masses, _over_denominator,
                           family_cost_range, support_systems)
 from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
@@ -107,16 +107,17 @@ def _least_support_point(game: Game, systems, value):
     """
     exact = game.exact
     tol = numeric.auto_tolerance(exact, 1e-9)
+    zero = 0 if exact else 0.0
     best = None
     for support, solution in systems:
         if solution.status != "unique":
             continue
         k = len(support)
-        # at tol = 0 the integer numerators have the signs of the masses,
-        # and Fractions are built only for candidates
-        if any(m < -tol for m in _over_denominator(solution, tol == 0)[1][:k]):
+        # the numerators have the signs of the masses, and the values are
+        # built only for candidates
+        if any(m < -tol for m in _over_denominator(solution)[1][:k]):
             continue
-        point = _assemble(game.n, support, solution.solution[:k], exact)
+        point = _masses(game.n, support, solution.solution, zero)
         candidate = value(point, solution.solution[k])
         if best is None or candidate < best[1]:
             best = (point, candidate)
@@ -144,14 +145,6 @@ def _exact_utilitarian_minimum(game: Game, matrix, offsets) -> OptimumResult:
     x = distribution(point, r)
     value = social_costs(game, x).utilitarian
     return OptimumResult(x, value, game.exact and x.exact, "faces")
-
-
-def _assemble(n, support, masses_s, exact):
-    zero = 0 if exact else 0.0
-    masses = [zero] * n
-    for idx, s in enumerate(support):
-        masses[s] = masses_s[idx] if masses_s[idx] > 0 else zero
-    return tuple(masses)
 
 
 def _fd_gradient(objective, v, h=1e-7):

@@ -268,10 +268,10 @@ def scalar_text(value) -> str:
 
 def short_text(value) -> str:
     """Compact form: rationals as p/q, Q(sqrt 5) as a + b*sqrt(5), floats
-    at 12 significant digits."""
+    at 12 significant digits, with -0.0 as 0."""
     if isinstance(value, (int, Fraction, QuadExt)):
         return str(value)
-    return f"{float(value):.12g}"
+    return f"{float(value) or 0.0:.12g}"
 
 
 def vector_text(values) -> str:

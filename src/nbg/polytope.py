@@ -5,17 +5,18 @@ feasible region by rows (value, coefs), each meaning
 
     value + coefs . t >= 0.
 
-One-parameter regions are intervals and are computed exactly; on
-rational rows at tolerance 0 by cross-multiplication, which builds
-Fractions for the two end points only. On larger exact regions (every
-entry an int or a Fraction, tolerance 0), Fourier-Motzkin elimination
-decides whether the region is empty and whether it is full-dimensional;
-only a nonempty region pinched to a lower dimension, or one whose
-elimination would grow past a row cap, goes to linear programming, which
-runs in float HiGHS and finds every implicit equality of a region at
-once. Rows of ints are taken as they are. Float and Q(sqrt 5) rows
-always take the LP. scipy is imported on the first LP call, so importing
-the package stays light.
+One-parameter regions are intervals, decided by one rule for every
+scalar kind: each bound is a pair (numerator, positive denominator),
+pairs are compared by cross-multiplication, and only the two end points
+are divided, so rational rows give exact Fraction end points. On larger
+exact regions (every entry an int or a Fraction, tolerance 0),
+Fourier-Motzkin elimination decides whether the region is empty and
+whether it is full-dimensional; only a nonempty region pinched to a
+lower dimension, or one whose elimination would grow past a row cap,
+goes to linear programming, which runs in float HiGHS and finds every
+implicit equality of a region at once. Rows of ints are taken as they
+are. Larger float and Q(sqrt 5) regions always take the LP. scipy is
+imported on the first LP call, so importing the package stays light.
 """
 
 from __future__ import annotations
@@ -43,45 +44,21 @@ def _is_zero(coef) -> bool:
 def interval(rows, tol=0):
     """Feasible range (lo, hi) of t for one-parameter rows, or None.
 
-    The range is empty, and None is returned, when a zero-slope row has
-    value below -tol or when lo exceeds hi by more than tol. Exact rows
-    give exact end points. Rows of a support family bound t on both
-    sides, since a kernel direction sums to zero on its support; a side
-    left unbounded collapses onto the other one. Rows that bound t on
-    neither side raise ValueError.
+    Each bound -value/slope is kept as a pair (numerator, positive
+    denominator), and pairs are compared by cross-multiplication, so
+    int, Fraction, float and Q(sqrt 5) rows take one rule. Only the two
+    end points are divided: to a Fraction when both parts of a pair are
+    rational, by `/` otherwise. The range is empty, and None is
+    returned, when a zero-slope row has value below -tol or when lo
+    exceeds hi by more than tol. Rows of a support family bound t on
+    both sides, since a kernel direction sums to zero on its support; a
+    side left unbounded collapses onto the other one. Rows that bound t
+    on neither side raise ValueError.
     """
-    if tol == 0 and _rational(rows):
-        return _rational_interval(rows)
     lo = hi = None
     for value, (slope,) in rows:
         if _is_zero(slope):
             if value < -tol:
-                return None
-            continue
-        if isinstance(value, int):
-            value = Fraction(value)
-        bound = -value / slope
-        if slope > 0:
-            lo = bound if lo is None or bound > lo else lo
-        else:
-            hi = bound if hi is None or bound < hi else hi
-    if lo is None and hi is None:
-        raise ValueError("the rows bound the parameter on neither side")
-    lo = lo if lo is not None else hi
-    hi = hi if hi is not None else lo
-    if lo - hi > tol:
-        return None
-    return lo, hi
-
-
-def _rational_interval(rows):
-    """`interval` on int and Fraction rows at tolerance 0. Each bound
-    -value/slope is kept as a pair (numerator, positive denominator), and
-    pairs are compared by cross-multiplication."""
-    lo = hi = None
-    for value, (slope,) in rows:
-        if not slope:
-            if value < 0:
                 return None
             continue
         if slope > 0:
@@ -93,9 +70,15 @@ def _rational_interval(rows):
         raise ValueError("the rows bound the parameter on neither side")
     lo = lo or hi
     hi = hi or lo
-    if lo[0] * hi[1] > hi[0] * lo[1]:
+    if lo[0] * hi[1] - hi[0] * lo[1] > tol * lo[1] * hi[1]:
         return None
-    return Fraction(*lo), Fraction(*hi)
+    return _quotient(*lo), _quotient(*hi)
+
+
+def _quotient(num, den):
+    if numeric.rational_types({type(num), type(den)}):
+        return Fraction(num, den)
+    return num / den
 
 
 def minimize(rows, objective):

@@ -13,7 +13,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  brouwer_map, cost_vector, dilemma_game, distribution,
                  family_cost_range, influence_from_triples, make_family,
                  no_equilibrium_game, path_determinant, polynomial,
-                 solve_affine_by_supports, three_equilibria_game,
+                 price_report, solve_affine_by_supports, three_equilibria_game,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
 from nbg.equilibrium import support_systems
@@ -265,6 +265,25 @@ class TestSolveBySupports:
             for item in solved:
                 if isinstance(item, EquilibriumPoint):
                     assert verify_equilibrium(game, item.x).is_equilibrium
+
+    @pytest.mark.parametrize("kind, alpha, n", [("path", 0.5, 3), ("cycle", 1.0, 4)])
+    def test_float_games_give_float_equilibria(self, kind, alpha, n):
+        # unit slopes and zero offsets pose some support systems of these
+        # float games in integers; their solutions are floats all the same
+        game = make_family(kind, alpha, n=n)
+        scalars = []
+        for item in solve_affine_by_supports(game):
+            if isinstance(item, EquilibriumPoint):
+                scalars += [*item.x.masses, item.cost]
+            else:
+                scalars += [*item.base, item.cost_base, *item.cost_directions,
+                            *(v for d in item.directions for v in d), *(item.interval or ()),
+                            *(v for value, coefs in item.constraints for v in (value, *coefs))]
+        assert scalars and all(type(v) is float for v in scalars)
+        report = price_report(game)
+        assert not report.exact["best_equilibrium_cost"]
+        assert not report.exact["worst_equilibrium_cost"]
+        assert type(report.best_equilibrium_cost) is float
 
     def test_results_sorted_by_support_bitmask(self):
         rng = random.Random(59)

@@ -151,6 +151,7 @@ class TestScalarIO:
         assert short_text(Fraction(7)) == "7"
         assert short_text(True) == "True"
         assert short_text(0.1 + 0.2) == "0.3"
+        assert short_text(-0.0) == "0"
         assert short_text(PHI) == "-1/2 + 1/2*sqrt(5)"
         assert vector_text([Fraction(1, 3), 0, 0.5]) == "(1/3, 0, 0.5)"
         assert vector_text([]) == "()"

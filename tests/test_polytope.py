@@ -11,11 +11,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nbg
-from nbg import polytope
+from nbg import PHI, polytope
 from util import per_row_equalities, region_class
 
 
@@ -124,6 +124,61 @@ def test_interval_agrees_with_lp(rows):
         for t in bounds:
             assert isinstance(t, Fraction)
             assert all(value + coefs[0] * t >= 0 for value, coefs in rows)
+
+
+def division_interval(rows, tol):
+    """The interval rule that `polytope.interval` used on float and
+    Q(sqrt 5) rows before it kept bounds as pairs: each bound -value/slope
+    divided out at once and compared as a value."""
+    lo = hi = None
+    for value, (slope,) in rows:
+        if polytope._is_zero(slope):
+            if value < -tol:
+                return None
+            continue
+        if isinstance(value, int):
+            value = Fraction(value)
+        bound = -value / slope
+        if slope > 0:
+            lo = bound if lo is None or bound > lo else lo
+        else:
+            hi = bound if hi is None or bound < hi else hi
+    lo = lo if lo is not None else hi
+    hi = hi if hi is not None else lo
+    if lo - hi > tol:
+        return None
+    return lo, hi
+
+
+quadratic = st.builds(lambda p, q: p + q * PHI, small, small)
+
+
+@st.composite
+def one_parameter_rows(draw, scalars):
+    rows = draw(st.lists(st.tuples(scalars, scalars), min_size=1, max_size=7))
+    assume(any(slope != 0 for _, slope in rows))
+    return [(value, [slope]) for value, slope in rows]
+
+
+@settings(max_examples=200)
+@given(one_parameter_rows(quadratic), st.sampled_from([0, Fraction(1, 2), 1]))
+def test_pair_rule_matches_division_on_quadratic_rows(rows, tol):
+    bounds = polytope.interval(rows, tol)
+    expected = division_interval(rows, tol)
+    assert bounds == expected
+    if bounds is not None:
+        assert [type(t) for t in bounds] == [type(t) for t in expected]
+
+
+@settings(max_examples=200)
+@given(one_parameter_rows(small.map(float)))
+def test_pair_rule_matches_division_on_small_integer_float_rows(rows):
+    # the cross products of small integers are exact floats, and the two
+    # rules divide the same end points
+    bounds = polytope.interval(rows, 0)
+    assert bounds == division_interval(rows, 0)
+    if bounds is not None:
+        assert all(type(t) is float for t in bounds)
 
 
 entry = st.one_of(small, st.fractions(min_value=-6, max_value=6,
