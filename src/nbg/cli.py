@@ -215,23 +215,24 @@ def cmd_family(args) -> int:
     alpha = parse_scalar_text(args.alpha)
     r = parse_scalar_text(args.total_mass)
     game = make_family(args.kind, alpha, r=r, n=args.n, p=args.p, q=args.q)
-    if args.closed_form and r != 1:
-        raise UnsupportedGameError(
-            "closed-form equilibria are tabulated for total mass 1")
+    # a closed form that cannot be given refuses before the file is written
+    results = None
+    if args.closed_form:
+        if r != 1:
+            raise UnsupportedGameError(
+                "closed-form equilibria are tabulated for total mass 1")
+        if args.kind == "path":
+            results = path_closed_form(args.n, alpha)
+        elif args.kind == "cycle":
+            results = cycle_closed_form(args.n, alpha)
+        elif args.kind == "complete_bipartite":
+            results = bipartite_closed_form(args.p, args.q, alpha)
+        else:
+            results = star_closed_form(args.n, alpha)
     save_game(game, args.output)
     print(f"wrote {args.output}: {args.kind} on {game.n} vertices,"
           f" coefficient {short_text(alpha)}, total mass {short_text(r)}")
-    if not args.closed_form:
-        return 0
-    if args.kind == "path":
-        results = path_closed_form(args.n, alpha)
-    elif args.kind == "cycle":
-        results = cycle_closed_form(args.n, alpha)
-    elif args.kind == "complete_bipartite":
-        results = bipartite_closed_form(args.p, args.q, alpha)
-    else:
-        results = star_closed_form(args.n, alpha)
-    return _print_equilibria(game, results)
+    return 0 if results is None else _print_equilibria(game, results)
 
 
 def cmd_scan_det(args) -> int:

@@ -61,11 +61,13 @@ def make_family(family, alpha, r=1, n=None, p=None, q=None) -> Game:
         raise ValueError(f"alpha must be nonnegative, got {numeric.scalar_text(alpha)}")
     count, edges = _family_edges(family, n=n, p=p, q=q)
     costs = [affine(1, 0) for _ in range(count)]
-    triples = []
-    for u, v in edges:
-        triples.append((u, v, alpha))
-        triples.append((v, u, alpha))
-    return Game.graphical(count, r, costs, influence_from_triples(count, triples))
+    return Game.graphical(count, r, costs,
+                          influence_from_triples(count, _both_ways(edges, alpha)))
+
+
+def _both_ways(edges, alpha):
+    """The arcs (u, v, alpha) and (v, u, alpha) of each edge (u, v)."""
+    return [arc for u, v in edges for arc in ((u, v, alpha), (v, u, alpha))]
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +153,12 @@ def uniform_cost_solve(game: Game, graph_kind="general") -> UniformCostSystem:
 
 def path_matrix(n, alpha):
     """The (n+1) x (n+1) equal-costs matrix of the n-vertex path."""
-    if n < 1:
-        raise ValueError(f"path needs n >= 1, got {n!r}")
-    return _equal_costs_rows(n, [(i, j, alpha) for i in range(n)
-                                 for j in (i - 1, i + 1) if 0 <= j < n])
+    return _equal_costs_rows(n, _both_ways(_family_edges("path", n=n)[1], alpha))
 
 
 def cycle_matrix(n, alpha):
-    """Same as path_matrix plus the two wrap-around coefficients."""
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n!r}")
-    rows = path_matrix(n, alpha)
-    rows[0][n - 1] = alpha
-    rows[n - 1][0] = alpha
-    return rows
+    """The (n+1) x (n+1) equal-costs matrix of the n-cycle."""
+    return _equal_costs_rows(n, _both_ways(_family_edges("cycle", n=n)[1], alpha))
 
 
 def path_determinant(n, alpha):

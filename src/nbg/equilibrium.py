@@ -430,13 +430,20 @@ class EquilibriumFamily:
             return [self.point_at((lo + width * k / (count - 1),)) for k in range(count)]
         return self._sample_by_lp(count)
 
+    def _region(self):
+        """The rows (value, coefs), each meaning value + coefs . t >= 0,
+        of the parameter region: the stored `constraints` (the solver
+        stores them on every family without an interval), or the
+        nonnegative masses of a family that carries none."""
+        return self.constraints or [(b, [d[i] for d in self.directions])
+                                    for i, b in enumerate(self.base)]
+
     def _sample_by_lp(self, count):
         import numpy as np
 
         rng = np.random.default_rng(12345)
         dim = self.dimension
-        rows = self.constraints or [(b, [d[i] for d in self.directions])
-                                    for i, b in enumerate(self.base)]
+        rows = self._region()
         found = []
         objectives = [np.ones(dim), -np.ones(dim)]
         while len(objectives) < max(count, 2):
@@ -480,7 +487,10 @@ def _scaled_game(coefficients, offsets, r):
 
 
 class _CostGaps:
-    """Cost gaps C_j(x) - c of an affine game, decided on numerators.
+    """The per-game rules of a support pass, built once per pass: cost
+    gaps C_j(x) - c of an affine game decided on numerators, and the
+    pass's comparison slack `tol` and zero mass `zero` (0 and 0 on an
+    exact game, EQUILIBRIUM_TOLERANCE and 0.0 on a float one).
 
     The costs are C_j(x) = b_j + sum_s M[s][j] x_s, with the coefficients
     and offsets of `_scaled_game`: ints times D on a rational game. A
@@ -489,14 +499,16 @@ class _CostGaps:
     `LinearSolution`), or a multiple of it once a family is restricted,
     and 1 for a system that is not rational. Each gap comes out as
     D*L*(C_j(x) - c), with the sign of C_j(x) - c, and no lcm is taken;
-    on a rational game it is an integer. `scalar` turns a numerator over
-    its denominator back into a value.
+    on a rational game it is an integer. `numeric.quotient` turns a
+    numerator over its denominator back into a value.
     """
 
-    __slots__ = ("n", "r", "scale", "offsets", "columns")
+    __slots__ = ("n", "r", "tol", "zero", "scale", "offsets", "columns")
 
     def __init__(self, game: Game):
         self.n, self.r = game.n, game.r
+        self.tol = numeric.auto_tolerance(game.exact, EQUILIBRIUM_TOLERANCE)
+        self.zero = 0 if game.exact else 0.0
         self.scale, matrix, self.offsets, _ = _scaled_game(*affine_coefficients(game), game.r)
         # nonzero (s, D*M[s][j]) of each cost, sources in increasing order
         self.columns = [tuple((s, row[j]) for s, row in enumerate(matrix) if row[j] != 0)
@@ -511,12 +523,6 @@ class _CostGaps:
         for j in vertices:
             yield sum([a * nums[s] for s, a in self.columns[j]],
                       self.offsets[j] * den) - scaled_cost
-
-    @staticmethod
-    def scalar(num, den):
-        """The value num / den: a Fraction for an int numerator (the
-        numerators of a rational system), plain division otherwise."""
-        return Fraction(num, den) if isinstance(num, int) else num / den
 
 
 def support_systems(coefficients, offsets, r):
@@ -586,9 +592,6 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     kept.
     """
     n = game.n
-    exact = game.exact
-    tol = numeric.auto_tolerance(exact, EQUILIBRIUM_TOLERANCE)
-    zero = 0 if exact else 0.0
     gaps = _CostGaps(game)
 
     points = []
@@ -596,13 +599,12 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     for support, solution in systems:
         den, particular, basis = _over_denominator(solution)
         if solution.status == "unique":
-            point = _accept_point(gaps, support, particular, den, tol, zero)
+            point = _accept_point(gaps, support, particular, den)
             if point is not None:
                 points.append(point)
             continue
         family = _restrict_family(gaps, support, den,
-                                  _family_vectors(n, support, particular, basis, zero),
-                                  tol, zero)
+                                  _family_vectors(gaps, support, particular, basis))
         if isinstance(family, EquilibriumFamily):
             families.append(family)
         elif family is not None:
@@ -624,10 +626,10 @@ def _equilibria_from_systems(game: Game, systems) -> list:
             outside = _outside(n, point.support)
             tied = mask | sum(1 << j for j, gap in
                               zip(outside, gaps.gaps(masses, cost, outside, den))
-                              if abs(gap) <= tol)
+                              if abs(gap) <= gaps.tol)
             if any(f & ~tied == 0 for f in covering):
                 continue
-        key = (tuple(point.x.masses) if exact
+        key = (tuple(point.x.masses) if game.exact
                else tuple(round(float(m), 9) for m in point.x.masses))
         if key in seen:
             continue
@@ -650,52 +652,53 @@ def _outside(n, support):
     return [j for j in range(n) if j not in support]
 
 
-def _family_vectors(n, support, particular, basis, zero):
+def _family_vectors(gaps, support, particular, basis):
     """(base, cost_base, directions, cost_dirs) of a support system's
     solution: each vector of the system (masses on the support, then the
     common cost) placed on the n vertices, with zero elsewhere."""
     k = len(support)
     placed = []
     for vec in (particular, *basis):
-        masses = [zero] * n
+        masses = [gaps.zero] * gaps.n
         for s, m in zip(support, vec):
             masses[s] = m
         placed.append(tuple(masses))
     return placed[0], particular[k], tuple(placed[1:]), tuple(vec[k] for vec in basis)
 
 
-def _accept_point(gaps, support, values, den, tol, zero):
+def _accept_point(gaps, support, values, den):
     """(point, den, masses, cost) for the equilibrium whose masses on the
     support and common cost are values / den, or None when a mass is
     negative or an off-support vertex costs less. masses and cost are the
     numerators, masses placed on all n vertices."""
+    tol = gaps.tol
     # most systems fail on a mass sign, so it is read first
     if any(m < -tol for m in values[:len(support)]):
         return None
-    masses = _masses(gaps.n, support, values, zero)
+    masses = _masses(gaps, support, values)
     cost = values[len(support)]
     if any(gap < -tol for gap in gaps.gaps(masses, cost, _outside(gaps.n, support), den)):
         return None
-    return _point(gaps, masses, cost, den, zero)
+    return _point(gaps, masses, cost, den)
 
 
-def _masses(n, support, values, zero):
+def _masses(gaps, support, values):
     """The masses on the support in values placed on the n vertices;
     masses that are not positive (float masses within tol below zero)
     count as zero."""
-    masses = [zero] * n
+    masses = [gaps.zero] * gaps.n
     for s, m in zip(support, values):
         if m > 0:
             masses[s] = m
     return masses
 
 
-def _point(gaps, masses, cost, den, zero):
+def _point(gaps, masses, cost, den):
     """(point, den, masses, cost) for the nonnegative masses / den of
     common cost cost / den; only here do points build their values."""
-    x = MassDistribution(tuple(gaps.scalar(m, den) if m > 0 else zero for m in masses),
-                         gaps.r)
-    return EquilibriumPoint(x, gaps.scalar(cost, den), x.support()), den, masses, cost
+    x = MassDistribution(tuple(numeric.quotient(m, den) if m > 0 else gaps.zero
+                               for m in masses), gaps.r)
+    return EquilibriumPoint(x, numeric.quotient(cost, den), x.support()), den, masses, cost
 
 
 def _family_rows(gaps, support, den, base, cost_base, directions, cost_dirs):
@@ -717,10 +720,10 @@ def _family_rows(gaps, support, den, base, cost_base, directions, cost_dirs):
 
 def _values(den, numerators):
     """A numerator, or a tuple or list of them nested at any depth, over
-    den, each entry by `_CostGaps.scalar`."""
+    den, each entry by `numeric.quotient`."""
     if isinstance(numerators, (tuple, list)):
         return type(numerators)(_values(den, v) for v in numerators)
-    return _CostGaps.scalar(numerators, den)
+    return numeric.quotient(numerators, den)
 
 
 def _fold(vectors, scale, t0, units):
@@ -738,7 +741,7 @@ def _fold(vectors, scale, t0, units):
     return new_base, new_cost, new_dirs, new_cdirs
 
 
-def _restrict_family(gaps, support, den, vectors, tol, zero):
+def _restrict_family(gaps, support, den, vectors):
     """Clip a solution family to the feasible region.
 
     vectors = (base, cost_base, directions, cost_dirs) are numerators
@@ -755,22 +758,22 @@ def _restrict_family(gaps, support, den, vectors, tol, zero):
     rows = _family_rows(gaps, support, den, *vectors)
 
     if len(vectors[2]) == 1:
-        bounds = polytope.interval(rows, tol)
+        bounds = polytope.interval(rows, gaps.tol)
         if bounds is None:
             return None
         lo, hi = bounds
-        if hi - lo <= tol:
+        if hi - lo <= gaps.tol:
             # every row holds at t = lo = num / q, so the point needs no
             # second test
             num, q = (lo.numerator, lo.denominator) if isinstance(lo, Fraction) else (lo, 1)
             base, cost = _fold(vectors, q, (num,), ())[:2]
-            return _point(gaps, _masses(n, support, [base[s] for s in support], zero),
-                          cost, q * den, zero)
+            return _point(gaps, _masses(gaps, support, [base[s] for s in support]),
+                          cost, q * den)
         return EquilibriumFamily(n, gaps.r, support, *_values(den, vectors), (lo, hi))
 
     # rows that bind across the whole region squeeze it into a
     # lower-dimensional slice
-    equalities = polytope.implicit_equalities(rows, tol)
+    equalities = polytope.implicit_equalities(rows, gaps.tol)
     if equalities is None:
         return None
     tight = [rows[i] for i in equalities if any(c != 0 for c in rows[i][1])]
@@ -789,8 +792,8 @@ def _restrict_family(gaps, support, den, vectors, tol, zero):
     if reduced.status == "unique":
         new_base, new_cost = folded[:2]
         return _accept_point(gaps, support, [new_base[s] for s in support] + [new_cost],
-                             q * den, tol, zero)
-    return _restrict_family(gaps, support, q * den, folded, tol, zero)
+                             q * den)
+    return _restrict_family(gaps, support, q * den, folded)
 
 
 def family_cost_range(game, family: EquilibriumFamily):
@@ -798,7 +801,9 @@ def family_cost_range(game, family: EquilibriumFamily):
 
     The cost is affine in the family parameters, so one-parameter families
     give exact interval endpoints; larger families are bounded by linear
-    programming over the feasibility rows (float, inexact).
+    programming over the family's own region (`EquilibriumFamily._region`,
+    float, inexact). The family carries all that the range reads; `game`
+    stays in the signature for the callers that pass it.
     """
     if family.dimension == 1 and family.interval is not None:
         lo, hi = family.interval
@@ -809,11 +814,7 @@ def family_cost_range(game, family: EquilibriumFamily):
 
     import numpy as np
 
-    # _CostGaps refuses games that are not affine; the family's own
-    # values are numerators over den = 1, and its rows D times the rows in t
-    gaps = _CostGaps(game)
-    vectors = (family.base, family.cost_base, family.directions, family.cost_directions)
-    rows = _values(gaps.scale, _family_rows(gaps, family.support, 1, *vectors))
+    rows = family._region()
     obj = np.array([float(c) for c in family.cost_directions])
     values = []
     for sign in (1.0, -1.0):

@@ -108,16 +108,9 @@ def kernel_to_strong_equilibrium(kernel: Kernel, r=1) -> MassDistribution:
     """Uniform mass r/|K| on the kernel vertices."""
     if len(kernel) == 0:
         raise ValueError("empty kernel has no associated distribution")
-    share = _divide(r, len(kernel))
+    share = numeric.quotient(r, len(kernel))
     masses = tuple(share if i in kernel.vertices else 0 for i in range(kernel.n))
     return MassDistribution(masses, r)
-
-
-def _divide(r, k):
-    if isinstance(r, int):
-        from fractions import Fraction
-        return Fraction(r, k)
-    return r / k
 
 
 @dataclass(frozen=True)
@@ -158,7 +151,7 @@ def strong_supports_match_kernels(d: Digraph, alpha, r=1,
             support = point.x.support()
             if support in strong_supports:
                 continue
-            deltas = [_divide(r, len(support))]
+            deltas = [numeric.quotient(r, len(support))]
             deltas.extend(delta_grid)
             for delta in deltas:
                 if verify_delta_strong(game, point.x, delta).is_delta_strong:

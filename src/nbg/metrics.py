@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numeric
-from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily,
+from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily, _CostGaps,
                           _affine_or_none, _equal_cost_systems,
                           _equilibria_from_systems, _masses, _over_denominator,
                           family_cost_range, support_systems)
@@ -105,9 +105,8 @@ def _least_support_point(game: Game, systems, value):
     give x^T (M + M^T) x = c r - b.x on the support, with b the offsets,
     so r times the utilitarian cost, b.x + x^T M x, is (c r + b.x) / 2.
     """
-    exact = game.exact
-    tol = numeric.auto_tolerance(exact, 1e-9)
-    zero = 0 if exact else 0.0
+    gaps = _CostGaps(game)
+    tol = gaps.tol
     best = None
     for support, solution in systems:
         if solution.status != "unique":
@@ -117,7 +116,7 @@ def _least_support_point(game: Game, systems, value):
         # built only for candidates
         if any(m < -tol for m in _over_denominator(solution)[1][:k]):
             continue
-        point = _masses(game.n, support, solution.solution, zero)
+        point = _masses(gaps, support, solution.solution)
         candidate = value(point, solution.solution[k])
         if best is None or candidate < best[1]:
             best = (point, candidate)

@@ -216,6 +216,14 @@ def rational_types(kinds) -> bool:
                for t in kinds)
 
 
+def quotient(num, den):
+    """num / den: a Fraction when both are ints or Fractions, so a
+    rational quotient stays exact, and plain division otherwise."""
+    if rational_types({type(num), type(den)}):
+        return Fraction(num, den)
+    return num / den
+
+
 def integer_row(row):
     """(integers, scale) for a row of ints and Fractions: the row times
     the lcm of its denominators, and that lcm."""

@@ -22,7 +22,6 @@ imported on the first LP call, so importing the package stays light.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import numeric
 
@@ -47,10 +46,9 @@ def interval(rows, tol=0):
     Each bound -value/slope is kept as a pair (numerator, positive
     denominator), and pairs are compared by cross-multiplication, so
     int, Fraction, float and Q(sqrt 5) rows take one rule. Only the two
-    end points are divided: to a Fraction when both parts of a pair are
-    rational, by `/` otherwise. The range is empty, and None is
-    returned, when a zero-slope row has value below -tol or when lo
-    exceeds hi by more than tol. Rows of a support family bound t on
+    end points are divided, by `numeric.quotient`. The range is empty,
+    and None is returned, when a zero-slope row has value below -tol or
+    when lo exceeds hi by more than tol. Rows of a support family bound t on
     both sides, since a kernel direction sums to zero on its support; a
     side left unbounded collapses onto the other one. Rows that bound t
     on neither side raise ValueError.
@@ -72,13 +70,7 @@ def interval(rows, tol=0):
     hi = hi or lo
     if lo[0] * hi[1] - hi[0] * lo[1] > tol * lo[1] * hi[1]:
         return None
-    return _quotient(*lo), _quotient(*hi)
-
-
-def _quotient(num, den):
-    if numeric.rational_types({type(num), type(den)}):
-        return Fraction(num, den)
-    return num / den
+    return numeric.quotient(*lo), numeric.quotient(*hi)
 
 
 def minimize(rows, objective):

@@ -333,6 +333,15 @@ class TestFamily:
         assert "total mass 1" in err
         assert not out_file.exists()
 
+    def test_closed_form_outside_tabulated_alpha_writes_no_file(self, capsys, tmp_path):
+        out_file = tmp_path / "never.json"
+        code, _, err = run(capsys, "family", "--kind", "path",
+                           "--alpha", "1/3", "--n", "5",
+                           "-o", out_file, "--closed-form")
+        assert code == 2
+        assert "alpha in {1/2, 1}, got 1/3" in err
+        assert not out_file.exists()
+
     def test_negative_alpha_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "family", "--kind", "path",
                            "--alpha=-1/2", "--n", "4",

@@ -12,7 +12,7 @@ from nbg import (PHI, EquilibriumFamily, EquilibriumPoint,
                  UnsupportedGameError, bipartite_closed_form, braess_game,
                  check_rules, classify, conjecture_scan, cycle_closed_form,
                  cycle_determinant, cycle_matrix, determinant, digraph_to_nbg,
-                 directed_triangle, is_exact_scalar, make_family,
+                 directed_triangle, family_cost_range, is_exact_scalar, make_family,
                  path_closed_form, path_determinant, path_matrix,
                  solve_affine_by_supports, star_closed_form, underlying_graph,
                  uniform_cost_matrix, uniform_cost_solve, verify_equilibrium)
@@ -89,6 +89,14 @@ class TestUniformCostSystem:
         )
         assert rhs == (0, 0, 0, 1)
         assert [list(row) for row in matrix] == path_matrix(3, alpha)
+
+    @pytest.mark.parametrize("alpha", [0, Fraction(1, 4), Fraction(1, 2), 1, 0.3, PHI],
+                             ids=["0", "1/4", "1/2", "1", "0.3", "phi"])
+    def test_path_and_cycle_matrices_are_uniform_cost_matrices(self, alpha):
+        for kind, build, n_min in (("path", path_matrix, 1), ("cycle", cycle_matrix, 3)):
+            for n in range(n_min, 12):
+                matrix, _ = uniform_cost_matrix(make_family(kind, alpha, n=n))
+                assert [list(row) for row in matrix] == build(n, alpha)
 
     def test_refuses_non_normal_games(self):
         with pytest.raises(UnsupportedGameError):
@@ -310,6 +318,18 @@ class TestCycleClosedForms:
             assert verify_equilibrium(game, member.x).is_equilibrium
             assert any(f.contains(member.x.masses) is not None
                        for f in families_of(solved))
+
+    def test_cost_range_without_constraints_matches_the_solver_family(self):
+        # the closed-form family carries no constraints, so its range is
+        # read over its nonnegative masses; the solver's family over the
+        # same support carries its stored constraints
+        (closed,) = cycle_closed_form(6, Fraction(1))
+        assert closed.constraints == ()
+        game = make_family("cycle", Fraction(1), n=6)
+        (solver,) = [f for f in families_of(solve_affine_by_supports(game))
+                     if f.support == closed.support and f.dimension == 2]
+        assert solver.constraints
+        assert family_cost_range(game, closed) == family_cost_range(game, solver)
 
     def test_covered_coefficients_only(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from nbg import (PHI, SQRT5, QuadExt, auto_tolerance, format_scalar,
                  is_exact_scalar, parse_scalar, quadext, scalar_to_json)
-from nbg.numeric import quadext_diff_sign, short_text, vector_text
+from nbg.numeric import quadext_diff_sign, quotient, short_text, vector_text
 
 
 def random_quadext(rng):
@@ -165,3 +165,11 @@ class TestScalarIO:
         assert auto_tolerance(True) == 0
         assert auto_tolerance(False) == 1e-9
         assert auto_tolerance(False, 1e-6) == 1e-6
+
+    def test_quotient_is_exact_on_rationals_only(self):
+        assert quotient(1, 2) == Fraction(1, 2)
+        assert type(quotient(4, 2)) is Fraction
+        assert type(quotient(Fraction(1, 2), 3)) is Fraction
+        assert type(quotient(1.0, 2)) is float
+        assert type(quotient(1, 2.0)) is float
+        assert quotient(PHI, 2) == PHI / 2

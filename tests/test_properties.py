@@ -12,12 +12,13 @@ points.
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbg import (EquilibriumFamily, EquilibriumPoint, Game, affine,
-                 family_cost_range, influence_from_triples,
+                 family_cost_range, influence_from_triples, make_family,
                  solve_affine_by_supports, verify_equilibrium)
+from nbg.equilibrium import _CostGaps, _family_rows, _values
 
 scalars = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
@@ -140,6 +141,23 @@ def test_relabelling_the_vertices_relabels_the_equilibria(game, rng):
     rng.shuffle(perm)
     solved = solve_affine_by_supports(game)
     assert_same_set(solved, solve_affine_by_supports(rebuilt(game, perm=perm)), perm)
+
+
+@settings(max_examples=60)
+@given(exact_games())
+@example(make_family("path", Fraction(1), n=8))
+@example(make_family("cycle", Fraction(1), n=6))
+def test_stored_constraints_are_the_rows_of_the_family_values(game):
+    # the rows of a family without an interval, rebuilt from its own
+    # values over den = 1 and divided by the game's scale D, are the
+    # constraints it stores, in the same order; few random games have
+    # such a family, the two examples have several
+    gaps = _CostGaps(game)
+    for family in split(solve_affine_by_supports(game))[1].values():
+        if family.interval is None:
+            rows = _family_rows(gaps, family.support, 1, family.base, family.cost_base,
+                                family.directions, family.cost_directions)
+            assert family.constraints == tuple(_values(gaps.scale, rows))
 
 
 @settings(max_examples=60)
