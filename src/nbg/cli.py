@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: verify a distribution against a game file, solve a game by
-one of four methods, compute price-of-anarchy metrics, generate a named
+one of three methods, compute price-of-anarchy metrics, generate a named
 family instance, scan determinants of equal-costs systems, run the
 selfish mass dynamics, and replay the bundled example groups. Exit codes
-are 0 on success, 1 when a check fails (not an equilibrium, failed
-replay), and 2 on bad input or an unsupported game.
+are 0 on success, 1 when a check fails (not an equilibrium, a
+determinant-scan counterexample, failed replay), and 2 on bad input or
+an unsupported game.
 """
 
 from __future__ import annotations
@@ -151,13 +152,6 @@ def cmd_solve(args) -> int:
             print(f"minimum {index}: masses {vector_text(x.masses)}"
                   f"  potential {numeric.format_scalar(value)}  [{flag}]")
         return 0 if ok else 1
-    if args.method == "dynamics":
-        _, run = _run_dynamics(game, args, keep_trace=False)
-        print(f"iterations: {run.iterations}")
-        print(f"converged: {'yes' if run.converged else 'no'}")
-        print(f"final: {vector_text(run.x.masses)}")
-        print(f"equilibrium: {'yes' if run.report.is_equilibrium else 'no'}")
-        return 0 if run.report.is_equilibrium else 1
 
     system = uniform_cost_solve(game, args.graph)
     print(f"graph kind: {args.graph}")
@@ -262,7 +256,7 @@ def cmd_scan_det(args) -> int:
               f" det={short_text(row.determinant)}"
               f" unique={str(row.unique).lower()}"
               f" nonneg={str(row.nonnegative).lower()}")
-    return 0
+    return 0 if report.all_clear else 1
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the equilibria of a game")
     p.add_argument("game", help="game JSON file")
     p.add_argument("--method", default="supports",
-                   choices=("supports", "potential", "dynamics",
-                            "uniform-cost"))
+                   choices=("supports", "potential", "uniform-cost"))
     p.add_argument("--starts", type=int, default=DEFAULT_STARTS,
                    help="multistart count for the potential method")
-    p.add_argument("--x0", help="inline start for the dynamics method")
-    p.add_argument("--steps", type=int, default=10000,
-                   help="iteration cap for the dynamics method")
-    p.add_argument("--step", help="mass chunk for the dynamics method")
     p.add_argument("--graph", default="general",
                    choices=("path", "cycle", "general"),
                    help="graph kind for the uniform-cost method")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import numeric, polytope
 from .errors import DimensionMismatchError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
-from .linalg import solve_linear_system
+from .linalg import matvec, solve_linear_system
 
 #: float-mode slack for cost comparisons, and the worst cost gap at
 #: which best-response dynamics stops
@@ -230,7 +230,8 @@ def brouwer_map(game: Game, x) -> MassDistribution:
                 gains[i] = gains[i] + g
                 total = total + g
     denom = 1 + total
-    new_masses = tuple((x.masses[i] + game.r * gains[i]) / denom for i in range(game.n))
+    new_masses = tuple(numeric.quotient(x.masses[i] + game.r * gains[i], denom)
+                       for i in range(game.n))
     return MassDistribution(new_masses, game.r)
 
 
@@ -385,36 +386,28 @@ class EquilibriumFamily:
 
     def contains(self, masses, tol=None) -> tuple:
         """Parameters reproducing `masses` if it lies on the family's
-        affine hull, else None. Nonnegativity is the caller's concern."""
+        affine hull, else None. Nonnegativity is the caller's concern.
+
+        The directions D are independent, so the normal equations
+        D^T D t = D^T (masses - base) fix t for every scalar kind; a
+        point off the hull leaves a mismatch, which `tol` (0 on exact
+        input) rejects."""
         masses = tuple(masses.masses) if isinstance(masses, MassDistribution) else tuple(masses)
         if len(masses) != self.n:
             raise DimensionMismatchError(
                 f"expected {self.n} masses, got {len(masses)}")
-        rows = [[d[i] for d in self.directions] for i in range(self.n)]
-        rhs = [masses[i] - self.base[i] for i in range(self.n)]
-        exact = numeric.all_exact(list(masses) + [v for d in self.directions for v in d]
-                                  + list(self.base))
+        vectors = [masses, self.base, *self.directions]
+        exact = numeric.all_exact([v for vec in vectors for v in vec])
         tol = _tolerance(tol, exact, 1e-7)
-        if exact:
-            solution = solve_linear_system(rows, rhs)
-            if solution.status == "none":
-                return None
-            params = tuple(solution.solution)
-        else:
-            # the exact consistency verdict is meaningless at float
-            # precision; fit the parameters and let `tol` decide
-            import numpy as np
-            fit, *_ = np.linalg.lstsq(
-                np.array([[float(v) for v in row] for row in rows]),
-                np.array([float(v) for v in rhs]), rcond=None)
-            params = tuple(float(t) for t in fit)
-        rebuilt = [self.base[i] + sum(t * d[i] for t, d in zip(params, self.directions))
-                   for i in range(self.n)]
-        if exact:
-            mismatch = max(abs(a - b) for a, b in zip(rebuilt, masses))
-        else:
-            mismatch = max(abs(float(a) - float(b)) for a, b in zip(rebuilt, masses))
-        if mismatch > tol:
+        if not exact:
+            vectors = [[float(v) for v in vec] for vec in vectors]
+        masses, base, *directions = vectors
+        offset = [m - b for m, b in zip(masses, base)]
+        params = solve_linear_system([matvec(directions, d) for d in directions],
+                                     matvec(directions, offset)).solution
+        rebuilt = [b + sum(t * d[i] for t, d in zip(params, directions))
+                   for i, b in enumerate(base)]
+        if max(abs(a - b) for a, b in zip(rebuilt, masses)) > tol:
             return None
         return params
 
@@ -463,56 +456,83 @@ class EquilibriumFamily:
         return points[:count]
 
 
-def _scaled_game(coefficients, offsets, r):
-    """(D, D * coefficients, D * offsets, (p, q) with r = p/q), the one
-    place where a game's scalar kind is decided.
+class _SupportPass:
+    """One support pass over the cost structure (coefficients, offsets, r):
+    the support systems that equalise the values offsets[i] + sum_{j in
+    S} coefficients[j][i] * x_j over each support S, and the gap tests
+    read on their solutions. The equilibrium solver passes the cost
+    matrix M; the utilitarian face search passes M + M^T.
 
-    A rational game (every coefficient, offset and r an int or a
-    Fraction) is scaled by the lcm D of the denominators of its
-    coefficients and offsets, so every scaled entry, p and q are ints. A
-    game with any float entry becomes floats throughout, so each of its
-    support systems is a float system. A Q(sqrt 5) game keeps its own
-    scalars. The last two take D = q = 1.
-    """
-    n = len(offsets)
-    flat = [v for row in coefficients for v in row] + list(offsets)
-    scale = r_den = 1
-    if numeric.rational_types({type(v) for v in flat + [r]}):
-        scale = math.lcm(*(v.denominator for v in flat))
-        flat = [v.numerator * (scale // v.denominator) for v in flat]
-        r, r_den = r.numerator, r.denominator
-    elif not numeric.all_exact(flat + [r]):
-        flat, r = [float(v) for v in flat], float(r)
-    return scale, [flat[j * n:(j + 1) * n] for j in range(n)], flat[n * n:], (r, r_den)
+    The scalar kind is decided once, here. A rational structure (every
+    coefficient, offset and r an int or a Fraction) is scaled by the lcm
+    D of the denominators of its coefficients and offsets, so every
+    scaled entry is an int. A structure with any float entry becomes
+    floats throughout, so each of its support systems is a float system.
+    A Q(sqrt 5) structure keeps its own scalars. The last two take D = 1.
+    `exact` follows from that decision, and with it the pass's
+    comparison slack `tol` and zero mass `zero`: 0 and 0 on an exact
+    pass, EQUILIBRIUM_TOLERANCE and 0.0 on a float one.
 
-
-class _CostGaps:
-    """The per-game rules of a support pass, built once per pass: cost
-    gaps C_j(x) - c of an affine game decided on numerators, and the
-    pass's comparison slack `tol` and zero mass `zero` (0 and 0 on an
-    exact game, EQUILIBRIUM_TOLERANCE and 0.0 on a float one).
-
-    The costs are C_j(x) = b_j + sum_s M[s][j] x_s, with the coefficients
-    and offsets of `_scaled_game`: ints times D on a rational game. A
-    vector and a cost are read as numerators over one positive
-    denominator L: the kernel denominator of their support system (see
-    `LinearSolution`), or a multiple of it once a family is restricted,
-    and 1 for a system that is not rational. Each gap comes out as
-    D*L*(C_j(x) - c), with the sign of C_j(x) - c, and no lcm is taken;
-    on a rational game it is an integer. `numeric.quotient` turns a
-    numerator over its denominator back into a value.
+    The costs are C_j(x) = b_j + sum_s M[s][j] x_s, with the scaled
+    coefficients and offsets. A vector and a cost are read as numerators
+    over one positive denominator L: the denominator of their support
+    system's `LinearSolution`, or a multiple of it once a family is
+    restricted. Each gap comes out as D*L*(C_j(x) - c), with the sign of
+    C_j(x) - c, and no lcm is taken; on a rational pass it is an integer.
+    `numeric.quotient` turns a numerator over its denominator back into
+    a value.
     """
 
-    __slots__ = ("n", "r", "tol", "zero", "scale", "offsets", "columns")
+    __slots__ = ("n", "r", "exact", "tol", "zero", "scale", "offsets", "columns",
+                 "cost_rows", "sum_row")
 
-    def __init__(self, game: Game):
-        self.n, self.r = game.n, game.r
-        self.tol = numeric.auto_tolerance(game.exact, EQUILIBRIUM_TOLERANCE)
-        self.zero = 0 if game.exact else 0.0
-        self.scale, matrix, self.offsets, _ = _scaled_game(*affine_coefficients(game), game.r)
+    def __init__(self, coefficients, offsets, r):
+        n = self.n = len(offsets)
+        self.r = r
+        flat = [v for row in coefficients for v in row] + list(offsets)
+        scale, r_num, r_den = 1, r, 1
+        rational = numeric.rational_types({type(v) for v in flat + [r]})
+        self.exact = rational or numeric.all_exact(flat + [r])
+        if rational:
+            scale = math.lcm(*(v.denominator for v in flat))
+            flat = [v.numerator * (scale // v.denominator) for v in flat]
+            r_num, r_den = r.numerator, r.denominator
+        elif not self.exact:
+            flat, r_num = [float(v) for v in flat], float(r)
+        self.tol = numeric.auto_tolerance(self.exact, EQUILIBRIUM_TOLERANCE)
+        self.zero = 0 if self.exact else 0.0
+        self.scale, self.offsets = scale, flat[n * n:]
+        # the masses of a support sum to r: r_den * sum x = r_num
+        self.sum_row = (r_den, r_num)
+        # D*M[.][i], the dense coefficients of cost i (flat holds M row by row)
+        self.cost_rows = [flat[i:n * n:n] for i in range(n)]
         # nonzero (s, D*M[s][j]) of each cost, sources in increasing order
-        self.columns = [tuple((s, row[j]) for s, row in enumerate(matrix) if row[j] != 0)
-                        for j in range(self.n)]
+        self.columns = [tuple((s, a) for s, a in enumerate(row) if a != 0)
+                        for row in self.cost_rows]
+
+    def systems(self):
+        """Yield (support, LinearSolution) for every consistent support
+        system, supports in bitmask order: the equal-cost rows of the
+        support in (x_S, c), scaled by D, and the sum row scaled by the
+        denominator of r. Scaling rows leaves the solution set as it is,
+        and a rational elimination starts from integers. Inconsistent
+        systems are skipped."""
+        n, scale, cost_rows = self.n, self.scale, self.cost_rows
+        r_den, r_num = self.sum_row
+        targets = [-b for b in self.offsets]
+        for mask in range(1, 1 << n):
+            support = tuple(i for i in range(n) if mask >> i & 1)
+            rows = []
+            rhs = []
+            for i in support:
+                row = cost_rows[i]
+                rows.append([row[j] for j in support] + [-scale])
+                rhs.append(targets[i])
+            rows.append([r_den] * len(support) + [0])
+            rhs.append(r_num)
+            solution = solve_linear_system(rows, rhs)
+            if solution.status != "none":
+                yield support, solution
 
     def gaps(self, nums, cost, vertices, den):
         """D*L*(C_j - cost) for each j in vertices, from numerators over
@@ -525,41 +545,6 @@ class _CostGaps:
                       self.offsets[j] * den) - scaled_cost
 
 
-def support_systems(coefficients, offsets, r):
-    """Yield (support, LinearSolution) for every consistent support system.
-
-    Support S equalises the values offsets[i] + sum_{j in S}
-    coefficients[j][i] * x_j over i in S at a common c, with the masses
-    on S summing to r: a linear system in (x_S, c). The equilibrium
-    solver passes the cost matrix M; the utilitarian face search passes
-    M + M^T. Inconsistent systems are skipped.
-
-    The data take the scalar kind of `_scaled_game`. Rational data are
-    scaled to integers once: the equal-cost rows by the lcm D of the
-    denominators of the coefficients and offsets, the sum row by the
-    denominator of r. Scaling rows leaves the solution set as it is, and
-    the elimination starts from integers.
-    """
-    n = len(offsets)
-    scale, coefficients, offsets, (r_num, r_den) = _scaled_game(coefficients, offsets, r)
-    columns = [[row[i] for row in coefficients] for i in range(n)]
-    targets = [-b for b in offsets]
-    for mask in range(1, 1 << n):
-        support = tuple(i for i in range(n) if mask >> i & 1)
-        k = len(support)
-        rows = []
-        rhs = []
-        for i in support:
-            column = columns[i]
-            rows.append([column[j] for j in support] + [-scale])
-            rhs.append(targets[i])
-        rows.append([r_den] * k + [0])
-        rhs.append(r_num)
-        solution = solve_linear_system(rows, rhs)
-        if solution.status != "none":
-            yield support, solution
-
-
 def solve_affine_by_supports(game: Game) -> list:
     """All equilibria of an affine game, by support enumeration.
 
@@ -569,42 +554,40 @@ def solve_affine_by_supports(game: Game) -> list:
     families; families whose feasible region collapses to one point are
     demoted to points, and points lying inside a family are dropped.
     """
-    return _equilibria_from_systems(game, _equal_cost_systems(game))
+    pass_ = _equal_cost_pass(game)
+    return _equilibria(pass_, pass_.systems())
 
 
-def _equal_cost_systems(game: Game):
-    """The equal-cost support systems of an affine game (`support_systems`
-    with its cost matrix), refused above SUPPORT_ENUMERATION_MAX_N vertices."""
+def _equal_cost_pass(game: Game) -> _SupportPass:
+    """The support pass of an affine game's cost matrix, refused above
+    SUPPORT_ENUMERATION_MAX_N vertices."""
     matrix, offsets = affine_coefficients(game)
     if game.n > SUPPORT_ENUMERATION_MAX_N:
         raise UnsupportedGameError("support enumeration is exponential; use games"
                                    f" with n <= {SUPPORT_ENUMERATION_MAX_N}")
-    return support_systems(matrix, offsets, game.r)
+    return _SupportPass(matrix, offsets, game.r)
 
 
-def _equilibria_from_systems(game: Game, systems) -> list:
-    """The equilibrium set from the equal-cost support systems `systems`;
-    see solve_affine_by_supports.
+def _equilibria(pass_: _SupportPass, systems) -> list:
+    """The equilibrium set from the equal-cost support systems `systems`
+    of `pass_`; see solve_affine_by_supports.
 
     Every test runs on the numerators that the elimination hands over,
-    over their one denominator (see `_CostGaps`): integers on rational
+    over their one denominator (see `_SupportPass`): integers on rational
     games. Values are built only for the points and families that are
     kept.
     """
-    n = game.n
-    gaps = _CostGaps(game)
-
     points = []
     families = []
     for support, solution in systems:
-        den, particular, basis = _over_denominator(solution)
+        den, particular = solution.denominator, solution.numerators
         if solution.status == "unique":
-            point = _accept_point(gaps, support, particular, den)
+            point = _accept_point(pass_, support, particular, den)
             if point is not None:
                 points.append(point)
             continue
-        family = _restrict_family(gaps, support, den,
-                                  _family_vectors(gaps, support, particular, basis))
+        family = _restrict_family(pass_, support, den, _family_vectors(
+            pass_, support, particular, solution.basis_numerators))
         if isinstance(family, EquilibriumFamily):
             families.append(family)
         elif family is not None:
@@ -623,13 +606,13 @@ def _equilibria_from_systems(game: Game, systems) -> list:
         mask = point.bitmask
         covering = [f for f in family_masks if mask & ~f == 0]
         if covering:
-            outside = _outside(n, point.support)
+            outside = _outside(pass_.n, point.support)
             tied = mask | sum(1 << j for j, gap in
-                              zip(outside, gaps.gaps(masses, cost, outside, den))
-                              if abs(gap) <= gaps.tol)
+                              zip(outside, pass_.gaps(masses, cost, outside, den))
+                              if abs(gap) <= pass_.tol)
             if any(f & ~tied == 0 for f in covering):
                 continue
-        key = (tuple(point.x.masses) if game.exact
+        key = (tuple(point.x.masses) if pass_.exact
                else tuple(round(float(m), 9) for m in point.x.masses))
         if key in seen:
             continue
@@ -639,69 +622,60 @@ def _equilibria_from_systems(game: Game, systems) -> list:
     return sorted(kept_points + families, key=lambda e: e.bitmask)
 
 
-def _over_denominator(solution):
-    """(den, particular, basis) of a consistent LinearSolution: the
-    integer numerators of a rational system over its positive kernel
-    denominator, and any other solution itself over den = 1."""
-    if solution.denominator is None:
-        return 1, solution.solution, solution.basis
-    return solution.denominator, solution.numerators, solution.basis_numerators
-
-
 def _outside(n, support):
     return [j for j in range(n) if j not in support]
 
 
-def _family_vectors(gaps, support, particular, basis):
+def _family_vectors(pass_, support, particular, basis):
     """(base, cost_base, directions, cost_dirs) of a support system's
     solution: each vector of the system (masses on the support, then the
     common cost) placed on the n vertices, with zero elsewhere."""
     k = len(support)
     placed = []
     for vec in (particular, *basis):
-        masses = [gaps.zero] * gaps.n
+        masses = [pass_.zero] * pass_.n
         for s, m in zip(support, vec):
             masses[s] = m
         placed.append(tuple(masses))
     return placed[0], particular[k], tuple(placed[1:]), tuple(vec[k] for vec in basis)
 
 
-def _accept_point(gaps, support, values, den):
+def _accept_point(pass_, support, values, den):
     """(point, den, masses, cost) for the equilibrium whose masses on the
     support and common cost are values / den, or None when a mass is
     negative or an off-support vertex costs less. masses and cost are the
     numerators, masses placed on all n vertices."""
-    tol = gaps.tol
+    tol = pass_.tol
     # most systems fail on a mass sign, so it is read first
     if any(m < -tol for m in values[:len(support)]):
         return None
-    masses = _masses(gaps, support, values)
+    masses = _masses(pass_, support, values)
     cost = values[len(support)]
-    if any(gap < -tol for gap in gaps.gaps(masses, cost, _outside(gaps.n, support), den)):
+    if any(gap < -tol for gap in pass_.gaps(masses, cost, _outside(pass_.n, support), den)):
         return None
-    return _point(gaps, masses, cost, den)
+    return _point(pass_, masses, cost, den)
 
 
-def _masses(gaps, support, values):
+def _masses(pass_, support, values):
     """The masses on the support in values placed on the n vertices;
     masses that are not positive (float masses within tol below zero)
     count as zero."""
-    masses = [gaps.zero] * gaps.n
+    masses = [pass_.zero] * pass_.n
     for s, m in zip(support, values):
         if m > 0:
             masses[s] = m
     return masses
 
 
-def _point(gaps, masses, cost, den):
+def _point(pass_, masses, cost, den):
     """(point, den, masses, cost) for the nonnegative masses / den of
     common cost cost / den; only here do points build their values."""
-    x = MassDistribution(tuple(numeric.quotient(m, den) if m > 0 else gaps.zero
-                               for m in masses), gaps.r)
+    x = MassDistribution(tuple(numeric.quotient(m, den) if m > 0 else pass_.zero
+                               for m in masses), pass_.r)
     return EquilibriumPoint(x, numeric.quotient(cost, den), x.support()), den, masses, cost
 
 
-def _family_rows(gaps, support, den, base, cost_base, directions, cost_dirs):
+def _family_rows(pass_, support, den, base, cost_base, directions, cost_dirs):
     """Feasibility rows (value at base, coefficient per direction), each
     meaning >= 0, of the family (base + sum_k t_k * directions[k]) / den:
     masses on the support stay nonnegative, and every off-support vertex
@@ -709,12 +683,12 @@ def _family_rows(gaps, support, den, base, cost_base, directions, cost_dirs):
     C_j - c along a direction is its gap with the offsets dropped. Every
     row is D*den times the row in t, so integer numerators give integer
     rows."""
-    scale = gaps.scale
+    scale = pass_.scale
     rows = [(scale * base[s], [scale * d[s] for d in directions]) for s in support]
-    outside = _outside(gaps.n, support)
-    slopes = [list(gaps.gaps(d, dc, outside, 0)) for d, dc in zip(directions, cost_dirs)]
+    outside = _outside(pass_.n, support)
+    slopes = [list(pass_.gaps(d, dc, outside, 0)) for d, dc in zip(directions, cost_dirs)]
     rows.extend((value, [column[idx] for column in slopes])
-                for idx, value in enumerate(gaps.gaps(base, cost_base, outside, den)))
+                for idx, value in enumerate(pass_.gaps(base, cost_base, outside, den)))
     return rows
 
 
@@ -741,11 +715,11 @@ def _fold(vectors, scale, t0, units):
     return new_base, new_cost, new_dirs, new_cdirs
 
 
-def _restrict_family(gaps, support, den, vectors):
+def _restrict_family(pass_, support, den, vectors):
     """Clip a solution family to the feasible region.
 
     vectors = (base, cost_base, directions, cost_dirs) are numerators
-    over den (see `_over_denominator`). One-parameter families get an
+    over den (see `LinearSolution`). One-parameter families get an
     exact interval, and one that collapses to a point becomes that
     point. Multi-parameter families keep their constraint rows;
     `polytope.implicit_equalities` finds the constraints that bind
@@ -754,26 +728,26 @@ def _restrict_family(gaps, support, den, vectors):
     into the linear system, so a region pinched to a lower dimension is
     re-derived at its true size (possibly a single point).
     """
-    n = gaps.n
-    rows = _family_rows(gaps, support, den, *vectors)
+    n = pass_.n
+    rows = _family_rows(pass_, support, den, *vectors)
 
     if len(vectors[2]) == 1:
-        bounds = polytope.interval(rows, gaps.tol)
+        bounds = polytope.interval(rows, pass_.tol)
         if bounds is None:
             return None
         lo, hi = bounds
-        if hi - lo <= gaps.tol:
+        if hi - lo <= pass_.tol:
             # every row holds at t = lo = num / q, so the point needs no
             # second test
             num, q = (lo.numerator, lo.denominator) if isinstance(lo, Fraction) else (lo, 1)
             base, cost = _fold(vectors, q, (num,), ())[:2]
-            return _point(gaps, _masses(gaps, support, [base[s] for s in support]),
+            return _point(pass_, _masses(pass_, support, [base[s] for s in support]),
                           cost, q * den)
-        return EquilibriumFamily(n, gaps.r, support, *_values(den, vectors), (lo, hi))
+        return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), (lo, hi))
 
     # rows that bind across the whole region squeeze it into a
     # lower-dimensional slice
-    equalities = polytope.implicit_equalities(rows, gaps.tol)
+    equalities = polytope.implicit_equalities(rows, pass_.tol)
     if equalities is None:
         return None
     tight = [rows[i] for i in equalities if any(c != 0 for c in rows[i][1])]
@@ -785,15 +759,15 @@ def _restrict_family(gaps, support, den, vectors):
     # full constraint polytope
     if reduced is None or reduced.status == "none":
         # each row is D*den times the row in t
-        return EquilibriumFamily(n, gaps.r, support, *_values(den, vectors), None, "",
-                                 tuple(_values(gaps.scale * den, rows)))
-    q, t0, units = _over_denominator(reduced)
+        return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), None, "",
+                                 tuple(_values(pass_.scale * den, rows)))
+    q, t0, units = reduced.denominator, reduced.numerators, reduced.basis_numerators
     folded = _fold(vectors, q, t0, units)
     if reduced.status == "unique":
         new_base, new_cost = folded[:2]
-        return _accept_point(gaps, support, [new_base[s] for s in support] + [new_cost],
+        return _accept_point(pass_, support, [new_base[s] for s in support] + [new_cost],
                              q * den)
-    return _restrict_family(gaps, support, q * den, folded)
+    return _restrict_family(pass_, support, q * den, folded)
 
 
 def family_cost_range(game, family: EquilibriumFamily):

@@ -138,10 +138,14 @@ class PolynomialCost:
         return total
 
     def as_affine(self):
-        if any(c != 0 for c in self.coeffs[2:]):
+        higher = self.coeffs[2:]
+        if any(c != 0 for c in higher):
             return None
+        # the zero higher coefficients are added to both parts, so a float
+        # zero among them keeps the form float
+        zero = sum(higher)
         a = self.coeffs[1] if len(self.coeffs) > 1 else 0
-        return (a, self.coeffs[0])
+        return (a + zero, self.coeffs[0] + zero)
 
     def max_degree(self):
         degree = 0
@@ -304,6 +308,9 @@ class Game:
         _require_positive_mass(r)
         game = cls(n=n, r=r, kind="graphical",
                    vertex_costs=vertex_costs, influence=influence)
+        if not game.exact and float(r) == 0:
+            raise ValueError(f"total mass {numeric.scalar_text(r)} is 0.0 as a float,"
+                             " and a game with float data computes in floats")
         object.__setattr__(game, "warnings", tuple(validate_game(game)))
         return game
 

@@ -10,8 +10,9 @@ and Q(sqrt 5) ones; a determinant is read off that elimination.
 The fraction-free elimination ends with every pivot row equal to the
 last pivot times the reduced row, so a rational solution comes out as
 integer numerators over that one denominator (Bareiss, Math. Comp. 22,
-1968). `LinearSolution` hands those integers on as they are and builds
-its Fractions only when they are read.
+1968). `LinearSolution` hands every solution on in that one form, float
+and Q(sqrt 5) ones as their values over 1, and builds the values only
+when they are read.
 """
 
 from __future__ import annotations
@@ -184,54 +185,44 @@ class LinearSolution:
 
     status is one of "unique", "family", "none". For a family, `solution`
     is one particular solution and `basis` spans the kernel of A.
-    Entries at pivot columns come from the reduced rows (Fractions for
-    rational input); free columns hold the literal 0 and 1 (0.0 and 1.0
-    for float input).
 
-    For rational input that is consistent, `numerators` and
-    `basis_numerators` hold the same vectors as integers over one
-    positive `denominator`: the last pivot of the fraction-free
-    elimination, with its sign moved onto the numerators. A free column
-    holds 0, or the denominator itself in its own basis vector.
-    `solution` and `basis` are built from them on first read. All three
-    are None for float and Q(sqrt 5) input and for "none".
+    A consistent system carries both vectors as `numerators` and
+    `basis_numerators` over one positive `denominator`. For rational
+    input the numerators are integers and the denominator is the last
+    pivot of the fraction-free elimination, with its sign moved onto the
+    numerators; for float and Q(sqrt 5) input the numerators are the
+    values themselves over 1. A free column holds 0, or the denominator
+    itself in its own basis vector. `solution` and `basis` are built on
+    first read: entries at pivot columns by `numeric.quotient` (Fractions
+    for rational input), free columns the literal 0 and 1 (0.0 and 1.0
+    for float input). For "none" the numerators and `solution` are None
+    and `basis` is ().
 
     Equality, hashing and repr go by (status, solution, basis).
     """
 
-    denominator = numerators = basis_numerators = None
-
-    def __init__(self, status, solution, basis):
-        self.status = status
-        self.solution = solution
-        self.basis = basis
-
-    @classmethod
-    def _from_numerators(cls, status, pivots, denominator, numerators, basis_numerators):
-        self = cls.__new__(cls)
+    def __init__(self, status, pivots, denominator, numerators, basis_numerators):
         self.status, self._pivots = status, pivots
         self.denominator, self.numerators = denominator, numerators
         self.basis_numerators = basis_numerators
-        return self
 
-    def _fractions(self, vector):
-        den = self.denominator
-        # a free column holds 0 or den, the literal 0 or 1
-        return tuple(Fraction(v, den) if col in self._pivots else v // den
+    def _values(self, vector):
+        den, pivots = self.denominator, self._pivots
+        # a free column holds 0 or den: the literal 0 or 1
+        return tuple(numeric.quotient(v, den) if col in pivots else v // den
                      for col, v in enumerate(vector))
 
-    # instance values set by __init__ take precedence over these
     @functools.cached_property
     def solution(self):
-        return self._fractions(self.numerators)
+        return None if self.numerators is None else self._values(self.numerators)
 
     @functools.cached_property
     def basis(self) -> tuple:
-        return tuple(self._fractions(vec) for vec in self.basis_numerators)
+        return tuple(self._values(vec) for vec in self.basis_numerators)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis if self.denominator is None else self.basis_numerators)
+        return len(self.basis_numerators)
 
     def _key(self):
         return self.status, self.solution, self.basis
@@ -254,45 +245,40 @@ def _solve(a_rows, rhs):
     if len(a_rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     if not a_rows:
-        return LinearSolution("unique", (), ()), lambda: 1
+        return LinearSolution("unique", [], 1, (), ()), lambda: 1
     n_cols = len(a_rows[0])
     kind, pivots, reduced, last, det = _reduce(
         [list(row) + [b] for row, b in zip(a_rows, rhs)])
     if n_cols in pivots:
-        return LinearSolution("none", None, ()), det
+        return LinearSolution("none", pivots, None, None, ()), det
     free_cols = [c for c in range(n_cols) if c not in pivots]
-    status = "family" if free_cols else "unique"
-    rational = kind == _RATIONAL
-    # rational entries stay integers over the last pivot, whose sign moves
-    # onto them; a free column's 1 is then the denominator itself
-    sign = -1 if rational and last < 0 else 1
+    # entries stay numerators over the last pivot (1 off the rationals),
+    # whose sign moves onto them; a free column's 1 is then the
+    # denominator itself
+    sign = -1 if last < 0 else 1
     zero = 0.0 if kind == _FLOAT else 0
-    one = sign * last if rational else zero + 1
+    den = sign * last
     particular = [zero] * n_cols
     for i, col in enumerate(pivots):
         particular[col] = sign * reduced[i][n_cols]
     basis = []
     for free in free_cols:
         direction = [zero] * n_cols
-        direction[free] = one
+        direction[free] = den + zero
         for i, col in enumerate(pivots):
             direction[col] = -sign * reduced[i][free]
         basis.append(tuple(direction))
-    if rational:
-        return LinearSolution._from_numerators(status, pivots, one, tuple(particular),
-                                               tuple(basis)), det
-    return LinearSolution(status, tuple(particular), tuple(basis)), det
+    return LinearSolution("family" if free_cols else "unique", pivots, den,
+                          tuple(particular), tuple(basis)), det
 
 
 def solve_linear_system(a_rows, rhs) -> LinearSolution:
     """Solve A x = b, classifying the solution set exactly when possible.
 
-    Entries of the particular solution and the basis at pivot columns come
-    from the reduced rows (Fractions for rational input); free columns hold
-    the literal 0 and 1 (0.0 and 1.0 for float input). Rational input
-    also gives them as integer numerators over one positive denominator,
-    and builds the Fractions only when `solution` or `basis` is read (see
-    `LinearSolution`).
+    The particular solution and the basis come as numerators over one
+    positive denominator, integers over the last pivot for rational input
+    and the values over 1 otherwise; `solution` and `basis` are built
+    from them when read (see `LinearSolution`).
     """
     return _solve(a_rows, rhs)[0]
 

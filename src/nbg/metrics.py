@@ -8,7 +8,7 @@ the denominators need a search over the whole simplex.
 
 On affine games with at most SUPPORT_ENUMERATION_MAX_N (16) vertices
 both optima are exact. Each is the least point over the nonsingular
-support systems of `equilibrium.support_systems` with nonnegative
+support systems of an `equilibrium._SupportPass` with nonnegative
 masses: face stationarity systems (M + M^T) for the utilitarian cost,
 equal-cost systems (M) for the egalitarian one. Singular systems add no
 candidate (see `_least_support_point`), so no linear program runs.
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numeric
-from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily, _CostGaps,
-                          _affine_or_none, _equal_cost_systems,
-                          _equilibria_from_systems, _masses, _over_denominator,
-                          family_cost_range, support_systems)
+from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily, _affine_or_none,
+                          _equal_cost_pass, _equilibria, _masses, _SupportPass,
+                          family_cost_range)
 from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
 from .simplexopt import multistart_minimize, project_to_simplex
@@ -52,7 +51,7 @@ def social_costs(game: Game, x) -> SocialCostPair:
     total = 0
     for i in range(game.n):
         total = total + x.masses[i] * costs[i]
-    utilitarian = total / game.r
+    utilitarian = numeric.quotient(total, game.r)
     egalitarian = max(costs[i] for i in x.support())
     return SocialCostPair(utilitarian, egalitarian)
 
@@ -65,10 +64,10 @@ class OptimumResult:
     method: str
 
 
-def _least_support_point(game: Game, systems, value):
+def _least_support_point(pass_: _SupportPass, systems, value):
     """The masses of the least-valued point among the unique support
-    systems in `systems` whose masses are nonnegative; `value` maps
-    (masses, common value c of the system) to a key that orders the
+    systems `systems` of `pass_` whose masses are nonnegative; `value`
+    maps (masses, common value c of the system) to a key that orders the
     points as the objective does.
 
     Both optima of an affine game are found this way.
@@ -105,8 +104,7 @@ def _least_support_point(game: Game, systems, value):
     give x^T (M + M^T) x = c r - b.x on the support, with b the offsets,
     so r times the utilitarian cost, b.x + x^T M x, is (c r + b.x) / 2.
     """
-    gaps = _CostGaps(game)
-    tol = gaps.tol
+    tol = pass_.tol
     best = None
     for support, solution in systems:
         if solution.status != "unique":
@@ -114,22 +112,22 @@ def _least_support_point(game: Game, systems, value):
         k = len(support)
         # the numerators have the signs of the masses, and the values are
         # built only for candidates
-        if any(m < -tol for m in _over_denominator(solution)[1][:k]):
+        if any(m < -tol for m in solution.numerators[:k]):
             continue
-        point = _masses(gaps, support, solution.solution)
+        point = _masses(pass_, support, solution.solution)
         candidate = value(point, solution.solution[k])
         if best is None or candidate < best[1]:
             best = (point, candidate)
     return best[0]
 
 
-def _exact_egalitarian_minimum(game: Game, systems) -> OptimumResult:
-    """Global egalitarian minimum of an affine game from its equal-cost
-    support systems `systems`, with method "supports"."""
-    point = _least_support_point(game, systems, lambda point, cost: cost)
+def _exact_egalitarian_minimum(game: Game, pass_: _SupportPass, systems) -> OptimumResult:
+    """Global egalitarian minimum of an affine game from the equal-cost
+    support systems `systems` of its pass `pass_`, with method "supports"."""
+    point = _least_support_point(pass_, systems, lambda point, cost: cost)
     x = distribution(point, game.r)
     value = social_costs(game, x).egalitarian
-    return OptimumResult(x, value, game.exact and x.exact, "supports")
+    return OptimumResult(x, value, pass_.exact and x.exact, "supports")
 
 
 def _exact_utilitarian_minimum(game: Game, matrix, offsets) -> OptimumResult:
@@ -137,13 +135,14 @@ def _exact_utilitarian_minimum(game: Game, matrix, offsets) -> OptimumResult:
     of M + M^T, with method "faces"."""
     n, r = game.n, game.r
     symmetric = [[matrix[j][i] + matrix[i][j] for i in range(n)] for j in range(n)]
+    faces = _SupportPass(symmetric, offsets, r)
     # twice r times the utilitarian cost (see _least_support_point)
     point = _least_support_point(
-        game, support_systems(symmetric, offsets, r),
+        faces, faces.systems(),
         lambda point, c: c * r + sum(b * m for b, m in zip(offsets, point)))
     x = distribution(point, r)
     value = social_costs(game, x).utilitarian
-    return OptimumResult(x, value, game.exact and x.exact, "faces")
+    return OptimumResult(x, value, faces.exact and x.exact, "faces")
 
 
 def _fd_gradient(objective, v, h=1e-7):
@@ -175,7 +174,8 @@ def min_social_cost(game: Game, which="utilitarian") -> OptimumResult:
     affine_parts = _affine_or_none(game)
     if affine_parts is not None and n <= SUPPORT_ENUMERATION_MAX_N:
         if which == "egalitarian":
-            return _exact_egalitarian_minimum(game, _equal_cost_systems(game))
+            pass_ = _equal_cost_pass(game)
+            return _exact_egalitarian_minimum(game, pass_, pass_.systems())
         return _exact_utilitarian_minimum(game, *affine_parts)
 
     pool = []
@@ -264,10 +264,11 @@ def price_report(game: Game) -> PriceReport:
     if _affine_or_none(game) is None:
         raise UnsupportedGameError("price report needs an affine game")
 
-    # the equilibrium set and the egalitarian optimum share these systems;
-    # _equal_cost_systems refuses games above the support cap
-    systems = list(_equal_cost_systems(game))
-    equilibria = _equilibria_from_systems(game, systems)
+    # the equilibrium set and the egalitarian optimum share one pass and
+    # its systems; _equal_cost_pass refuses games above the support cap
+    pass_ = _equal_cost_pass(game)
+    systems = list(pass_.systems())
+    equilibria = _equilibria(pass_, systems)
     if not equilibria:
         raise NbgError("no equilibrium found; affine costs should admit one")
 
@@ -289,7 +290,7 @@ def price_report(game: Game) -> PriceReport:
     worst_eq = max(highs)
 
     opt_u = min_social_cost(game, "utilitarian")
-    opt_e = _exact_egalitarian_minimum(game, systems)
+    opt_e = _exact_egalitarian_minimum(game, pass_, systems)
 
     flags = {
         "optimum_u": opt_u.exact,

@@ -15,6 +15,7 @@ from nbg import (Digraph, Game, affine, braess_game, cycle_closed_form,
                  make_family, polynomial, potential_maximum_game,
                  solve_affine_by_supports, star_closed_form)
 from nbg.cli import main
+from nbg.closed_forms import ScanReport, ScanRow
 from nbg.reproduce import Recorder
 from nbg.serialize import load_game, save_distribution, save_game
 
@@ -156,14 +157,11 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == "error: --starts must be nonnegative, got -3\n"
 
-    def test_dynamics_method(self, capsys, files):
-        code, out, _ = run(capsys, "solve", files / "braess.json",
-                           "--method", "dynamics", "--x0", "0,1",
-                           "--steps", "2000")
-        assert code == 0
-        assert "iterations: 50" in out
-        assert "converged: yes" in out
-        assert "final: (1/2, 1/2)" in out
+    def test_dynamics_is_its_own_command(self, capsys, files):
+        code, out, err = run(capsys, "solve", files / "braess.json",
+                             "--method", "dynamics")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'dynamics'" in err
 
     def test_uniform_cost_unique(self, capsys, files, tmp_path):
         game = make_path_file(capsys, tmp_path, 4, "1/2", "p4.json")
@@ -385,6 +383,18 @@ class TestScanDet:
         assert "rows: 6" in out
         assert "counterexample candidates: 0" in out
 
+    def test_counterexample_exits_1(self, capsys, monkeypatch):
+        # no grid reaches a counterexample, so the scan is replaced by one
+        # that reports a singular row
+        row = ScanRow("path", 3, Fraction(1, 4), Fraction(0), False, False, (), None)
+        monkeypatch.setattr("nbg.cli.conjecture_scan",
+                            lambda family, sizes, alphas: ScanReport(family, (row,)))
+        code, out, _ = run(capsys, "scan-det", "--family", "path", "--n-max", "3")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "counterexample candidates: 1",
+            "counterexample: n=3 alpha=1/4 det=0 unique=false nonneg=false"]
+
     def test_empty_range_rejected(self, capsys):
         code, _, err = run(capsys, "scan-det", "--family", "path",
                            "--n-max", "1")
@@ -438,11 +448,17 @@ class TestDynamics:
         assert "equilibrium: no" in out
 
     def test_negative_iteration_cap_rejected(self, capsys, files):
-        for args in (("dynamics",), ("solve", "--method", "dynamics")):
-            code, out, err = run(capsys, *args, files / "braess.json",
-                                 "--steps", "-1")
-            assert (code, out) == (2, "")
-            assert err == "error: --steps must be nonnegative, got -1\n"
+        code, out, err = run(capsys, "dynamics", files / "braess.json",
+                             "--steps", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --steps must be nonnegative, got -1\n"
+
+    def test_readme_example_matches_its_golden(self, capsys):
+        # the README's example: 40 steps stop short of the equilibrium
+        code, out, _ = run(capsys, "dynamics", CLI_GOLDEN.parent / "game_braess.json",
+                           "--x0", "1,0", "--steps", "40")
+        assert code == 1
+        assert out == (CLI_GOLDEN / "dynamics_braess.txt").read_text(encoding="utf-8")
 
 
 #: the full stdout of `nbg reproduce --all`
@@ -628,8 +644,6 @@ class TestNonFiniteInput:
         for step in ("nan", "1e400"):
             self.check_rejected(capsys, "dynamics", files / "braess.json",
                                 "--step", step)
-            self.check_rejected(capsys, "solve", files / "braess.json",
-                                "--method", "dynamics", "--step", step)
 
     def test_tolerance(self, capsys, files):
         for tol in ("nan", "inf", "-1"):

@@ -16,7 +16,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  price_report, solve_affine_by_supports, three_equilibria_game,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
-from nbg.equilibrium import support_systems
+from nbg.equilibrium import _SupportPass
 from util import (dense_costs, families_of, family_matches, grid_delta_strong,
                   is_equilibrium_oracle, point_masses,
                   random_affine_symmetric_game, random_affine_game,
@@ -344,7 +344,7 @@ def test_points_on_a_family_are_dropped_and_no_others(game):
     matrix, offsets = affine_coefficients(game)
     tol = 0 if game.exact else 1e-9
     zero = 0 * game.r
-    for support, solution in support_systems(matrix, offsets, game.r):
+    for support, solution in _SupportPass(matrix, offsets, game.r).systems():
         masses = [zero] * game.n
         for idx, s in enumerate(support):
             masses[s] = solution.solution[idx]
@@ -581,6 +581,11 @@ class TestBrouwerMap:
         assert all(isinstance(m, Fraction) for m in image.masses)
         # mass flows off the costlier vertex
         assert image.masses[0] < Fraction(1, 2)
+
+    def test_integer_input_stays_exact(self):
+        image = brouwer_map(make_family("path", 1, n=3), (1, 0, 0))
+        assert image.masses == (Fraction(1, 2), 0, Fraction(1, 2))
+        assert all(type(m) is Fraction for m in image.masses)
 
     def test_iteration_drifts_to_the_basin_attractor(self):
         game = dilemma_game()

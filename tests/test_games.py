@@ -101,6 +101,12 @@ class TestCostForms:
         assert polynomial([1, 2, 0]).as_affine() == (2, 1)
         assert polynomial([1, 2, 3]).as_affine() is None
 
+    def test_float_zero_coefficient_keeps_the_affine_form_float(self):
+        # float data anywhere makes the game float, a zero t^2 term too
+        a, b = polynomial([1, 2, 0.0]).as_affine()
+        assert (a, b) == (2, 1)
+        assert type(a) is type(b) is float
+
     def test_max_degree(self):
         assert constant(4).max_degree() == 0
         assert affine(0, 4).max_degree() == 0
@@ -216,6 +222,14 @@ class TestGameConstruction:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 Game.graphical(1, bad, [constant(1)], inf)
+
+    def test_total_mass_below_float_range_rejected_with_float_data(self):
+        # float costs are computed in floats, where this total is 0.0
+        tiny = Fraction(1, 10 ** 400)
+        inf = influence_from_triples(2, [])
+        with pytest.raises(ValueError, match="0.0 as a float"):
+            Game.graphical(2, tiny, [constant(0), affine(0, 0.25)], inf)
+        assert Game.graphical(2, tiny, [constant(0), affine(0, Fraction(1, 4))], inf).exact
 
     def test_exactness(self):
         inf = influence_from_triples(2, [(0, 1, Fraction(1, 2))])

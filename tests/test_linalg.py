@@ -340,7 +340,8 @@ def test_rational_solutions_hand_over_integer_numerators(a, consistent, data):
         rhs = data.draw(st.lists(scalars, min_size=len(a), max_size=len(a)))
     result = solve_linear_system(a, rhs)
     if result.status == "none":
-        assert result.denominator is result.numerators is result.basis_numerators is None
+        assert result.numerators is result.solution is None
+        assert result.basis_numerators == result.basis == ()
         return
     den = result.denominator
     assert type(den) is int and den > 0
@@ -380,7 +381,7 @@ def test_a_negative_last_pivot_moves_its_sign_onto_the_numerators(a, rhs):
 @pytest.mark.parametrize("kind", ["quadratic", "float"])
 @settings(max_examples=40)
 @given(data=st.data())
-def test_float_and_quadratic_solutions_carry_no_integers(kind, data):
+def test_float_and_quadratic_solutions_are_their_own_numerators(kind, data):
     entries = ENTRY_KINDS[kind]
     a = data.draw(matrices(max_rows=4, entries=entries))
     rhs = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
@@ -390,6 +391,13 @@ def test_float_and_quadratic_solutions_carry_no_integers(kind, data):
         # a drawn -PHI plus a rational cancels the sqrt 5 part
         assume(isinstance(rhs[0], QuadExt))
     result = solve_linear_system(a, rhs)
-    assert result.denominator is result.numerators is result.basis_numerators is None
     assert result == solve_linear_system(a, rhs)
     assert len(result.basis) == result.dimension
+    # off the rationals the denominator is 1 and the numerators are the values
+    if result.status == "none":
+        assert result.numerators is result.solution is None
+        assert result.basis_numerators == result.basis == ()
+        return
+    assert result.denominator == 1
+    assert result.numerators == result.solution
+    assert result.basis_numerators == result.basis

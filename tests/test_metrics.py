@@ -16,7 +16,7 @@ from nbg import (EquilibriumFamily, Game, UnsupportedGameError, affine,
                  potential_maximum_game, price_report, social_costs,
                  solve_affine_by_supports, stability_gap_game,
                  unbounded_anarchy_game)
-from nbg.equilibrium import support_systems
+from nbg.equilibrium import _SupportPass
 from util import (random_affine_game, random_affine_symmetric_game,
                   random_linear_symmetric_game, random_masses,
                   utilitarian_oracle)
@@ -35,6 +35,11 @@ class TestSocialCosts:
         # vertex 2 would cost 2 but carries no mass
         assert pair.utilitarian == 1
         assert pair.egalitarian == 1
+
+    def test_integer_input_stays_exact(self):
+        pair = social_costs(make_family("path", 1, n=2), (1, 0))
+        assert pair.utilitarian == 1
+        assert type(pair.utilitarian) is Fraction
 
     def test_utilitarian_never_exceeds_egalitarian(self):
         rng = random.Random(127)
@@ -182,6 +187,18 @@ class TestPriceReport:
         report = price_report(unbounded_anarchy_game(2.0))
         assert float(report.poa_u) == pytest.approx(1.5, abs=1e-9)
         assert not report.exact["poa_u"]
+
+    def test_a_float_zero_coefficient_makes_every_number_an_estimate(self):
+        # a zero t^2 coefficient of 0.0 is float data, so the game is
+        # solved in floats and no figure of the report is exact
+        path = make_family("path", Fraction(1, 2), n=3)
+        game = Game.graphical(3, path.r, (polynomial((0, 1, 0.0)),) + path.vertex_costs[1:],
+                              path.influence)
+        assert not game.exact
+        (point,) = solve_affine_by_supports(game)
+        assert point.x.masses == (0.5, 0.0, 0.5)
+        assert all(type(m) is float for m in point.x.masses)
+        assert not any(price_report(game).exact.values())
 
     def test_stability_family_ratio(self):
         for lam in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 2)):
@@ -337,7 +354,7 @@ def face_family_oracle(game):
     symmetric = [[matrix[j][i] + matrix[i][j] for i in range(n)]
                  for j in range(n)]
     best = None
-    for support, solution in support_systems(symmetric, offsets, game.r):
+    for support, solution in _SupportPass(symmetric, offsets, game.r).systems():
         k = len(support)
         base = solution.solution[:k]
         directions = [vec[:k] for vec in solution.basis]

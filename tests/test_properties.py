@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from nbg import (EquilibriumFamily, EquilibriumPoint, Game, affine,
                  family_cost_range, influence_from_triples, make_family,
                  solve_affine_by_supports, verify_equilibrium)
-from nbg.equilibrium import _CostGaps, _family_rows, _values
+from nbg.equilibrium import _equal_cost_pass, _family_rows, _values
 
 scalars = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
@@ -152,12 +152,12 @@ def test_stored_constraints_are_the_rows_of_the_family_values(game):
     # values over den = 1 and divided by the game's scale D, are the
     # constraints it stores, in the same order; few random games have
     # such a family, the two examples have several
-    gaps = _CostGaps(game)
+    pass_ = _equal_cost_pass(game)
     for family in split(solve_affine_by_supports(game))[1].values():
         if family.interval is None:
-            rows = _family_rows(gaps, family.support, 1, family.base, family.cost_base,
+            rows = _family_rows(pass_, family.support, 1, family.base, family.cost_base,
                                 family.directions, family.cost_directions)
-            assert family.constraints == tuple(_values(gaps.scale, rows))
+            assert family.constraints == tuple(_values(pass_.scale, rows))
 
 
 @settings(max_examples=60)
