@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import io
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -30,13 +29,9 @@ from .errors import InputFormatError, NbgError, UnsupportedGameError
 from .games import Game, classify
 from .metrics import price_report
 from .numeric import short_text, vector_text
-from .potential import DEFAULT_STARTS, minimize_potential, potential
+from .potential import minimize_potential, potential
 from .serialize import (load_distribution, load_game, parse_masses,
                         parse_scalar_text, save_game)
-
-
-def _seed() -> int:
-    return int(os.environ.get("NBG_SEED", "0"))
 
 
 def _require_count(option, value):
@@ -139,8 +134,7 @@ def cmd_solve(args) -> int:
     if args.method == "supports":
         return _print_equilibria(game, solve_affine_by_supports(game))
     if args.method == "potential":
-        _require_count("--starts", args.starts)
-        minima = minimize_potential(game, starts=args.starts, seed=_seed())
+        minima = minimize_potential(game)
         print(f"potential minima found: {len(minima)}")
         ok = bool(minima)
         for index, x in enumerate(minima, 1):
@@ -263,21 +257,17 @@ def cmd_scan_det(args) -> int:
 # dynamics
 
 
-def _run_dynamics(game: Game, args, keep_trace):
+def cmd_dynamics(args) -> int:
     """Best-response dynamics from --x0 (default: the uniform split), with
-    chunk --step and iteration cap --steps; returns (start, result)."""
+    chunk --step and iteration cap --steps."""
+    game = load_game(args.game)
     _require_count("--steps", args.steps)
     # a loaded total mass is a Fraction or a float, so the split stays exact
     x0 = game.distribution(parse_masses(args.x0) if args.x0
                            else [game.r / game.n] * game.n)
     step = parse_scalar_text(args.step) if args.step else None
-    return x0, best_response_dynamics(game, x0, step=step, max_iters=args.steps,
-                                      keep_trace=keep_trace)
-
-
-def cmd_dynamics(args) -> int:
-    game = load_game(args.game)
-    x0, run = _run_dynamics(game, args, keep_trace=bool(args.csv))
+    run = best_response_dynamics(game, x0, step=step, max_iters=args.steps,
+                                 keep_trace=bool(args.csv))
     print(f"start: {vector_text(x0.masses)}")
     print(f"iterations: {run.iterations}")
     print(f"final step size: {short_text(run.final_step)}")
@@ -352,8 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="game JSON file")
     p.add_argument("--method", default="supports",
                    choices=("supports", "potential", "uniform-cost"))
-    p.add_argument("--starts", type=int, default=DEFAULT_STARTS,
-                   help="multistart count for the potential method")
     p.add_argument("--graph", default="general",
                    choices=("path", "cycle", "general"),
                    help="graph kind for the uniform-cost method")

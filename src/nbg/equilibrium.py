@@ -770,14 +770,13 @@ def _restrict_family(pass_, support, den, vectors):
     return _restrict_family(pass_, support, q * den, folded)
 
 
-def family_cost_range(game, family: EquilibriumFamily):
+def family_cost_range(family: EquilibriumFamily):
     """Extremes of the common cost over a family: (low, high, exact).
 
     The cost is affine in the family parameters, so one-parameter families
     give exact interval endpoints; larger families are bounded by linear
     programming over the family's own region (`EquilibriumFamily._region`,
-    float, inexact). The family carries all that the range reads; `game`
-    stays in the signature for the callers that pass it.
+    float, inexact).
     """
     if family.dimension == 1 and family.interval is not None:
         lo, hi = family.interval

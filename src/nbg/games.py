@@ -67,18 +67,12 @@ class MassDistribution:
     def exact(self) -> bool:
         return numeric.all_exact(self.masses) and numeric.is_exact_scalar(self.total)
 
-    def charge_tolerance(self, tol=None):
-        return numeric.auto_tolerance(self.exact, CHARGE_TOLERANCE) if tol is None else tol
+    def charge_tolerance(self):
+        return numeric.auto_tolerance(self.exact, CHARGE_TOLERANCE)
 
-    def charged(self, i: int, tol=None) -> bool:
-        return self.masses[i] > self.charge_tolerance(tol)
-
-    def support(self, tol=None) -> tuple:
-        cutoff = self.charge_tolerance(tol)
+    def support(self) -> tuple:
+        cutoff = self.charge_tolerance()
         return tuple(i for i, m in enumerate(self.masses) if m > cutoff)
-
-    def as_floats(self):
-        return [float(m) for m in self.masses]
 
     def __len__(self):
         return len(self.masses)
@@ -197,7 +191,7 @@ class InfluenceMatrix:
     at j. Immutable after construction.
     """
 
-    __slots__ = ("n", "_entries", "_in", "_out")
+    __slots__ = ("n", "_entries", "_in")
 
     def __init__(self, n: int, entries):
         self.n = int(n)
@@ -217,12 +211,9 @@ class InfluenceMatrix:
             cleaned[(i, j)] = alpha
         self._entries = cleaned
         incoming = {i: [] for i in range(self.n)}
-        outgoing = {i: [] for i in range(self.n)}
         for (i, j), alpha in sorted(cleaned.items()):
-            outgoing[i].append((j, alpha))
             incoming[j].append((i, alpha))
         self._in = {i: tuple(pairs) for i, pairs in incoming.items()}
-        self._out = {i: tuple(pairs) for i, pairs in outgoing.items()}
 
     def value(self, i: int, j: int):
         return self._entries.get((i, j), 0)
@@ -236,9 +227,6 @@ class InfluenceMatrix:
     def in_coefficients(self, i: int):
         """Pairs (j, alpha_{j,i}) of vertices whose mass the cost at i sees."""
         return self._in[i]
-
-    def out_coefficients(self, i: int):
-        return self._out[i]
 
     @property
     def is_symmetric(self) -> bool:
@@ -331,9 +319,6 @@ class Game:
         return (numeric.is_exact_scalar(self.r)
                 and all(f.exact for f in self.vertex_costs)
                 and self.influence.exact)
-
-    def costs(self, x):
-        return cost_vector(self, x)
 
     def distribution(self, masses) -> MassDistribution:
         return MassDistribution(tuple(masses), self.r)

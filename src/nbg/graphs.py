@@ -38,9 +38,6 @@ class UndirectedGraph:
                 if not 0 <= u < self.n:
                     raise ValueError(f"vertex {u} out of range for n={self.n}")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return frozenset((u, v)) in self.edges
-
     def neighbors(self, u: int):
         return sorted(next(iter(e - {u})) for e in self.edges if u in e)
 

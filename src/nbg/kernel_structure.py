@@ -124,14 +124,12 @@ class CorrespondenceReport:
     discrepancies: tuple
 
 
-def strong_supports_match_kernels(d: Digraph, alpha, r=1,
-                                  delta_grid=()) -> CorrespondenceReport:
+def strong_supports_match_kernels(d: Digraph, alpha, r=1) -> CorrespondenceReport:
     """Enumerate both sides of the correspondence and compare.
 
-    Equilibria come from support enumeration on the reduced game; each is
-    tested for delta-strongness at delta = r/|support| (the level the
-    uniform kernel distribution attains), plus any extra deltas supplied.
-    An equilibrium counts as strong when any tested delta passes.
+    Equilibria come from support enumeration on the reduced game; each
+    counts as strong when it is delta-strong at delta = r/|support|, the
+    level the uniform kernel distribution attains.
     """
     if d.n > 10:
         raise UnsupportedGameError(
@@ -151,12 +149,9 @@ def strong_supports_match_kernels(d: Digraph, alpha, r=1,
             support = point.x.support()
             if support in strong_supports:
                 continue
-            deltas = [numeric.quotient(r, len(support))]
-            deltas.extend(delta_grid)
-            for delta in deltas:
-                if verify_delta_strong(game, point.x, delta).is_delta_strong:
-                    strong_supports.add(support)
-                    break
+            delta = numeric.quotient(r, len(support))
+            if verify_delta_strong(game, point.x, delta).is_delta_strong:
+                strong_supports.add(support)
 
     discrepancies = []
     for k in sorted(kernel_sets):

@@ -277,7 +277,7 @@ def price_report(game: Game) -> PriceReport:
     eq_exact = True
     for eq in equilibria:
         if isinstance(eq, EquilibriumFamily):
-            (lo, hi), exact = family_cost_range(game, eq)
+            (lo, hi), exact = family_cost_range(eq)
             lows.append(lo)
             highs.append(hi)
             eq_exact = eq_exact and exact

@@ -25,11 +25,16 @@ from .errors import UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
 from .simplexopt import multistart_minimize
 
-#: probe offset for the local-minimum test, and float comparison slack
+#: probe offset for the local-minimum test, as a share of the total mass,
+#: and float comparison slack
 PROBE_STEP = Fraction(1, 100000)
 PROBE_SLACK = 1e-12
-#: random descent starts on games without an exact path
-DEFAULT_STARTS = 30
+#: share of the total mass within which two minima that are not both
+#: exact count as one
+MERGE_TOLERANCE = 1e-6
+#: random descent starts, and their seed, on games without an exact path
+DESCENT_STARTS = 30
+DESCENT_SEED = 0
 #: worst cost gap at which a descent end point counts as an equilibrium
 DESCENT_TOLERANCE = 1e-7
 
@@ -64,18 +69,18 @@ def potential(game: Game, x) -> PotentialValue:
     return PotentialValue(value, cost_vector(game, masses))
 
 
-def is_local_minimum(game: Game, x, step=None) -> bool:
+def is_local_minimum(game: Game, x) -> bool:
     """Probe whether x locally minimizes Phi on the simplex.
 
-    Tests the pairwise directions e_j - e_i for charged i; a strict
+    Tests the pairwise directions e_j - e_i for charged i, moving
+    PROBE_STEP * r of mass, or all of x_i if that is less; a strict
     decrease along any of them disqualifies x. Not a sufficiency proof
     for degenerate curvature, but exact along each probed segment.
     """
     _require_symmetric(game)
     x = x if isinstance(x, MassDistribution) else MassDistribution(tuple(x), game.r)
     exact = x.exact and game.exact
-    if step is None:
-        step = PROBE_STEP if exact else float(PROBE_STEP)
+    step = PROBE_STEP * game.r if exact else float(PROBE_STEP * game.r)
     slack = 0 if exact else PROBE_SLACK
     base = potential(game, x).value
     masses = list(x.masses)
@@ -92,7 +97,7 @@ def is_local_minimum(game: Game, x, step=None) -> bool:
     return True
 
 
-def minimize_potential(game: Game, starts=DEFAULT_STARTS, seed=0) -> tuple:
+def minimize_potential(game: Game) -> tuple:
     """Distinct local minima of Phi over the simplex, as distributions.
 
     Every local minimum is an equilibrium, so affine games with at most
@@ -101,8 +106,10 @@ def minimize_potential(game: Game, starts=DEFAULT_STARTS, seed=0) -> tuple:
     samples of each family, exact on exact games. Other games take the
     end points of projected-gradient descent that pass verify_equilibrium
     at DESCENT_TOLERANCE, started from every simplex vertex and from
-    `starts` random interior points drawn with `seed`. Candidates that pass
-    the local-minimum probe are returned sorted, one per 1e-6 neighbourhood.
+    DESCENT_STARTS random interior points drawn with DESCENT_SEED.
+    Candidates that pass the local-minimum probe are returned sorted; two
+    exact minima are one only when equal, any other two when they lie
+    within MERGE_TOLERANCE * r of each other.
     """
     _require_symmetric(game)
     if game.n <= SUPPORT_ENUMERATION_MAX_N and _affine_or_none(game) is not None:
@@ -113,18 +120,18 @@ def minimize_potential(game: Game, starts=DEFAULT_STARTS, seed=0) -> tuple:
             else:
                 candidates.append(found.x)
     else:
-        candidates = [x for x in _descent_end_points(game, starts, seed)
+        candidates = [x for x in _descent_end_points(game)
                       if verify_equilibrium(game, x, DESCENT_TOLERANCE).is_equilibrium]
     minima = [x for x in candidates if is_local_minimum(game, x)]
 
     unique = []
     for m in sorted(minima, key=lambda d: tuple(float(t) for t in d.masses)):
-        if not any(_close(m, kept) for kept in unique):
+        if not any(_same_minimum(game, m, kept) for kept in unique):
             unique.append(m)
     return tuple(unique)
 
 
-def _descent_end_points(game: Game, starts, seed) -> list:
+def _descent_end_points(game: Game) -> list:
     def objective(v):
         total = 0.0
         for i, form in enumerate(game.vertex_costs):
@@ -139,8 +146,12 @@ def _descent_end_points(game: Game, starts, seed) -> list:
 
     return [MassDistribution(res.x, game.r)
             for res in multistart_minimize(objective, gradient, game.n,
-                                           float(game.r), starts=starts, seed=seed)]
+                                           float(game.r), starts=DESCENT_STARTS,
+                                           seed=DESCENT_SEED)]
 
 
-def _close(a: MassDistribution, b: MassDistribution, tol=1e-6) -> bool:
+def _same_minimum(game: Game, a: MassDistribution, b: MassDistribution) -> bool:
+    if a.exact and b.exact:
+        return a.masses == b.masses
+    tol = MERGE_TOLERANCE * float(game.r)
     return max(abs(float(u) - float(v)) for u, v in zip(a.masses, b.masses)) <= tol

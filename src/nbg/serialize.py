@@ -200,15 +200,17 @@ def _maybe_number(text: str):
     return text
 
 
-def load_distribution(path, total=None) -> MassDistribution:
+def load_distribution(path) -> MassDistribution:
     """Read a distribution file: either a bare JSON list of masses or an
-    object {"masses": [...], "total": ...}."""
+    object {"masses": [...], "total": ...}; the total defaults to the
+    sum of the masses."""
     data = _read_json(path)
+    total = None
     if isinstance(data, dict):
         if "masses" not in data:
             raise InputFormatError(f"{path}: missing 'masses'")
         raw_masses = data["masses"]
-        if total is None and "total" in data:
+        if "total" in data:
             total = _parse_scalar(data["total"], f"{path}: total")
     elif isinstance(data, list):
         raw_masses = data
@@ -218,7 +220,7 @@ def load_distribution(path, total=None) -> MassDistribution:
         raise InputFormatError(f"{path}: 'masses' must be a list")
     masses = [_parse_scalar(m, f"{path}: masses[{k}]")
               for k, m in enumerate(raw_masses)]
-    return distribution(masses, total) if total is not None else distribution(masses)
+    return distribution(masses, total)
 
 
 def save_distribution(dist: MassDistribution, path) -> None:

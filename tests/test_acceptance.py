@@ -224,7 +224,7 @@ def test_07_potential_properties(capsys):
             t = Fraction(k, 10)
             value = potential(game, (t, 1 - t)).value
             ok = ok and value == (3 - t * t) / 2
-        minima = minimize_potential(game, seed=0)
+        minima = minimize_potential(game)
         ok = ok and any(m.masses[0] == 1 for m in minima)
         ok = ok and all(m.masses[0] != 0 for m in minima)
         out["ok"] = ok

@@ -20,11 +20,6 @@ from nbg.reproduce import Recorder
 from nbg.serialize import load_game, save_distribution, save_game
 
 
-@pytest.fixture(autouse=True)
-def fixed_seed(monkeypatch):
-    monkeypatch.delenv("NBG_SEED", raising=False)
-
-
 @pytest.fixture(scope="session")
 def files(tmp_path_factory):
     """Session directory with the game and distribution files used below."""
@@ -151,11 +146,11 @@ class TestSolve:
                        "minimum 1: masses (1, 0)  potential 1"
                        "  [verified equilibrium]\n")
 
-    def test_negative_start_count_rejected(self, capsys, files):
+    def test_start_count_is_not_an_option(self, capsys, files):
         code, out, err = run(capsys, "solve", files / "potmax.json",
-                             "--method", "potential", "--starts", "-3")
+                             "--method", "potential", "--starts", "3")
         assert (code, out) == (2, "")
-        assert err == "error: --starts must be nonnegative, got -3\n"
+        assert "unrecognized arguments: --starts 3" in err
 
     def test_dynamics_is_its_own_command(self, capsys, files):
         code, out, err = run(capsys, "solve", files / "braess.json",
@@ -594,6 +589,24 @@ def test_family_games_match_the_golden_output(capsys, tmp_path, name, command):
     assert out.encode("utf-8") == (CLI_GOLDEN / f"{command}_{name}.txt").read_bytes()
 
 
+#: the games of games.txt whose `nbg solve --method potential` stdout has a
+#: golden file potential_<name>.txt; path and cycle at alpha = 1 have none,
+#: because float LPs sample their multi-parameter families and the vertices
+#: they return may vary with the SciPy version
+POTENTIAL_GOLDEN = sorted(path.stem[len("potential_"):]
+                          for path in CLI_GOLDEN.glob("potential_*.txt"))
+
+
+@pytest.mark.parametrize("name", POTENTIAL_GOLDEN)
+def test_potential_minima_match_the_golden_output(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    code, _, _ = run(capsys, "family", *CLI_GAMES[name].split(), "-o", path)
+    assert code == 0
+    code, out, _ = run(capsys, "solve", path, "--method", "potential")
+    assert code == 0
+    assert out.encode("utf-8") == (CLI_GOLDEN / f"potential_{name}.txt").read_bytes()
+
+
 def test_scalar_options_read_text_like_mass_lists(capsys, tmp_path):
     code, out, err = run(capsys, "family", "--kind", "path", "--alpha", "1_0/3",
                          "--n", "4", "-o", tmp_path / "x.json")
@@ -832,20 +845,6 @@ class TestVerifyTolerance:
 
 
 class TestSeedAndUsage:
-    def test_seed_env_is_read(self, capsys, files, monkeypatch):
-        monkeypatch.setenv("NBG_SEED", "7")
-        code, out, _ = run(capsys, "solve", files / "potmax.json",
-                           "--method", "potential")
-        assert code == 0
-        assert "minimum 1: masses (1, 0)" in out
-
-    def test_bad_seed_rejected(self, capsys, files, monkeypatch):
-        monkeypatch.setenv("NBG_SEED", "bogus")
-        code, _, err = run(capsys, "solve", files / "potmax.json",
-                           "--method", "potential")
-        assert code == 2
-        assert err.startswith("error:")
-
     def test_help(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

@@ -405,7 +405,7 @@ class TestFamilyMechanics:
 
     def test_cost_range(self):
         game, fam = self.family()
-        (lo, hi), exact = family_cost_range(game, fam)
+        (lo, hi), exact = family_cost_range(fam)
         assert exact
         assert lo == hi == Fraction(1, 2)
 
@@ -423,7 +423,7 @@ class TestFamilyMechanics:
             m = point.x.masses
             assert abs(float(m[0] + m[1]) - 0.5) < 1e-7
             assert abs(float(m[3] + m[4]) - 0.5) < 1e-7
-        (lo, hi), exact = family_cost_range(game, fam)
+        (lo, hi), exact = family_cost_range(fam)
         assert float(lo) == pytest.approx(0.5, abs=1e-7)
         assert float(hi) == pytest.approx(0.5, abs=1e-7)
 

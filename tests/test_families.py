@@ -329,7 +329,7 @@ class TestCycleClosedForms:
         (solver,) = [f for f in families_of(solve_affine_by_supports(game))
                      if f.support == closed.support and f.dimension == 2]
         assert solver.constraints
-        assert family_cost_range(game, closed) == family_cost_range(game, solver)
+        assert family_cost_range(closed) == family_cost_range(solver)
 
     def test_covered_coefficients_only(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ class TestMassDistribution:
         with pytest.raises(MassMismatchError):
             MassDistribution((0.5, 0.51), 1.0)
         x = MassDistribution((-5e-10, 1.0), 1.0)
-        assert not x.charged(0)
+        assert 0 not in x.support()
 
     def test_non_finite_masses_rejected(self):
         for masses, total in (((float("nan"), 1.0), 1.0), ((float("inf"), 0.0), 1.0),
@@ -48,13 +48,12 @@ class TestMassDistribution:
     def test_support_exact_is_strict_positivity(self):
         x = distribution([Fraction(0), Fraction(1, 10 ** 15), Fraction(1)])
         assert x.support() == (1, 2)
-        assert not x.charged(0)
-        assert x.charged(1)
+        assert 0 not in x.support()
+        assert 1 in x.support()
 
     def test_support_float_uses_charge_tolerance(self):
         x = MassDistribution((1e-12, 1.0 - 1e-12), 1.0)
         assert x.support() == (1,)
-        assert x.support(tol=0) == (0, 1)
         assert x.charge_tolerance() == CHARGE_TOLERANCE
 
     def test_sequence_protocol(self):
@@ -62,7 +61,6 @@ class TestMassDistribution:
         assert len(x) == 3
         assert x[1] == 2
         assert list(x) == [1, 2, 3]
-        assert x.as_floats() == [1.0, 2.0, 3.0]
 
 
 class TestCostForms:
@@ -174,7 +172,6 @@ class TestInfluenceMatrix:
         inf = influence_from_triples(
             4, [(0, 2, 1), (1, 2, 2), (2, 0, 3), (3, 2, 4)])
         assert inf.in_coefficients(2) == ((0, 1), (1, 2), (3, 4))
-        assert inf.out_coefficients(2) == ((0, 3),)
         assert inf.in_coefficients(1) == ()
         # the stored views are handed out as they are, not copied
         assert inf.in_coefficients(2) is inf.in_coefficients(2)
@@ -260,7 +257,6 @@ class TestCostVector:
             expected = dense_costs(game, masses)
             got = cost_vector(game, masses)
             assert list(got) == expected
-            assert list(game.costs(game.distribution(masses))) == expected
 
     def test_arc_direction(self):
         # entry (0, 1): mass at vertex 0 raises the cost at vertex 1
@@ -334,8 +330,8 @@ class TestUnderlyingGraph:
         game = Game.graphical(3, 1, [constant(1)] * 3, inf)
         graph = underlying_graph(game)
         assert isinstance(graph, UndirectedGraph)
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(1, 2)
+        assert frozenset((0, 1)) in graph.edges
+        assert frozenset((1, 2)) not in graph.edges
         assert graph.neighbors(1) == [0]
 
     def test_asymmetric_gives_digraph(self):

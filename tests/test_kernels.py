@@ -130,8 +130,7 @@ class TestCorrespondence:
 
     def test_triangle_matches_with_both_sides_empty(self):
         d = directed_triangle()
-        report = strong_supports_match_kernels(d, 2,
-                                               delta_grid=(Fraction(1, 100),))
+        report = strong_supports_match_kernels(d, 2)
         assert isinstance(report, CorrespondenceReport)
         assert report.matched
         assert report.kernels == ()

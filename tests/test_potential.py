@@ -19,7 +19,7 @@ from nbg import (EquilibriumFamily, Game, MassDistribution,
 from nbg.simplexopt import descend, multistart_minimize, project_to_simplex
 from util import (central_difference, dense_costs, random_fraction,
                   random_linear_symmetric_game, random_masses,
-                  random_symmetric_triples, utilitarian_oracle)
+                  random_symmetric_triples, two_vertex_game, utilitarian_oracle)
 
 potential_module = importlib.import_module("nbg.potential")
 
@@ -128,11 +128,6 @@ class TestLocalMinimumProbe:
         assert not is_local_minimum(game, (Fraction(0), Fraction(1)))
         assert not is_local_minimum(game, (Fraction(1, 2), Fraction(1, 2)))
 
-    def test_custom_probe_step(self):
-        game = potential_maximum_game()
-        assert not is_local_minimum(game, (Fraction(0), Fraction(1)),
-                                    step=Fraction(1, 10))
-
 
 class TestMinimizePotential:
     def test_filters_the_potential_maximum(self):
@@ -155,7 +150,7 @@ class TestMinimizePotential:
         for _ in range(8):
             n = rng.randint(2, 4)
             game = random_polynomial_symmetric_game(rng, n, max_degree=2)
-            for x in minimize_potential(game, starts=10):
+            for x in minimize_potential(game):
                 report = verify_equilibrium(game, x, tol=1e-6)
                 assert report.is_equilibrium
                 assert is_local_minimum(game, x)
@@ -176,7 +171,7 @@ class TestMinimizePotential:
         # like min_social_cost above its n_max: the exact path refuses 17
         # vertices, so descent end points are filtered as for other games
         game = make_family("path", 1 / 4, n=17)
-        minima = minimize_potential(game, starts=4)
+        minima = minimize_potential(game)
         assert minima
         for x in minima:
             assert verify_equilibrium(game, x, tol=1e-7).is_equilibrium
@@ -185,9 +180,24 @@ class TestMinimizePotential:
     def test_deterministic_for_fixed_seed(self):
         rng = random.Random(101)
         game = random_polynomial_symmetric_game(rng, 3, max_degree=2)
-        first = minimize_potential(game, starts=8, seed=5)
-        second = minimize_potential(game, starts=8, seed=5)
+        first = minimize_potential(game)
+        second = minimize_potential(game)
         assert [tuple(x.masses) for x in first] == [tuple(x.masses) for x in second]
+
+    def test_probe_step_scales_with_the_total_mass(self):
+        # at (r, 0), moving h toward vertex 2 changes Phi by h r/2 - h^2,
+        # which is positive for h < r/2: a probe of fixed size 1e-5 would
+        # move all of r = 1e-6 and miss this minimum
+        r = Fraction(1, 10 ** 6)
+        game = two_vertex_game(r, r / 2)
+        assert is_local_minimum(game, (r, 0))
+        assert [x.masses for x in minimize_potential(game)] == [(0, r), (r, 0)]
+
+    def test_distinct_exact_minima_are_kept_at_any_scale(self):
+        # both corners are minima, 1e-7 apart
+        r = Fraction(1, 10 ** 7)
+        game = two_vertex_game(r, 0)
+        assert [x.masses for x in minimize_potential(game)] == [(0, r), (r, 0)]
 
 
 small_fractions = st.builds(Fraction, st.integers(0, 18), st.integers(1, 6))

@@ -6,7 +6,8 @@ make singular support systems and so solution families common. Each
 property solves a game and a transformed copy and compares the two
 equilibrium sets: points by their masses, families by their support,
 dimension and affine hull, and one-parameter families also by their end
-points.
+points. The last property compares the potential minima of a symmetric
+game with those of a copy whose total mass and offsets are rescaled.
 """
 
 import math
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 from nbg import (EquilibriumFamily, EquilibriumPoint, Game, affine,
                  family_cost_range, influence_from_triples, make_family,
-                 solve_affine_by_supports, verify_equilibrium)
+                 minimize_potential, solve_affine_by_supports, verify_equilibrium)
 from nbg.equilibrium import _equal_cost_pass, _family_rows, _values
+from util import two_vertex_game
 
 scalars = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
@@ -99,10 +101,10 @@ def assert_same_set(first, second, perm, cost=lambda c: c):
             assert end_points(family, perm) == end_points(other, identity)
 
 
-def cost_ranges_match(game, other, first, second, cost):
+def cost_ranges_match(first, second, cost):
     for family, twin in zip(sorted(split(first)[1].items()), sorted(split(second)[1].items())):
-        (lo, hi), exact = family_cost_range(game, family[1])
-        (other_lo, other_hi), other_exact = family_cost_range(other, twin[1])
+        (lo, hi), exact = family_cost_range(family[1])
+        (other_lo, other_hi), other_exact = family_cost_range(twin[1])
         assert exact == other_exact
         for want, got in ((cost(lo), other_lo), (cost(hi), other_hi)):
             if exact:
@@ -119,7 +121,7 @@ def test_scaling_every_coefficient_scales_every_cost(game, factor):
                           alpha=lambda a: factor * a)
     scaled = solve_affine_by_supports(scaled_game)
     assert_same_set(solved, scaled, list(range(game.n)), cost=lambda c: factor * c)
-    cost_ranges_match(game, scaled_game, solved, scaled,
+    cost_ranges_match(solved, scaled,
                       lambda c: factor * c if isinstance(c, Fraction) else float(factor) * c)
 
 
@@ -130,7 +132,7 @@ def test_an_offset_shift_moves_only_the_common_cost(game, shift):
     shifted_game = rebuilt(game, offset=lambda b: b + shift)
     shifted = solve_affine_by_supports(shifted_game)
     assert_same_set(solved, shifted, list(range(game.n)), cost=lambda c: c + shift)
-    cost_ranges_match(game, shifted_game, solved, shifted,
+    cost_ranges_match(solved, shifted,
                       lambda c: c + shift if isinstance(c, Fraction) else c + float(shift))
 
 
@@ -202,3 +204,38 @@ def test_exact_and_float_modes_agree(game):
             if exact.interval is not None:
                 pairs += list(zip(exact.interval, approx.interval))
         assert all(close(a, b) for a, b in pairs)
+
+
+small_ratios = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+
+
+@st.composite
+def exact_symmetric_games(draw):
+    n = draw(st.integers(1, 4))
+    costs = [affine(draw(small_ratios), draw(small_ratios)) for _ in range(n)]
+    triples = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            alpha = draw(small_ratios)
+            triples += [(i, j, alpha), (j, i, alpha)]
+    r = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
+    return Game.graphical(n, r, costs, influence_from_triples(n, triples))
+
+
+def exact_minima(game):
+    return {tuple(x.masses) for x in minimize_potential(game) if x.exact}
+
+
+@settings(max_examples=100)
+@given(exact_symmetric_games(),
+       st.sampled_from([Fraction(1, 10 ** 7), Fraction(1, 3), Fraction(7)]))
+@example(two_vertex_game(1, Fraction(1, 2)), Fraction(1, 10 ** 7))
+@example(two_vertex_game(1, 0), Fraction(1, 10 ** 7))
+def test_potential_minima_scale_with_the_game(game, s):
+    # C_i(s x) on the copy is s C_i(x), so its potential is s^2 Phi(x) and
+    # x is a minimum of the game exactly when s x is one of the copy
+    forms = [form.as_affine() for form in game.vertex_costs]
+    scaled = Game.graphical(game.n, s * game.r, [affine(a, s * b) for a, b in forms],
+                            game.influence)
+    assert ({tuple(s * m for m in x) for x in exact_minima(game)}
+            == exact_minima(scaled))

@@ -263,12 +263,6 @@ class TestMassIO:
         assert loaded.masses == (Fraction(1, 4), Fraction(3, 4))
         assert loaded.total == 1
 
-    def test_total_argument_overrides(self, tmp_path):
-        path = tmp_path / "half.json"
-        path.write_text("[\"1/4\", \"1/4\"]\n")
-        loaded = load_distribution(path, total=Fraction(1, 2))
-        assert loaded.total == Fraction(1, 2)
-
     def test_distribution_file_errors(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"weights\": [1]}\n")

@@ -184,6 +184,13 @@ def random_linear_symmetric_game(rng: random.Random, n, r=1) -> Game:
     return Game.graphical(n, r, costs, influence)
 
 
+def two_vertex_game(r, offset) -> Game:
+    """C1 = x1 + 2 x2 + offset and C2 = x2 + 2 x1, with total mass r: for
+    0 <= offset < r both corners are equilibria and minima of the potential."""
+    return Game.graphical(2, r, [affine(1, offset), affine(1, 0)],
+                          influence_from_triples(2, [(0, 1, 2), (1, 0, 2)]))
+
+
 def random_affine_game(rng: random.Random, n, r=1) -> Game:
     """Possibly asymmetric influence."""
     costs = [affine(random_fraction(rng, 0, 3), random_fraction(rng, 0, 3))
