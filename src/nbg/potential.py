@@ -25,10 +25,13 @@ from .errors import UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
 from .simplexopt import multistart_minimize
 
-#: probe offset for the local-minimum test, as a share of the total mass,
-#: and float comparison slack
+#: probe offset for the local-minimum test, as a share of the total mass;
+#: float comparison slack, as a share of r^2 (a probe at a maximum drops
+#: Phi by about r^2 * PROBE_STEP^2), plus the rounding of Phi, as a share
+#: of its value (every term of Phi is nonnegative, so the value bounds them)
 PROBE_STEP = Fraction(1, 100000)
 PROBE_SLACK = 1e-12
+PROBE_ROUNDING = 1e-14
 #: share of the total mass within which two minima that are not both
 #: exact count as one
 MERGE_TOLERANCE = 1e-6
@@ -74,15 +77,18 @@ def is_local_minimum(game: Game, x) -> bool:
 
     Tests the pairwise directions e_j - e_i for charged i, moving
     PROBE_STEP * r of mass, or all of x_i if that is less; a strict
-    decrease along any of them disqualifies x. Not a sufficiency proof
+    decrease along any of them disqualifies x (on float data, a decrease
+    by more than PROBE_SLACK * r^2 + PROBE_ROUNDING * Phi(x), so the test
+    does not depend on the scale of the game). Not a sufficiency proof
     for degenerate curvature, but exact along each probed segment.
     """
     _require_symmetric(game)
     x = x if isinstance(x, MassDistribution) else MassDistribution(tuple(x), game.r)
     exact = x.exact and game.exact
     step = PROBE_STEP * game.r if exact else float(PROBE_STEP * game.r)
-    slack = 0 if exact else PROBE_SLACK
     base = potential(game, x).value
+    slack = 0 if exact else (PROBE_SLACK * float(game.r) ** 2
+                             + PROBE_ROUNDING * abs(float(base)))
     masses = list(x.masses)
     for i in x.support():
         h = step if step <= masses[i] else masses[i]

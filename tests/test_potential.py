@@ -199,6 +199,27 @@ class TestMinimizePotential:
         game = two_vertex_game(r, 0)
         assert [x.masses for x in minimize_potential(game)] == [(0, r), (r, 0)]
 
+    @pytest.mark.parametrize("r", [1.0, 1 / 100, 1e-6])
+    def test_float_probe_rejects_the_maximum_at_any_scale(self, r):
+        # Phi along the simplex is -t^2 + 3rt/2 + r^2/2, highest at
+        # t = 3r/4, where a probe of PROBE_STEP * r lowers it by only
+        # (PROBE_STEP * r)^2; a fixed float slack would forgive that drop
+        game = two_vertex_game(r, r / 2)
+        assert not is_local_minimum(game, (3 * r / 4, r / 4))
+        minima = minimize_potential(game)
+        assert len(minima) == 2
+        assert {x.support() for x in minima} == {(0,), (1,)}
+
+    def test_float_probe_keeps_flat_minima_at_small_scale(self):
+        # C_i = x1 + x2 + 1 makes Phi = r^2/2 + r on the whole simplex;
+        # at r = 1e-6 its rounding outweighs a slack that scales with
+        # r^2 alone, and would drop the sampled midpoint of the family
+        game = Game.graphical(2, 1e-6, [affine(1.0, 1.0), affine(1.0, 1.0)],
+                              influence_from_triples(2, [(0, 1, 1.0), (1, 0, 1.0)]))
+        minima = minimize_potential(game)
+        assert len(minima) == 3
+        assert all(is_local_minimum(game, x) for x in minima)
+
 
 small_fractions = st.builds(Fraction, st.integers(0, 18), st.integers(1, 6))
 
