@@ -17,17 +17,14 @@ from .numeric import (FLOAT_TOLERANCE, PHI, SQRT5, QuadExt, all_exact,
 from .linalg import (LinearSolution, determinant, matvec, rref,
                      solve_linear_system, solve_with_determinant)
 from .graphs import Digraph, UndirectedGraph, digraph
-from .games import (CHARGE_TOLERANCE, CLASS_LADDER, MASS_TOLERANCE,
-                    Classification, Game, InfluenceMatrix, MassDistribution,
-                    PolynomialCost, affine, class_conditions, classify,
-                    constant, cost_vector, distribution,
-                    influence_from_triples, polynomial, underlying_graph,
-                    validate_game)
-from .equilibrium import (EQUILIBRIUM_TOLERANCE, DynamicsResult,
-                          EquilibriumFamily, EquilibriumPoint,
-                          EquilibriumReport, IterationResult,
-                          StrongnessCertificate, affine_coefficients,
-                          best_response_dynamics, brouwer_iterate,
+from .games import (CLASS_LADDER, Classification, Game, InfluenceMatrix,
+                    MassDistribution, PolynomialCost, affine,
+                    class_conditions, classify, constant, cost_vector,
+                    distribution, influence_from_triples, polynomial,
+                    underlying_graph, validate_game)
+from .equilibrium import (DynamicsResult, EquilibriumFamily, EquilibriumPoint,
+                          EquilibriumReport, StrongnessCertificate,
+                          affine_coefficients, best_response_dynamics,
                           brouwer_map, family_cost_range,
                           solve_affine_by_supports, verify_delta_strong,
                           verify_equilibrium)

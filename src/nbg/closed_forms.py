@@ -201,7 +201,8 @@ def check_rules(game: Game, x) -> list:
     alpha = cls.alpha
     graph = underlying_graph(game)
     x = x if isinstance(x, MassDistribution) else MassDistribution(tuple(x), game.r)
-    tol = numeric.auto_tolerance(x.exact and game.exact, 1e-9)
+    tol = numeric.auto_tolerance(x.exact and game.exact, game.r)
+    alpha_tol = numeric.auto_tolerance(numeric.is_exact_scalar(alpha), 1)
     charged = set(x.support())
     violations = []
 
@@ -222,12 +223,12 @@ def check_rules(game: Game, x) -> list:
                     f"but alpha = {numeric.format_scalar(alpha)} < 1"))
         else:
             threshold = Fraction(1, k) if numeric.is_exact_scalar(alpha) else 1.0 / k
-            if alpha < threshold - (0 if numeric.is_exact_scalar(alpha) else tol):
+            if alpha < threshold - alpha_tol:
                 violations.append(RuleViolation(
                     3, tuple([v] + charged_nbrs),
                     f"uncharged vertex {v + 1} has {k} charged neighbours "
                     f"but alpha = {numeric.format_scalar(alpha)} < 1/{k}"))
-            elif abs(alpha - threshold) <= (0 if numeric.is_exact_scalar(alpha) else tol):
+            elif abs(alpha - threshold) <= alpha_tol:
                 masses = [x.masses[u] for u in charged_nbrs]
                 if max(masses) - min(masses) > tol:
                     violations.append(RuleViolation(

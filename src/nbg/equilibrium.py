@@ -23,11 +23,6 @@ from .errors import DimensionMismatchError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
 from .linalg import matvec, solve_linear_system
 
-#: float-mode slack for cost comparisons, and the worst cost gap at
-#: which best-response dynamics stops
-EQUILIBRIUM_TOLERANCE = 1e-9
-#: mass change per step at which the fixed-point iteration stops
-BROUWER_TOLERANCE = 1e-12
 #: eps grid size for delta-strong checks on games that are not affine
 DELTA_STRONG_SAMPLES = 33
 #: largest game whose 2^n - 1 supports are enumerated
@@ -43,15 +38,21 @@ def _as_distribution(game: Game, x) -> MassDistribution:
     return MassDistribution(tuple(x), game.r)
 
 
+def _float_key(x: MassDistribution) -> tuple:
+    """Float points count as one when their masses / r agree to 9 decimals."""
+    return tuple(round(float(m) / float(x.total), 9) for m in x.masses)
+
+
 def _exact_context(x: MassDistribution, costs) -> bool:
     return x.exact and numeric.all_exact(costs)
 
 
-def _tolerance(tol, exact, default):
-    """tol, or the automatic one when it is None. A NaN, infinite or
-    negative tol would decide every comparison one way, so it raises."""
+def _tolerance(tol, exact, size):
+    """tol, which is absolute, or the float slack at `size` when it is None.
+    A NaN, infinite or negative tol would decide every comparison one way,
+    so it raises."""
     if tol is None:
-        return numeric.auto_tolerance(exact, default)
+        return numeric.auto_tolerance(exact, size)
     if not 0 <= tol < float("inf"):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     return tol
@@ -82,7 +83,7 @@ def verify_equilibrium(game: Game, x, tol=None) -> EquilibriumReport:
     x = _as_distribution(game, x)
     costs = cost_vector(game, x)
     exact = _exact_context(x, costs)
-    tol = _tolerance(tol, exact, EQUILIBRIUM_TOLERANCE)
+    tol = _tolerance(tol, exact, costs)
     charged = x.support()
     zero = 0 if exact else 0.0
     worst_gap = zero
@@ -130,7 +131,7 @@ def verify_delta_strong(game: Game, x, delta, tol=None) -> StrongnessCertificate
     x = _as_distribution(game, x)
     costs = cost_vector(game, x)
     exact = _exact_context(x, costs) and numeric.is_exact_scalar(delta)
-    tol = _tolerance(tol, exact, EQUILIBRIUM_TOLERANCE)
+    tol = _tolerance(tol, exact, costs)
     affine = _affine_or_none(game)
     method = "exact" if affine is not None else "sampled"
 
@@ -235,28 +236,6 @@ def brouwer_map(game: Game, x) -> MassDistribution:
     return MassDistribution(new_masses, game.r)
 
 
-@dataclass(frozen=True)
-class IterationResult:
-    x: MassDistribution
-    iterations: int
-    converged: bool
-    residual: object
-
-
-def brouwer_iterate(game: Game, x0, max_iters=1000) -> IterationResult:
-    """Iterate the fixed-point map; convergence is not guaranteed in
-    general, so the outcome is reported rather than assumed."""
-    x = _as_distribution(game, x0)
-    residual = None
-    for it in range(1, max_iters + 1):
-        nxt = brouwer_map(game, x)
-        residual = max(abs(float(a) - float(b)) for a, b in zip(nxt.masses, x.masses))
-        x = nxt
-        if residual <= BROUWER_TOLERANCE:
-            return IterationResult(x, it, True, residual)
-    return IterationResult(x, max_iters, False, residual)
-
-
 # ---------------------------------------------------------------------------
 # best-response dynamics
 
@@ -277,8 +256,8 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
 
     The chunk size starts at r/100 (or `step`) and halves after ten
     consecutive iterations without improving the worst cost gap, so the
-    dynamics settles near rest points instead of oscillating. It stops
-    once the gap is at most EQUILIBRIUM_TOLERANCE.
+    dynamics settles near rest points instead of oscillating. It only nears
+    them, so it stops, on exact data too, at the float slack of its costs.
     """
     x = _as_distribution(game, x0)
     masses = list(x.masses)
@@ -298,7 +277,7 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
         worst = max(charged, key=lambda i: (costs[i], -i))
         cheapest = min(range(game.n), key=lambda j: (costs[j], j))
         gap = costs[worst] - costs[cheapest]
-        if gap <= EQUILIBRIUM_TOLERANCE:
+        if gap <= numeric.auto_tolerance(False, costs):
             converged = True
             iterations -= 1
             break
@@ -317,7 +296,8 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
         if keep_trace:
             trace.append(MassDistribution(tuple(masses), game.r))
     final = MassDistribution(tuple(masses), game.r)
-    report = verify_equilibrium(game, final, tol=EQUILIBRIUM_TOLERANCE)
+    report = verify_equilibrium(
+        game, final, tol=numeric.auto_tolerance(False, cost_vector(game, final)))
     return DynamicsResult(final, tuple(trace), iterations, converged, report, step)
 
 
@@ -398,7 +378,7 @@ class EquilibriumFamily:
                 f"expected {self.n} masses, got {len(masses)}")
         vectors = [masses, self.base, *self.directions]
         exact = numeric.all_exact([v for vec in vectors for v in vec])
-        tol = _tolerance(tol, exact, 1e-7)
+        tol = _tolerance(tol, exact, 100 * self.r)
         if not exact:
             vectors = [[float(v) for v in vec] for vec in vectors]
         masses, base, *directions = vectors
@@ -449,7 +429,7 @@ class EquilibriumFamily:
         seen = []
         for params in found:
             point = self.point_at(params)
-            key = tuple(round(float(m), 9) for m in point.x.masses)
+            key = _float_key(point.x)
             if key not in seen:
                 seen.append(key)
                 points.append(point)
@@ -471,7 +451,8 @@ class _SupportPass:
     A Q(sqrt 5) structure keeps its own scalars. The last two take D = 1.
     `exact` follows from that decision, and with it the pass's
     comparison slack `tol` and zero mass `zero`: 0 and 0 on an exact
-    pass, EQUILIBRIUM_TOLERANCE and 0.0 on a float one.
+    pass, 0.0 and the float slack at r and max|b| + r max|M| (the largest
+    mass and cost) on a float one.
 
     The costs are C_j(x) = b_j + sum_s M[s][j] x_s, with the scaled
     coefficients and offsets. A vector and a cost are read as numerators
@@ -497,10 +478,11 @@ class _SupportPass:
             scale = math.lcm(*(v.denominator for v in flat))
             flat = [v.numerator * (scale // v.denominator) for v in flat]
             r_num, r_den = r.numerator, r.denominator
-        elif not self.exact:
-            flat, r_num = [float(v) for v in flat], float(r)
-        self.tol = numeric.auto_tolerance(self.exact, EQUILIBRIUM_TOLERANCE)
-        self.zero = 0 if self.exact else 0.0
+        self.tol = self.zero = 0
+        if not self.exact:
+            flat, r_num, self.zero = [float(v) for v in flat], float(r), 0.0
+            self.tol = numeric.auto_tolerance(False, max(
+                r_num, max(map(abs, flat[n * n:])) + r_num * max(map(abs, flat[:n * n]))))
         self.scale, self.offsets = scale, flat[n * n:]
         # the masses of a support sum to r: r_den * sum x = r_num
         self.sum_row = (r_den, r_num)
@@ -612,8 +594,7 @@ def _equilibria(pass_: _SupportPass, systems) -> list:
                               if abs(gap) <= pass_.tol)
             if any(f & ~tied == 0 for f in covering):
                 continue
-        key = (tuple(point.x.masses) if pass_.exact
-               else tuple(round(float(m), 9) for m in point.x.masses))
+        key = tuple(point.x.masses) if pass_.exact else _float_key(point.x)
         if key in seen:
             continue
         seen.add(key)

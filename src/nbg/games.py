@@ -23,11 +23,6 @@ from . import numeric
 from .errors import DimensionMismatchError, MassMismatchError, UnsupportedGameError
 from .graphs import Digraph, UndirectedGraph
 
-#: float-mode slack when validating that masses add up to the total
-MASS_TOLERANCE = 1e-9
-#: float-mode threshold above which a vertex counts as charged
-CHARGE_TOLERANCE = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # mass distributions
@@ -44,7 +39,7 @@ class MassDistribution:
         masses = tuple(self.masses)
         object.__setattr__(self, "masses", masses)
         exact = numeric.all_exact(masses) and numeric.is_exact_scalar(self.total)
-        tol = numeric.auto_tolerance(exact, MASS_TOLERANCE)
+        tol = numeric.auto_tolerance(exact, self.total)
         if any(isinstance(m, float) and not math.isfinite(m)
                for m in masses + (self.total,)):
             raise MassMismatchError(
@@ -68,7 +63,7 @@ class MassDistribution:
         return numeric.all_exact(self.masses) and numeric.is_exact_scalar(self.total)
 
     def charge_tolerance(self):
-        return numeric.auto_tolerance(self.exact, CHARGE_TOLERANCE)
+        return numeric.auto_tolerance(self.exact, self.total)
 
     def support(self) -> tuple:
         cutoff = self.charge_tolerance()

@@ -40,12 +40,14 @@ def _classify(rows):
     return _FLOAT
 
 
-def _zero_test_for(rows, kind):
+def _zero_test_for(rows, kind, width):
+    """is_zero(value, column): on floats, relative to the largest entry of
+    the first `width` columns (the coefficients) or of the rest."""
     if kind != _FLOAT:
-        return lambda v: v == 0
-    scale = max((abs(float(v)) for row in rows for v in row), default=1.0)
-    threshold = _PIVOT_TOLERANCE * max(scale, 1.0)
-    return lambda v: abs(float(v)) <= threshold
+        return lambda v, col: v == 0
+    left = max((abs(float(v)) for row in rows for v in row[:width]), default=0.0)
+    right = max((abs(float(v)) for row in rows for v in row[width:]), default=0.0)
+    return lambda v, col: abs(float(v)) <= _PIVOT_TOLERANCE * (left if col < width else right)
 
 
 def _bareiss(rows):
@@ -110,7 +112,7 @@ def _eliminate(m, is_zero, kind):
         # deterministic for exact scalars too
         best, best_size = None, None
         for i in range(row, n_rows):
-            if not is_zero(m[i][col]):
+            if not is_zero(m[i][col], col):
                 size = abs(float(m[i][col]))
                 if best is None or size > best_size:
                     best, best_size = i, size
@@ -128,7 +130,7 @@ def _eliminate(m, is_zero, kind):
             inverse = Fraction(1) / pivot
             m[row] = [v * inverse for v in m[row]]
         for i in range(n_rows):
-            if i != row and not is_zero(m[i][col]):
+            if i != row and not is_zero(m[i][col], col):
                 factor = m[i][col]
                 m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
@@ -136,8 +138,9 @@ def _eliminate(m, is_zero, kind):
     return pivots, product
 
 
-def _reduce(m):
-    """Eliminate the nonempty matrix m once, with the kernel for its kind.
+def _reduce(m, width):
+    """Eliminate the nonempty matrix m once, with the kernel for its kind,
+    reading its first `width` columns as the coefficients.
 
     Returns (kind, pivots, reduced, last, det). Row i < len(pivots) of the
     reduced row echelon form is reduced[i] / last: for rational matrices
@@ -154,7 +157,7 @@ def _reduce(m):
         if pivots[n - 1:n] != [n - 1]:
             sign = 0
         return kind, pivots, m, last, lambda: Fraction(sign * last, scale)
-    pivots, product = _eliminate(m, _zero_test_for(m, kind), kind)
+    pivots, product = _eliminate(m, _zero_test_for(m, kind, width), kind)
     if pivots[n - 1:n] != [n - 1]:
         product = 0.0 if kind == _FLOAT else Fraction(0)
     return kind, pivots, m, 1, lambda: product
@@ -169,7 +172,7 @@ def rref(rows):
     m = [list(row) for row in rows]
     if not m:
         return m, []
-    kind, pivots, reduced, last, _ = _reduce(m)
+    kind, pivots, reduced, last, _ = _reduce(m, len(m[0]))
     if kind == _RATIONAL:
         # rows past the pivots are zero but may still hold int 0
         return [[Fraction(v, last) if i < len(pivots) else Fraction(0) for v in row]
@@ -248,7 +251,7 @@ def _solve(a_rows, rhs):
         return LinearSolution("unique", [], 1, (), ()), lambda: 1
     n_cols = len(a_rows[0])
     kind, pivots, reduced, last, det = _reduce(
-        [list(row) + [b] for row, b in zip(a_rows, rhs)])
+        [list(row) + [b] for row, b in zip(a_rows, rhs)], n_cols)
     if n_cols in pivots:
         return LinearSolution("none", pivots, None, None, ()), det
     free_cols = [c for c in range(n_cols) if c not in pivots]

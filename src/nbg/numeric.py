@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
-#: default absolute tolerance used by float-mode comparisons
+#: float-mode slack relative to the size of the values compared
 FLOAT_TOLERANCE = 1e-9
 
 
@@ -231,9 +232,15 @@ def integer_row(row):
     return [v.numerator * (scale // v.denominator) for v in row], scale
 
 
-def auto_tolerance(exact: bool, default: float = FLOAT_TOLERANCE):
-    """Zero for exact computations, the float default otherwise."""
-    return 0 if exact else default
+def auto_tolerance(exact: bool, size):
+    """0 on exact data, else FLOAT_TOLERANCE times `size`, the magnitude of
+    the values compared, or of the largest of them when `size` iterates
+    over them (read on float data only)."""
+    if exact:
+        return 0
+    if isinstance(size, Iterable):
+        size = max(abs(float(v)) for v in size)
+    return FLOAT_TOLERANCE * abs(float(size))
 
 
 def parse_scalar(raw):

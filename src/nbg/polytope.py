@@ -73,22 +73,34 @@ def interval(rows, tol=0):
     return numeric.quotient(*lo), numeric.quotient(*hi)
 
 
+def _lp_rows(rows):
+    """(A, b, s): the rows as A u <= b in u = t / s. HiGHS's feasibility
+    tolerances are absolute, so s, the power of two within a factor of two
+    of max|value| / max|coef| (1 if either is 0), brings values that scale
+    with r to the coefficients' size, exactly: a game scaled by 2^k poses
+    the same LP."""
+    a = [[-float(c) for c in coefs] for _, coefs in rows]
+    values = [float(value) for value, _ in rows]
+    tops = [max(map(abs, part), default=0.0) for part in (values, [c for row in a for c in row])]
+    s = math.ldexp(1.0, math.frexp(tops[0])[1] - math.frexp(tops[1])[1]) if all(tops) else 1.0
+    return a, [v / s for v in values], s
+
+
 def minimize(rows, objective):
     """Minimise objective . t over the rows by float linear programming.
 
-    Returns (minimum, minimiser) as HiGHS reports them, or None when the
-    program is infeasible, unbounded or fails.
+    Returns (minimum, minimiser) as HiGHS reports them, mapped back from
+    the u of `_lp_rows`, or None when the program is infeasible,
+    unbounded or fails.
     """
     from scipy.optimize import linprog
-    import numpy as np
 
-    a_ub = np.array([[-float(c) for c in coefs] for _, coefs in rows])
-    b_ub = np.array([float(value) for value, _ in rows])
+    a_ub, b_ub, s = _lp_rows(rows)
     res = linprog(objective, A_ub=a_ub, b_ub=b_ub,
                   bounds=[(None, None)] * len(objective), method="highs")
     if res.status != 0:
         return None
-    return res.fun, res.x
+    return res.fun * s, res.x * s
 
 
 def _violates_flat_row(rows, tol) -> bool:
@@ -196,7 +208,8 @@ def implicit_equalities(rows, tol=0):
     implicit equality keeps y_i <= 0; every other row is positive at a
     relative interior point, which a large enough theta scales until all
     of them reach y_i = 1. So the optimal y is 0 on the implicit
-    equalities and 1 elsewhere, and y_i < 1/2 tells them apart.
+    equalities and 1 elsewhere, and y_i < 1/2 tells them apart. The LP
+    runs in the u of `_lp_rows`, which leaves the equalities as they are.
     """
     if _violates_flat_row(rows, tol):
         return None
@@ -211,8 +224,8 @@ def implicit_equalities(rows, tol=0):
     import numpy as np
 
     m, d = len(rows), len(rows[0][1])
-    # columns: t, theta, y
-    region = [[-float(c) for c in coefs] + [-float(value)] for value, coefs in rows]
+    # columns: u, theta, y
+    region = [row + [-value] for row, value in zip(*_lp_rows(rows)[:2])]
     a_ub = np.hstack([np.array(region), np.eye(m)])
     objective = [0.0] * (d + 1) + [-1.0] * m
     bounds = [(None, None)] * d + [(1, None)] + [(0, 1)] * m

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  Game, PHI, QuadExt, UnsupportedGameError, affine,
-                 affine_coefficients, braess_game, best_response_dynamics, brouwer_iterate,
+                 affine_coefficients, braess_game, best_response_dynamics,
                  brouwer_map, cost_vector, dilemma_game, distribution,
                  family_cost_range, influence_from_triples, make_family,
                  no_equilibrium_game, path_determinant, polynomial,
@@ -586,18 +586,6 @@ class TestBrouwerMap:
         image = brouwer_map(make_family("path", 1, n=3), (1, 0, 0))
         assert image.masses == (Fraction(1, 2), 0, Fraction(1, 2))
         assert all(type(m) is Fraction for m in image.masses)
-
-    def test_iteration_drifts_to_the_basin_attractor(self):
-        game = dilemma_game()
-        low = brouwer_iterate(game, (0.5, 0.5), max_iters=3000)
-        assert low.x.masses[0] < 0.05
-        high = brouwer_iterate(game, (0.8, 0.2), max_iters=3000)
-        assert high.x.masses[0] > 0.95
-        fixed = brouwer_iterate(game, (Fraction(3, 4), Fraction(1, 4)),
-                                max_iters=5)
-        assert fixed.converged
-        assert fixed.iterations == 1
-        assert fixed.residual == 0
 
 
 class TestBestResponseDynamics:

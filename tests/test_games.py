@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from nbg import (CHARGE_TOLERANCE, Digraph, DimensionMismatchError, Game,
-                 InfluenceMatrix, MassDistribution, MassMismatchError,
-                 UndirectedGraph, UnsupportedGameError, affine, braess_game,
-                 classify, constant, cost_vector, distribution,
-                 influence_from_triples, is_exact_scalar, polynomial,
-                 stability_gap_game, unbounded_anarchy_game, underlying_graph,
-                 validate_game)
+from nbg import (Digraph, DimensionMismatchError, Game, InfluenceMatrix,
+                 MassDistribution, MassMismatchError, UndirectedGraph,
+                 UnsupportedGameError, affine, braess_game, classify,
+                 constant, cost_vector, distribution, influence_from_triples,
+                 is_exact_scalar, polynomial, stability_gap_game,
+                 unbounded_anarchy_game, underlying_graph, validate_game)
 from util import dense_costs, random_affine_game, random_masses
 
 
@@ -54,7 +53,7 @@ class TestMassDistribution:
     def test_support_float_uses_charge_tolerance(self):
         x = MassDistribution((1e-12, 1.0 - 1e-12), 1.0)
         assert x.support() == (1,)
-        assert x.charge_tolerance() == CHARGE_TOLERANCE
+        assert x.charge_tolerance() == 1e-9 * x.total
 
     def test_sequence_protocol(self):
         x = distribution([1, 2, 3])

@@ -125,6 +125,22 @@ class TestSolve:
         assert PHI * x[0] + x[1] == 1
         assert x[0] - x[1] == 0
 
+    @pytest.mark.parametrize("r", [1.0, 2.0 ** 40])
+    def test_float_pivots_are_judged_at_the_coefficient_scale(self, r):
+        # the support system of vertices 1 and 2 of float path alpha = 0.5,
+        # n = 3, in (x_1, x_2, c) with total mass r: a large r must not
+        # make the unit pivots count as zero
+        a = [[1.0, -0.5, -1.0], [-0.5, 1.0, -1.0], [1.0, 1.0, 0.0]]
+        result = solve_linear_system(a, [0.0, 0.0, r])
+        assert result.status == "unique"
+        assert result.solution == (r / 2, r / 2, r / 4)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -60])
+    def test_float_residuals_are_judged_at_the_right_hand_side_scale(self, scale):
+        # x = scale and x = 2 scale: a small right-hand side must not make
+        # the residual count as zero
+        assert solve_linear_system([[1.0], [1.0]], [scale, 2 * scale]).status == "none"
+
     def test_float_systems_match_numpy(self):
         rng = random.Random(33)
         for _ in range(30):

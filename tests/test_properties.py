@@ -1,4 +1,4 @@
-"""Metamorphic properties of the support solver on random exact affine games.
+"""Metamorphic properties of the support solver on random affine games.
 
 The games have n <= 6 vertices, and their slopes, offsets, influences and
 total mass mix denominators up to 60 with the values 0, 1/2 and 1, which
@@ -6,8 +6,9 @@ make singular support systems and so solution families common. Each
 property solves a game and a transformed copy and compares the two
 equilibrium sets: points by their masses, families by their support,
 dimension and affine hull, and one-parameter families also by their end
-points. The last property compares the potential minima of a symmetric
-game with those of a copy whose total mass and offsets are rescaled.
+points. The last two properties compare a game with a copy whose total
+mass and offsets are rescaled: the potential minima of a symmetric
+game, and the equilibria and prices of a float game.
 """
 
 import math
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from nbg import (EquilibriumFamily, EquilibriumPoint, Game, affine,
                  family_cost_range, influence_from_triples, make_family,
-                 minimize_potential, solve_affine_by_supports, verify_equilibrium)
+                 minimize_potential, price_report, solve_affine_by_supports,
+                 verify_equilibrium)
 from nbg.equilibrium import _equal_cost_pass, _family_rows, _values
 from util import two_vertex_game
 
@@ -239,3 +241,73 @@ def test_potential_minima_scale_with_the_game(game, s):
                             game.influence)
     assert ({tuple(s * m for m in x) for x in exact_minima(game)}
             == exact_minima(scaled))
+
+
+@st.composite
+def float_games(draw):
+    """Float copies of the exact games, or float paths and cycles."""
+    if draw(st.booleans()):
+        return rebuilt(draw(exact_games()), scalar=float)
+    kind = draw(st.sampled_from(["path", "cycle"]))
+    return make_family(kind, float(draw(scalars)), r=float(draw(positive)),
+                       n=draw(st.integers(3, 6)))
+
+
+def times_power_of_two(game, k):
+    """The copy of a float game with r and every offset times 2^k, which
+    scales C_i(2^k x) to 2^k C_i(x) exactly in floating point."""
+    forms = [form.as_affine() for form in game.vertex_costs]
+    return Game.graphical(game.n, math.ldexp(game.r, k),
+                          [affine(a, math.ldexp(b, k)) for a, b in forms], game.influence)
+
+
+def divided(solved, k):
+    """The equilibrium set with every value that carries mass or cost
+    divided by 2^k; directions and slopes are kept as they are."""
+    def down(values):
+        return tuple(math.ldexp(v, -k) for v in values)
+
+    out = []
+    for item in solved:
+        if isinstance(item, EquilibriumPoint):
+            out.append((item.support, down(item.x.masses), down([item.cost])))
+        else:
+            out.append((item.support, down(item.base), down([item.cost_base]),
+                        item.directions, item.cost_directions,
+                        item.interval and down(item.interval),
+                        tuple((down([value]), coefs) for value, coefs in item.constraints)))
+    return out
+
+
+@settings(max_examples=60)
+@given(float_games(), st.integers(-60, 60))
+@example(make_family("path", 0.5, r=1.0, n=3), 40)
+@example(make_family("path", 0.5, r=1.0, n=3), -30)
+@example(make_family("path", 1.0, r=1.0, n=5), -60)
+def test_float_games_solve_the_same_at_every_scale(game, k):
+    # scaling r and every offset by 2^k scales the equilibrium set by 2^k,
+    # and multiplying floats by a power of two is exact
+    scaled_game = times_power_of_two(game, k)
+    scaled = solve_affine_by_supports(scaled_game)
+    assert divided(scaled, k) == divided(solve_affine_by_supports(game), 0)
+    for item in scaled:
+        if isinstance(item, EquilibriumPoint):
+            assert verify_equilibrium(scaled_game, item.x).is_equilibrium
+    prices, scaled_prices = price_report(game), price_report(scaled_game)
+    for name in ("poa_u", "poa_e", "pos_u", "pos_e"):
+        assert getattr(scaled_prices, name) == getattr(prices, name)
+    for name in ("optimum_u", "optimum_e"):
+        assert math.ldexp(getattr(scaled_prices, name), -k) == getattr(prices, name)
+
+
+def test_a_tiny_total_mass_splits_evenly():
+    # on two independent vertices with C_i = x_i, at a corner the charged
+    # vertex pays r and the empty one 0, so only the even split is an
+    # equilibrium, and it is optimal for both social costs
+    r = 1e-10
+    game = Game.graphical(2, r, [affine(1.0, 0.0)] * 2, influence_from_triples(2, []))
+    solved = solve_affine_by_supports(game)
+    assert [(item.x.masses, item.cost, item.support) for item in solved] == [
+        ((r / 2, r / 2), r / 2, (0, 1))]
+    report = price_report(game)
+    assert (report.poa_u, report.poa_e, report.pos_u, report.pos_e) == (1, 1, 1, 1)
