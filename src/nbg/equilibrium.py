@@ -47,12 +47,26 @@ def _exact_context(x: MassDistribution, costs) -> bool:
     return x.exact and numeric.all_exact(costs)
 
 
-def _tolerance(tol, exact, size):
-    """tol, which is absolute, or the float slack at `size` when it is None.
-    A NaN, infinite or negative tol would decide every comparison one way,
-    so it raises."""
+def _gap_tolerance(game, costs, at_zero=None) -> float:
+    """The float slack of the gaps between the costs C(x) = `costs`, given
+    C(0) = `at_zero` (computed when None). Their size is the spread of
+    C(0) plus the largest |C_i(x) - C_i(0)|: adding one constant to every
+    cost leaves it, as it leaves the equilibria, and scaling r and the
+    offsets of an affine game scales it. Float costs add their rounding."""
+    if at_zero is None:
+        at_zero = cost_vector(game, [0] * game.n)
+    rounded = not numeric.all_exact(costs)
+    costs, at_zero = [float(c) for c in costs], [float(c) for c in at_zero]
+    size = max(at_zero) - min(at_zero) + max(abs(c - z) for c, z in zip(costs, at_zero))
+    return numeric.auto_tolerance(False, size, max(map(abs, costs + at_zero)) if rounded else 0)
+
+
+def _tolerance(tol, exact, slack):
+    """tol, which is absolute, or when it is None 0 on exact data and the
+    float slack slack() otherwise. A NaN, infinite or negative tol would
+    decide every comparison one way, so it raises."""
     if tol is None:
-        return numeric.auto_tolerance(exact, size)
+        return 0 if exact else slack()
     if not 0 <= tol < float("inf"):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     return tol
@@ -83,7 +97,7 @@ def verify_equilibrium(game: Game, x, tol=None) -> EquilibriumReport:
     x = _as_distribution(game, x)
     costs = cost_vector(game, x)
     exact = _exact_context(x, costs)
-    tol = _tolerance(tol, exact, costs)
+    tol = _tolerance(tol, exact, lambda: _gap_tolerance(game, costs))
     charged = x.support()
     zero = 0 if exact else 0.0
     worst_gap = zero
@@ -131,7 +145,7 @@ def verify_delta_strong(game: Game, x, delta, tol=None) -> StrongnessCertificate
     x = _as_distribution(game, x)
     costs = cost_vector(game, x)
     exact = _exact_context(x, costs) and numeric.is_exact_scalar(delta)
-    tol = _tolerance(tol, exact, costs)
+    tol = _tolerance(tol, exact, lambda: _gap_tolerance(game, costs))
     affine = _affine_or_none(game)
     method = "exact" if affine is not None else "sampled"
 
@@ -267,6 +281,7 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
         raise ValueError(f"step must be a positive number, got {step}")
     trace = [MassDistribution(tuple(masses), game.r)] if keep_trace else []
     charge_tol = x.charge_tolerance()
+    at_zero = cost_vector(game, [0] * game.n)
     best_gap = None
     stalled = 0
     iterations = 0
@@ -277,7 +292,7 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
         worst = max(charged, key=lambda i: (costs[i], -i))
         cheapest = min(range(game.n), key=lambda j: (costs[j], j))
         gap = costs[worst] - costs[cheapest]
-        if gap <= numeric.auto_tolerance(False, costs):
+        if gap <= _gap_tolerance(game, costs, at_zero):
             converged = True
             iterations -= 1
             break
@@ -297,7 +312,7 @@ def best_response_dynamics(game: Game, x0, step=None, max_iters=10000,
             trace.append(MassDistribution(tuple(masses), game.r))
     final = MassDistribution(tuple(masses), game.r)
     report = verify_equilibrium(
-        game, final, tol=numeric.auto_tolerance(False, cost_vector(game, final)))
+        game, final, tol=_gap_tolerance(game, cost_vector(game, final), at_zero))
     return DynamicsResult(final, tuple(trace), iterations, converged, report, step)
 
 
@@ -378,7 +393,7 @@ class EquilibriumFamily:
                 f"expected {self.n} masses, got {len(masses)}")
         vectors = [masses, self.base, *self.directions]
         exact = numeric.all_exact([v for vec in vectors for v in vec])
-        tol = _tolerance(tol, exact, 100 * self.r)
+        tol = _tolerance(tol, exact, lambda: numeric.auto_tolerance(False, 100 * self.r))
         if not exact:
             vectors = [[float(v) for v in vec] for vec in vectors]
         masses, base, *directions = vectors
@@ -449,10 +464,12 @@ class _SupportPass:
     scaled entry is an int. A structure with any float entry becomes
     floats throughout, so each of its support systems is a float system.
     A Q(sqrt 5) structure keeps its own scalars. The last two take D = 1.
-    `exact` follows from that decision, and with it the pass's
-    comparison slack `tol` and zero mass `zero`: 0 and 0 on an exact
-    pass, 0.0 and the float slack at r and max|b| + r max|M| (the largest
-    mass and cost) on a float one.
+    `exact` follows from that decision, and with it the pass's slack
+    `tol` for masses, `gap_tol` for gaps and zero mass `zero`: all 0 on
+    an exact pass. A float pass takes 0.0, the float slack at r, and that
+    of gaps of size (spread of b) + r max|M| read off costs up to
+    max|b| + r max|M|. Family rows read gaps times `unit`, a power of two
+    near tol / gap_tol, so `tol` serves every row.
 
     The costs are C_j(x) = b_j + sum_s M[s][j] x_s, with the scaled
     coefficients and offsets. A vector and a cost are read as numerators
@@ -464,8 +481,8 @@ class _SupportPass:
     a value.
     """
 
-    __slots__ = ("n", "r", "exact", "tol", "zero", "scale", "offsets", "columns",
-                 "cost_rows", "sum_row")
+    __slots__ = ("n", "r", "exact", "tol", "gap_tol", "unit", "zero", "scale",
+                 "offsets", "columns", "cost_rows", "sum_row")
 
     def __init__(self, coefficients, offsets, r):
         n = self.n = len(offsets)
@@ -478,11 +495,15 @@ class _SupportPass:
             scale = math.lcm(*(v.denominator for v in flat))
             flat = [v.numerator * (scale // v.denominator) for v in flat]
             r_num, r_den = r.numerator, r.denominator
-        self.tol = self.zero = 0
+        self.tol = self.gap_tol = self.zero = 0
+        self.unit = 1
         if not self.exact:
             flat, r_num, self.zero = [float(v) for v in flat], float(r), 0.0
-            self.tol = numeric.auto_tolerance(False, max(
-                r_num, max(map(abs, flat[n * n:])) + r_num * max(map(abs, flat[:n * n]))))
+            offsets, change = flat[n * n:], r_num * max(map(abs, flat[:n * n]))
+            self.tol = numeric.auto_tolerance(False, r_num)
+            self.gap_tol = numeric.auto_tolerance(False, max(offsets) - min(offsets) + change,
+                                                  max(map(abs, offsets)) + change)
+            self.unit = numeric.power_of_two_ratio(self.tol, self.gap_tol)
         self.scale, self.offsets = scale, flat[n * n:]
         # the masses of a support sum to r: r_den * sum x = r_num
         self.sum_row = (r_den, r_num)
@@ -591,7 +612,7 @@ def _equilibria(pass_: _SupportPass, systems) -> list:
             outside = _outside(pass_.n, point.support)
             tied = mask | sum(1 << j for j, gap in
                               zip(outside, pass_.gaps(masses, cost, outside, den))
-                              if abs(gap) <= pass_.tol)
+                              if abs(gap) <= pass_.gap_tol)
             if any(f & ~tied == 0 for f in covering):
                 continue
         key = tuple(point.x.masses) if pass_.exact else _float_key(point.x)
@@ -626,12 +647,14 @@ def _accept_point(pass_, support, values, den):
     support and common cost are values / den, or None when a mass is
     negative or an off-support vertex costs less. masses and cost are the
     numerators, masses placed on all n vertices."""
-    tol = pass_.tol
     # most systems fail on a mass sign, so it is read first
-    if any(m < -tol for m in values[:len(support)]):
+    if any(m < -pass_.tol for m in values[:len(support)]):
         return None
     masses = _masses(pass_, support, values)
+    if not any(masses):  # float masses all within tol below 0 are rounding noise
+        return None
     cost = values[len(support)]
+    tol = pass_.gap_tol
     if any(gap < -tol for gap in pass_.gaps(masses, cost, _outside(pass_.n, support), den)):
         return None
     return _point(pass_, masses, cost, den)
@@ -648,11 +671,20 @@ def _masses(pass_, support, values):
     return masses
 
 
+def _on_total(pass_, values):
+    """The masses `values` of a point, on a float pass scaled to sum to r:
+    they carry the rounding of the costs, which can exceed r by far."""
+    if pass_.exact:
+        return values
+    ratio = pass_.r / sum(values)
+    return [v * ratio for v in values]
+
+
 def _point(pass_, masses, cost, den):
     """(point, den, masses, cost) for the nonnegative masses / den of
     common cost cost / den; only here do points build their values."""
-    x = MassDistribution(tuple(numeric.quotient(m, den) if m > 0 else pass_.zero
-                               for m in masses), pass_.r)
+    x = MassDistribution(tuple(_on_total(pass_, [
+        numeric.quotient(m, den) if m > 0 else pass_.zero for m in masses])), pass_.r)
     return EquilibriumPoint(x, numeric.quotient(cost, den), x.support()), den, masses, cost
 
 
@@ -663,12 +695,12 @@ def _family_rows(pass_, support, den, base, cost_base, directions, cost_dirs):
     costs at least the common cost. Costs are affine, so the slope of
     C_j - c along a direction is its gap with the offsets dropped. Every
     row is D*den times the row in t, so integer numerators give integer
-    rows."""
-    scale = pass_.scale
+    rows, and a gap row is also times `unit`."""
+    scale, unit = pass_.scale, pass_.unit
     rows = [(scale * base[s], [scale * d[s] for d in directions]) for s in support]
     outside = _outside(pass_.n, support)
     slopes = [list(pass_.gaps(d, dc, outside, 0)) for d, dc in zip(directions, cost_dirs)]
-    rows.extend((value, [column[idx] for column in slopes])
+    rows.extend((unit * value, [unit * column[idx] for column in slopes])
                 for idx, value in enumerate(pass_.gaps(base, cost_base, outside, den)))
     return rows
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import numeric
 from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily, _affine_or_none,
-                          _equal_cost_pass, _equilibria, _masses, _SupportPass,
+                          _equal_cost_pass, _equilibria, _masses, _on_total, _SupportPass,
                           family_cost_range)
 from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
@@ -115,10 +115,12 @@ def _least_support_point(pass_: _SupportPass, systems, value):
         if any(m < -tol for m in solution.numerators[:k]):
             continue
         point = _masses(pass_, support, solution.solution)
+        if not any(point):  # float masses all within tol below 0 are rounding noise
+            continue
         candidate = value(point, solution.solution[k])
         if best is None or candidate < best[1]:
             best = (point, candidate)
-    return best[0]
+    return _on_total(pass_, best[0])
 
 
 def _exact_egalitarian_minimum(game: Game, pass_: _SupportPass, systems) -> OptimumResult:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 #: float-mode slack relative to the size of the values compared
 FLOAT_TOLERANCE = 1e-9
+#: float-mode slack for the rounding of a difference, relative to the
+#: magnitude of the values it is read off: 256 machine epsilons
+ROUNDING_TOLERANCE = 2.0 ** -44
 
 
 class QuadExt:
@@ -232,15 +234,21 @@ def integer_row(row):
     return [v.numerator * (scale // v.denominator) for v in row], scale
 
 
-def auto_tolerance(exact: bool, size):
-    """0 on exact data, else FLOAT_TOLERANCE times `size`, the magnitude of
-    the values compared, or of the largest of them when `size` iterates
-    over them (read on float data only)."""
+def auto_tolerance(exact: bool, size, magnitude=0):
+    """0 on exact data. Else FLOAT_TOLERANCE times `size`, the size of the
+    values compared, plus ROUNDING_TOLERANCE times `magnitude` when they
+    are differences of values that large, for the rounding they carry."""
     if exact:
         return 0
-    if isinstance(size, Iterable):
-        size = max(abs(float(v)) for v in size)
-    return FLOAT_TOLERANCE * abs(float(size))
+    return FLOAT_TOLERANCE * abs(float(size)) + ROUNDING_TOLERANCE * abs(float(magnitude))
+
+
+def power_of_two_ratio(a, b) -> float:
+    """The power of two within a factor of two of |a / b|, 1 if a or b is
+    0. Multiplying by it is exact, and it is the same for 2^k a and 2^k b."""
+    if not (a and b):
+        return 1.0
+    return math.ldexp(1.0, math.frexp(a)[1] - math.frexp(b)[1])
 
 
 def parse_scalar(raw):

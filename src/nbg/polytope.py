@@ -81,8 +81,8 @@ def _lp_rows(rows):
     the same LP."""
     a = [[-float(c) for c in coefs] for _, coefs in rows]
     values = [float(value) for value, _ in rows]
-    tops = [max(map(abs, part), default=0.0) for part in (values, [c for row in a for c in row])]
-    s = math.ldexp(1.0, math.frexp(tops[0])[1] - math.frexp(tops[1])[1]) if all(tops) else 1.0
+    s = numeric.power_of_two_ratio(max(map(abs, values), default=0.0),
+                                   max((abs(c) for row in a for c in row), default=0.0))
     return a, [v / s for v in values], s
 
 

@@ -49,6 +49,12 @@ def two_vertex_affine_equilibria(game):
     return "points", values
 
 
+def independent_pair(b1, b2, r=1.0) -> Game:
+    """C1 = x1 + b1 and C2 = x2 + b2 on two vertices that do not interact."""
+    return Game.graphical(2, r, [affine(1, b1), affine(1, b2)],
+                          influence_from_triples(2, []))
+
+
 class TestVerifyEquilibrium:
     def test_dilemma_equilibria(self):
         game = dilemma_game()
@@ -95,6 +101,13 @@ class TestVerifyEquilibrium:
                 verify_equilibrium(game, x, tol=bad)
             with pytest.raises(ValueError, match=f"got {bad}"):
                 verify_delta_strong(game, x, Fraction(1, 10), tol=bad)
+
+    def test_a_common_cost_offset_does_not_loosen_the_verdict(self):
+        # C_i = x_i + 1e6 on two independent vertices: the offset moves no
+        # equilibrium, so a split off by 5e-4 stays rejected
+        game = independent_pair(1e6, 1e6)
+        assert verify_equilibrium(game, (0.5, 0.5)).is_equilibrium
+        assert not verify_equilibrium(game, (0.5005, 0.4995)).is_equilibrium
 
     def test_no_equilibrium_game_rejects_a_grid(self):
         game = no_equilibrium_game()
@@ -586,6 +599,45 @@ class TestBrouwerMap:
         image = brouwer_map(make_family("path", 1, n=3), (1, 0, 0))
         assert image.masses == (Fraction(1, 2), 0, Fraction(1, 2))
         assert all(type(m) is Fraction for m in image.masses)
+
+
+class TestLargeCommonOffsets:
+    """Float games whose offsets share a constant far above r max|M|: the
+    constant moves no equilibrium, so it must move no verdict."""
+
+    def test_a_negative_split_is_refused(self):
+        # the split of support {1, 2} solves to x2 = -2.5e-4
+        solved = solve_affine_by_supports(independent_pair(1e6, 1e6 + 1.0005))
+        assert [(item.x.masses, item.support) for item in solved] == [((1.0, 0.0), (0,))]
+
+    def test_a_corner_short_by_a_small_gap_is_refused(self):
+        # at the corner (1, 0), C1 - C2 = 5e-4 > 0; only the split holds
+        game = independent_pair(1e6, 1e6 + 0.9995)
+        solved = solve_affine_by_supports(game)
+        assert [item.support for item in solved] == [(0, 1)]
+        assert solved[0].x.masses == pytest.approx((0.99975, 0.00025), abs=1e-9)
+        assert verify_equilibrium(game, solved[0].x).is_equilibrium
+        assert not verify_equilibrium(game, (1.0, 0.0)).is_equilibrium
+
+    def test_masses_far_below_the_offsets_still_sum_to_r(self):
+        # at r = 1e-10 and offsets near 1, float masses carry errors near
+        # 1e-16 that exceed 1e-9 r; the point still comes out with total r
+        r = 1e-10
+        game = independent_pair(1.0, 1.0 + r / 2, r)
+        solved = solve_affine_by_supports(game)
+        assert [item.support for item in solved] == [(0, 1)]
+        assert solved[0].x.masses == pytest.approx((0.75 * r, 0.25 * r), rel=1e-5)
+        assert price_report(game).poa_u == pytest.approx(1)
+
+    def test_exact_dynamics_stop_at_the_gap_size(self):
+        # the equilibrium x1 = 2/3 is off the chunk grid, so the run stops
+        # at the float slack, which the offsets of 10^6 must not widen
+        game = independent_pair(Fraction(10 ** 6), Fraction(10 ** 6) + Fraction(1, 3),
+                                Fraction(1))
+        result = best_response_dynamics(game, distribution([Fraction(1), Fraction(0)]))
+        assert result.converged
+        assert result.report.worst_gap <= 1e-8
+        assert abs(float(result.x.masses[0]) - 2 / 3) <= 1e-8
 
 
 class TestBestResponseDynamics:

@@ -165,7 +165,7 @@ class TestScalarIO:
         assert auto_tolerance(True, 2.0) == 0
         assert auto_tolerance(False, 1.0) == 1e-9
         assert auto_tolerance(False, 2.0 ** -40) == 1e-9 * 2.0 ** -40
-        assert auto_tolerance(False, [0.5, -4.0, Fraction(1, 3)]) == 4e-9
+        assert auto_tolerance(False, 1.0, 2.0 ** 10) == 1e-9 + 2.0 ** -34
 
     def test_quotient_is_exact_on_rationals_only(self):
         assert quotient(1, 2) == Fraction(1, 2)

@@ -284,6 +284,10 @@ def divided(solved, k):
 @example(make_family("path", 0.5, r=1.0, n=3), 40)
 @example(make_family("path", 0.5, r=1.0, n=3), -30)
 @example(make_family("path", 1.0, r=1.0, n=5), -60)
+@example(Game.graphical(2, 1.0, [affine(1.0, 1e6), affine(1.0, 1e6 + 1.0005)],
+                        influence_from_triples(2, [])), -30)
+@example(Game.graphical(2, 1.0, [affine(1.0, 1e6), affine(1.0, 1e6 + 0.9995)],
+                        influence_from_triples(2, [])), 30)
 def test_float_games_solve_the_same_at_every_scale(game, k):
     # scaling r and every offset by 2^k scales the equilibrium set by 2^k,
     # and multiplying floats by a power of two is exact
