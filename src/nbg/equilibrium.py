@@ -520,20 +520,19 @@ class _SupportPass:
         denominator of r. Scaling rows leaves the solution set as it is,
         and a rational elimination starts from integers. Inconsistent
         systems are skipped."""
-        n, scale, cost_rows = self.n, self.scale, self.cost_rows
-        r_den, r_num = self.sum_row
+        n, (r_den, r_num) = self.n, self.sum_row
         targets = [-b for b in self.offsets]
+        rows_in = [row + [-self.scale] for row in self.cost_rows]
+        sum_rows = [[r_den] * k + [0] for k in range(n + 1)]
+        # a support's columns: its lowest vertex, those of the rest, then n
+        columns = [(n,)] * (1 << n)
         for mask in range(1, 1 << n):
-            support = tuple(i for i in range(n) if mask >> i & 1)
-            rows = []
-            rhs = []
-            for i in support:
-                row = cost_rows[i]
-                rows.append([row[j] for j in support] + [-scale])
-                rhs.append(targets[i])
-            rows.append([r_den] * len(support) + [0])
-            rhs.append(r_num)
-            solution = solve_linear_system(rows, rhs)
+            low = (mask & -mask).bit_length() - 1
+            cols = columns[mask] = (low,) + columns[mask & (mask - 1)]
+            support = cols[:-1]
+            rows = [[row[j] for j in cols] for row in [rows_in[i] for i in support]]
+            rows.append(sum_rows[len(support)])
+            solution = solve_linear_system(rows, [targets[i] for i in support] + [r_num])
             if solution.status != "none":
                 yield support, solution
 
@@ -604,17 +603,16 @@ def _equilibria(pass_: _SupportPass, systems) -> list:
     family_masks = [f.bitmask for f in families]
     kept_points = []
     seen = set()
-    for point, den, masses, cost in sorted(
-            points, key=lambda p: (p[0].bitmask, tuple(float(m) for m in p[0].x.masses))):
-        mask = point.bitmask
+    for mask, _, den, masses, cost in sorted(points, key=lambda p: p[:2]):
         covering = [f for f in family_masks if mask & ~f == 0]
         if covering:
-            outside = _outside(pass_.n, point.support)
+            outside = [j for j in range(pass_.n) if not mask >> j & 1]
             tied = mask | sum(1 << j for j, gap in
                               zip(outside, pass_.gaps(masses, cost, outside, den))
                               if abs(gap) <= pass_.gap_tol)
             if any(f & ~tied == 0 for f in covering):
                 continue
+        point = _point(pass_, masses, cost, den)
         key = tuple(point.x.masses) if pass_.exact else _float_key(point.x)
         if key in seen:
             continue
@@ -643,12 +641,11 @@ def _family_vectors(pass_, support, particular, basis):
 
 
 def _accept_point(pass_, support, values, den):
-    """(point, den, masses, cost) for the equilibrium whose masses on the
-    support and common cost are values / den, or None when a mass is
-    negative or an off-support vertex costs less. masses and cost are the
-    numerators, masses placed on all n vertices."""
+    """The `_candidate` for the equilibrium whose masses on the support
+    and common cost are values / den, or None when a mass is negative or
+    an off-support vertex costs less."""
     # most systems fail on a mass sign, so it is read first
-    if any(m < -pass_.tol for m in values[:len(support)]):
+    if min(values[:len(support)]) < -pass_.tol:
         return None
     masses = _masses(pass_, support, values)
     if not any(masses):  # float masses all within tol below 0 are rounding noise
@@ -657,7 +654,7 @@ def _accept_point(pass_, support, values, den):
     tol = pass_.gap_tol
     if any(gap < -tol for gap in pass_.gaps(masses, cost, _outside(pass_.n, support), den)):
         return None
-    return _point(pass_, masses, cost, den)
+    return _candidate(pass_, masses, cost, den)
 
 
 def _masses(pass_, support, values):
@@ -680,12 +677,22 @@ def _on_total(pass_, values):
     return [v * ratio for v in values]
 
 
+def _candidate(pass_, masses, cost, den):
+    """(bitmask, key, den, masses, cost) for the point of nonnegative
+    masses / den and common cost cost / den, numerators with masses on
+    all n vertices: its support and float masses (int / int rounds as a
+    Fraction does), so that `_point` builds only the points kept."""
+    values = _on_total(pass_, [m / den for m in masses])
+    mask = sum(1 << i for i, v in enumerate(masses if pass_.exact else values) if v > pass_.tol)
+    return mask, tuple(map(float, values)), den, masses, cost
+
+
 def _point(pass_, masses, cost, den):
-    """(point, den, masses, cost) for the nonnegative masses / den of
-    common cost cost / den; only here do points build their values."""
+    """The EquilibriumPoint of a `_candidate`; only here do points build
+    their values."""
     x = MassDistribution(tuple(_on_total(pass_, [
         numeric.quotient(m, den) if m > 0 else pass_.zero for m in masses])), pass_.r)
-    return EquilibriumPoint(x, numeric.quotient(cost, den), x.support()), den, masses, cost
+    return EquilibriumPoint(x, numeric.quotient(cost, den), x.support())
 
 
 def _family_rows(pass_, support, den, base, cost_base, directions, cost_dirs):
@@ -754,8 +761,8 @@ def _restrict_family(pass_, support, den, vectors):
             # second test
             num, q = (lo.numerator, lo.denominator) if isinstance(lo, Fraction) else (lo, 1)
             base, cost = _fold(vectors, q, (num,), ())[:2]
-            return _point(pass_, _masses(pass_, support, [base[s] for s in support]),
-                          cost, q * den)
+            return _candidate(pass_, _masses(pass_, support, [base[s] for s in support]),
+                              cost, q * den)
         return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), (lo, hi))
 
     # rows that bind across the whole region squeeze it into a

@@ -7,12 +7,15 @@ eliminates a matrix once, fraction-free in integers for rational
 matrices and by Gauss-Jordan with largest-magnitude pivots for float
 and Q(sqrt 5) ones; a determinant is read off that elimination.
 
-The fraction-free elimination ends with every pivot row equal to the
-last pivot times the reduced row, so a rational solution comes out as
-integer numerators over that one denominator (Bareiss, Math. Comp. 22,
-1968). `LinearSolution` hands every solution on in that one form, float
-and Q(sqrt 5) ones as their values over 1, and builds the values only
-when they are read.
+The fraction-free elimination takes rows of ints as they are, and
+scales other rational rows by the lcm of their denominators. It
+eliminates forward, rescaling a row only when it is used, and then
+back-substitutes, so every pivot row ends equal to the last pivot times
+the reduced row: a rational solution comes out as integer numerators
+over that one denominator (Bareiss, Math. Comp. 22, 1968).
+`LinearSolution` hands every solution on in that one form, float and
+Q(sqrt 5) ones as their values over 1, and builds the values only when
+they are read.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ _PIVOT_TOLERANCE = 1e-12
 _RATIONAL, _QUADRATIC, _FLOAT = "rational", "quadratic", "float"
 
 
-def _classify(rows):
-    kinds = {type(v) for row in rows for v in row}
+def _classify(kinds):
     if numeric.rational_types(kinds):
         return _RATIONAL
     if any(issubclass(t, bool) for t in kinds):
@@ -50,28 +52,35 @@ def _zero_test_for(rows, kind, width):
     return lambda v, col: abs(float(v)) <= _PIVOT_TOLERANCE * (left if col < width else right)
 
 
-def _bareiss(rows):
-    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+def _bareiss(rows, ints=False):
+    """Fraction-free elimination of a rational matrix, forward then back.
 
-    Each row is scaled to integers by the lcm of its denominators; then
-    every row other than the pivot row takes the one-step Bareiss update
-    (piv * a - f * b) // prev, whose division is exact (Bareiss, Math.
-    Comp. 22, 1968). Returns (m, pivots, p, sign, scale): the integer
-    rows, the pivot columns, the last pivot p, the row-swap parity and
-    the product of the row scales. Pivot row k of the reduced row echelon
-    form is m[k] / p, and the rows past the pivots are zero. When the n
-    rows pivot in the first n columns, those have determinant sign*p/scale.
+    Rows of ints (`ints`) are reduced as they are, in place; otherwise each
+    row is scaled to integers by the lcm of its denominators. Forward, a
+    row below pivot p with f in its column takes (p * a - f * b) // prev
+    right of that column, an exact division (Bareiss, Math. Comp. 22,
+    1968). A row with f = 0 is left as it is: the one-step factors it
+    skips telescope, so its next update divides by the prev it last saw,
+    and as the pivot row it is first scaled by prev over that. Back (Nakos,
+    Turner & Williams, SIGSAM Bull. 31(3), 1997), pivot row i becomes
+    (p * U_i - sum_{j>i} U_i[c_j] * R_j) // U_i[c_i] on its free columns.
+    Returns (m, pivots, p, sign, scale): the integer rows, the pivot
+    columns c, the last pivot p, the row-swap parity and the product of
+    the row scales. Pivot row k of the reduced row echelon form is m[k] /
+    p, and the rows past the pivots are zero. When the n rows pivot in
+    the first n columns, those have determinant sign*p/scale.
     """
-    m = []
-    scales = 1
-    for row in rows:
-        ints, scale = numeric.integer_row(row)
-        scales *= scale
-        m.append(ints)
+    m, scales = rows, 1
+    if not ints:
+        m = []
+        for row in rows:
+            ints_row, scale = numeric.integer_row(row)
+            scales *= scale
+            m.append(ints_row)
     n_rows, n_cols = len(m), len(m[0])
     pivots = []
-    prev = 1
-    sign = 1
+    prev = sign = 1
+    seen = [1] * n_rows  # the prev that row i last saw
     for col in range(n_cols):
         row = len(pivots)
         if row == n_rows:
@@ -81,19 +90,32 @@ def _bareiss(rows):
             continue
         if best != row:
             m[row], m[best] = m[best], m[row]
+            seen[row], seen[best] = seen[best], seen[row]
             sign = -sign
         top = m[row]
-        pivot = top[col]
-        for i in range(n_rows):
-            if i == row:
-                continue
-            factor = m[i][col]
+        if seen[row] != prev:  # the pivot row is brought up to date
+            top[col:] = [a * prev // seen[row] for a in top[col:]]
+        pivot, tail = top[col], top[col + 1:]
+        for i in range(row + 1, n_rows):
+            below = m[i]
+            factor = below[col]
             if factor:
-                m[i] = [(pivot * a - factor * b) // prev for a, b in zip(m[i], top)]
-            elif pivot != prev:
-                m[i] = [pivot * a // prev for a in m[i]]
+                below[col + 1:] = [(pivot * a - factor * b) // seen[i]
+                                   for a, b in zip(below[col + 1:], tail)]
+                seen[i] = pivot
         pivots.append(col)
         prev = pivot
+    m[len(pivots):] = [[0] * n_cols for _ in range(len(pivots), n_rows)]
+    free = [c for c in range(n_cols) if c not in pivots]
+    for k in reversed(range(len(pivots))):
+        upper, col = m[k], pivots[k]
+        done = [(upper[c], m[j]) for j, c in enumerate(pivots[k + 1:], k + 1) if upper[c]]
+        reduced = [0] * n_cols
+        reduced[col] = prev
+        for c in free:
+            if c > col:
+                reduced[c] = (prev * upper[c] - sum([f * r[c] for f, r in done])) // upper[col]
+        m[k] = reduced
     return m, pivots, prev, sign, scales
 
 
@@ -150,10 +172,11 @@ def _reduce(m, width):
     determinant of the first n = len(m) columns, zero unless the n-th
     pivot is column n - 1.
     """
-    kind = _classify(m)
+    kinds = {type(v) for row in m for v in row}
+    kind = _classify(kinds)
     n = len(m)
     if kind == _RATIONAL:
-        m, pivots, last, sign, scale = _bareiss(m)
+        m, pivots, last, sign, scale = _bareiss(m, kinds == {int})
         if pivots[n - 1:n] != [n - 1]:
             sign = 0
         return kind, pivots, m, last, lambda: Fraction(sign * last, scale)

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nbg import (PHI, QuadExt, determinant, linalg, matvec, rref, solve_linear_system,
                  solve_with_determinant)
-from util import cofactor_determinant
+from util import cofactor_determinant, gauss_jordan_bareiss
 
 
 def random_fraction_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -273,6 +273,46 @@ def test_rref_is_the_unique_reduced_form(a, rng):
     scales = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 60)) for _ in a]
     shuffled = [[v * scale for v in row] for row, scale in zip(rng.sample(a, len(a)), scales)]
     assert rref(shuffled) == (reduced, pivots)
+
+
+@st.composite
+def elimination_matrices(draw):
+    """Rational matrices of up to 9 rows and 10 columns, all ints or with
+    Fractions, dense or three entries in five zero. A row may be the sum
+    of two others, and its last entry then one more, which makes the last
+    column an inconsistent right-hand side."""
+    n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 10))
+    values = st.integers(-9, 9) if draw(st.booleans()) else scalars
+    sparse = draw(st.booleans())
+    m = [[0 if sparse and draw(st.integers(0, 4)) < 3 else draw(values)
+          for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n_rows)))[:3]
+        m[k] = [a + b for a, b in zip(m[i], m[j])]
+        m[k][-1] += draw(st.integers(0, 1))
+    return m
+
+
+@settings(max_examples=300)
+@given(elimination_matrices())
+# the row swapped onto pivot row 2 skipped the two pivots before it
+@example([[2, 1, 0, 3, 1], [4, 5, 1, 1, 2], [6, 3, 0, 9, 4], [0, 0, 0, 7, 5]])
+# the systems (A | b) of the negative-last-pivot test below
+@example([[-3, 2]])
+@example([[1, 2, 1], [3, 4, 1]])
+@example([[1, 2, 1, 1], [3, 4, 1, Fraction(1, 2)]])
+def test_bareiss_matches_the_gauss_jordan_oracle(m):
+    expected = gauss_jordan_bareiss(m)
+    assert linalg._bareiss([list(row) for row in m]) == expected
+    if all(type(v) is int for row in m for v in row):
+        assert linalg._bareiss([list(row) for row in m], True) == expected
+    reduced, pivots, last, _, _ = expected
+    assert rref(m) == ([[Fraction(v, last) if i < len(pivots) else Fraction(0) for v in row]
+                        for i, row in enumerate(reduced)], pivots)
+    k = min(len(m), len(m[0]))
+    square = [row[:k] for row in m[:k]]
+    _, pivots, last, sign, scale = gauss_jordan_bareiss(square)
+    assert determinant(square) == (Fraction(sign * last, scale) if len(pivots) == k else 0)
 
 
 quadratic_scalars = st.one_of(scalars, st.sampled_from([PHI, -PHI, 2 * PHI, PHI * PHI]),

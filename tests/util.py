@@ -8,6 +8,7 @@ rather than tautology.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -277,3 +278,49 @@ def contained_in_solution_set(game, solved, closed, samples=5) -> bool:
             if not (in_points or in_family):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# elimination oracle
+
+
+def gauss_jordan_bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination, the reference for
+    `linalg._bareiss`: each row scaled to integers by the lcm of its
+    denominators, then every row other than the pivot row takes the
+    one-step update (piv * a - f * b) // prev at every pivot, so every
+    row is rescaled at every step. Returns (m, pivots, last pivot,
+    row-swap parity, product of the row scales)."""
+    m = []
+    scales = 1
+    for row in rows:
+        scale = math.lcm(*(Fraction(v).denominator for v in row))
+        scales *= scale
+        m.append([int(Fraction(v) * scale) for v in row])
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    prev = 1
+    sign = 1
+    for col in range(n_cols):
+        row = len(pivots)
+        if row == n_rows:
+            break
+        best = next((i for i in range(row, n_rows) if m[i][col]), None)
+        if best is None:
+            continue
+        if best != row:
+            m[row], m[best] = m[best], m[row]
+            sign = -sign
+        top = m[row]
+        pivot = top[col]
+        for i in range(n_rows):
+            if i == row:
+                continue
+            factor = m[i][col]
+            if factor:
+                m[i] = [(pivot * a - factor * b) // prev for a, b in zip(m[i], top)]
+            elif pivot != prev:
+                m[i] = [pivot * a // prev for a in m[i]]
+        pivots.append(col)
+        prev = pivot
+    return m, pivots, prev, sign, scales
