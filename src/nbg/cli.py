@@ -147,8 +147,8 @@ def cmd_solve(args) -> int:
                   f"  potential {numeric.format_scalar(value)}  [{flag}]")
         return 0 if ok else 1
 
-    system = uniform_cost_solve(game, args.graph)
-    print(f"graph kind: {args.graph}")
+    system = uniform_cost_solve(game)
+    print(f"graph kind: {system.kind}")
     print(f"determinant: {numeric.format_scalar(system.determinant)}")
     print(f"status: {system.status}")
     if system.status == "unique":
@@ -342,9 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="game JSON file")
     p.add_argument("--method", default="supports",
                    choices=("supports", "potential", "uniform-cost"))
-    p.add_argument("--graph", default="general",
-                   choices=("path", "cycle", "general"),
-                   help="graph kind for the uniform-cost method")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("metrics", help="social optima and price of "

@@ -12,7 +12,7 @@ without asserting anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import numeric, polytope
@@ -99,11 +99,6 @@ class UniformCostSystem:
     nonnegative: bool = None
 
 
-def _expected_graph(kind, n):
-    count, edges = _family_edges(kind, n=n)
-    return UndirectedGraph(count, frozenset(frozenset(e) for e in edges))
-
-
 def uniform_cost_matrix(game: Game):
     """Rows of (I + W | -1; 1...1 | 0) and the right-hand side (0,...,0,r)."""
     if not classify(game).satisfies("normal"):
@@ -123,18 +118,17 @@ def _equal_costs_rows(n, coefficients):
     return rows + [[1] * n + [0]]
 
 
-def uniform_cost_solve(game: Game, graph_kind="general") -> UniformCostSystem:
-    """Solve the equal-costs system and report determinant and signs."""
-    if graph_kind not in ("path", "cycle", "general"):
-        raise ValueError(f"unknown graph kind {graph_kind!r}")
-    if graph_kind != "general":
-        graph = underlying_graph(game)
-        if not isinstance(graph, UndirectedGraph) or graph != _expected_graph(graph_kind, game.n):
-            raise UnsupportedGameError(
-                f"game's influence graph is not a {graph_kind} on {game.n} vertices")
+def uniform_cost_solve(game: Game) -> UniformCostSystem:
+    """Solve the equal-costs system and report determinant and signs. The
+    kind is "path" or "cycle" when the influence graph is that family's
+    graph on the vertices in order, else "general"."""
     matrix, rhs = uniform_cost_matrix(game)
     solution, det = solve_with_determinant(matrix, rhs)
-    n = game.n
+    n, graph_kind = game.n, "general"
+    for kind in ("path", "cycle") if n >= 3 else ("path",):
+        edges = frozenset(map(frozenset, _family_edges(kind, n=n)[1]))
+        if underlying_graph(game) == UndirectedGraph(n, edges):
+            graph_kind = kind
     if solution.status == "none":
         return UniformCostSystem(n, graph_kind, matrix, rhs, det, "none")
     if solution.status == "unique":
@@ -298,21 +292,13 @@ def path_closed_form(n, alpha) -> tuple:
 
     remainder = n % 3
     if remainder == 2:
+        # blocks of three from vertex 1: mass moves between the first two
         share = Fraction(3, n + 1)
-        base = [Fraction(0)] * n
-        direction = [Fraction(0)] * n
-        support = []
-        for i in range(n):
-            position = i + 1
-            if position % 3 == 1:
-                direction[i] = Fraction(1)
-                support.append(i)
-            elif position % 3 == 2:
-                base[i] = share
-                direction[i] = Fraction(-1)
-                support.append(i)
+        base = [share if i % 3 == 1 else Fraction(0) for i in range(n)]
+        direction = [(Fraction(1), Fraction(-1), Fraction(0))[i % 3] for i in range(n)]
+        support = tuple(i for i in range(n) if i % 3 != 2)
         family = EquilibriumFamily(
-            n, 1, tuple(support), tuple(base), share,
+            n, 1, support, tuple(base), share,
             (tuple(direction),), (Fraction(0),), (Fraction(0), share),
             "repeating two-block family")
         return (family,)
@@ -348,20 +334,11 @@ def cycle_closed_form(n, alpha) -> tuple:
     if n % 3 != 0:
         masses = [Fraction(1, n)] * n
         return (_point(masses, uniform_cost, "uniform equilibrium"),)
+    # the third vertex of each block gives its mass to the first or second
     share = Fraction(3, n)
-    base = [Fraction(0)] * n
-    d1 = [Fraction(0)] * n
-    d2 = [Fraction(0)] * n
-    for i in range(n):
-        residue = i % 3
-        if residue == 0:
-            d1[i] = Fraction(1)
-        elif residue == 1:
-            d2[i] = Fraction(1)
-        else:
-            base[i] = share
-            d1[i] = Fraction(-1)
-            d2[i] = Fraction(-1)
+    base = [share if i % 3 == 2 else Fraction(0) for i in range(n)]
+    d1 = [(Fraction(1), Fraction(0), Fraction(-1))[i % 3] for i in range(n)]
+    d2 = [(Fraction(0), Fraction(1), Fraction(-1))[i % 3] for i in range(n)]
     family = EquilibriumFamily(
         n, 1, tuple(range(n)), tuple(base), share,
         (tuple(d1), tuple(d2)), (Fraction(0), Fraction(0)), None,
@@ -423,20 +400,11 @@ def star_closed_form(n, alpha) -> tuple:
     bipartite analysis at q = 1."""
     if n < 2:
         raise ValueError(f"star needs n >= 2, got {n!r}")
-    relabel = {
-        "all vertices charged": "all vertices charged",
-        "only the smaller side charged": "only the centre charged",
-        "only the larger side charged": "only the leaves charged",
-    }
-    results = []
-    for item in bipartite_closed_form(n - 1, 1, alpha):
-        if isinstance(item, EquilibriumPoint):
-            results.append(EquilibriumPoint(
-                item.x, item.cost, item.support,
-                relabel.get(item.label, item.label)))
-        else:
-            results.append(item)
-    return tuple(results)
+    relabel = {"only the smaller side charged": "only the centre charged",
+               "only the larger side charged": "only the leaves charged"}
+    return tuple(replace(item, label=relabel.get(item.label, item.label))
+                 if isinstance(item, EquilibriumPoint) else item
+                 for item in bipartite_closed_form(n - 1, 1, alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numeric, polytope
-from .errors import DimensionMismatchError, UnsupportedGameError
+from .errors import DimensionMismatchError, NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
 from .linalg import matvec, solve_linear_system
 
@@ -796,7 +796,7 @@ def family_cost_range(family: EquilibriumFamily):
     The cost is affine in the family parameters, so one-parameter families
     give exact interval endpoints; larger families are bounded by linear
     programming over the family's own region (`EquilibriumFamily._region`,
-    float, inexact).
+    float, inexact). Raises NbgError when that LP fails.
     """
     if family.dimension == 1 and family.interval is not None:
         lo, hi = family.interval
@@ -813,7 +813,8 @@ def family_cost_range(family: EquilibriumFamily):
     for sign in (1.0, -1.0):
         optimum = polytope.minimize(rows, sign * obj)
         if optimum is None:
-            base = float(family.cost_base)
-            return (base, base), False
+            vertices = ", ".join(str(i + 1) for i in family.support)
+            raise NbgError(f"no cost bound for the family on vertices {vertices}:"
+                           " its linear program failed")
         values.append(float(family.cost_base) + float(obj @ optimum[1]))
     return (min(values), max(values)), False

@@ -131,14 +131,13 @@ def strong_supports_match_kernels(d: Digraph, alpha, r=1) -> CorrespondenceRepor
     counts as strong when it is delta-strong at delta = r/|support|, the
     level the uniform kernel distribution attains.
     """
-    if d.n > 10:
-        raise UnsupportedGameError(
-            f"correspondence check is exponential; n={d.n} exceeds 10")
     game = digraph_to_nbg(d, alpha, r)
+    # first, so that the solver's cap refuses a large digraph before any
+    # of its 2^n kernel candidates is tried
+    equilibria = solve_affine_by_supports(game)
     kernels = enumerate_kernels(d)
     kernel_sets = {k.sorted_vertices for k in kernels}
 
-    equilibria = solve_affine_by_supports(game)
     strong_supports = set()
     for eq in equilibria:
         if isinstance(eq, EquilibriumFamily):

@@ -30,11 +30,10 @@ from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
 from .simplexopt import multistart_minimize, project_to_simplex
 
-#: random descent starts, and their seed, on games without an exact path
+#: random descent starts on games without an exact path
 DESCENT_STARTS = 40
-DESCENT_SEED = 0
 #: sharpness of the smooth maximum used for egalitarian descent on
-#: non-affine games
+#: non-affine games, in units of 1 / r
 SMOOTH_MAX_BETA = 1e4
 
 
@@ -147,7 +146,9 @@ def _exact_utilitarian_minimum(game: Game, matrix, offsets) -> OptimumResult:
     return OptimumResult(x, value, faces.exact and x.exact, "faces")
 
 
-def _fd_gradient(objective, v, h=1e-7):
+def _fd_gradient(objective, v, r):
+    """Central differences of `objective` at v, at step 1e-7 * r."""
+    h = 1e-7 * r
     grads = []
     for i in range(len(v)):
         up = list(v)
@@ -168,6 +169,7 @@ def min_social_cost(game: Game, which="utilitarian") -> OptimumResult:
     game and the optimal point are. Anything else relies on descent plus
     the simplex vertices, and the egalitarian value is then flagged as an
     estimate. Games with two vertices additionally get a dense line scan.
+    The descent minimises r times the social cost (see `simplexopt`).
     """
     if which not in ("utilitarian", "egalitarian"):
         raise ValueError(f"unknown social cost {which!r}")
@@ -188,36 +190,32 @@ def min_social_cost(game: Game, which="utilitarian") -> OptimumResult:
         value = pair.utilitarian if which == "utilitarian" else pair.egalitarian
         pool.append((float(value), value, x, game.exact and x.exact, method))
 
-    if which == "utilitarian":
-        def objective(v):
-            # raw cost evaluation: descent probes points slightly off the
-            # simplex, which a validated distribution would reject
-            clipped = [t if t > 0 else 0.0 for t in v]
-            costs = cost_vector(game, clipped)
-            return sum(float(t) * float(c)
-                       for t, c in zip(clipped, costs)) / float(r)
-    else:
-        def objective(v):
-            clipped = [t if t > 0 else 0.0 for t in v]
-            costs = [float(c) for c in cost_vector(game, clipped)]
-            peak = max(costs)
-            beta = SMOOTH_MAX_BETA
-            return peak + math.log(sum(math.exp(beta * (c - peak)) for c in costs)) / beta
+    scale = float(r)
 
-    for res in multistart_minimize(objective, lambda v: _fd_gradient(objective, v),
-                                   n, float(r), starts=DESCENT_STARTS,
-                                   seed=DESCENT_SEED):
-        consider(project_to_simplex(res.x, float(r)), "descent")
+    def objective(v):
+        # raw cost evaluation: descent probes points slightly off the
+        # simplex, which a validated distribution would reject
+        clipped = [t if t > 0 else 0.0 for t in v]
+        costs = [float(c) for c in cost_vector(game, clipped)]
+        if which == "utilitarian":
+            return sum(t * c for t, c in zip(clipped, costs))
+        peak = max(costs)
+        beta = SMOOTH_MAX_BETA / scale
+        return scale * (peak + math.log(sum(math.exp(beta * (c - peak)) for c in costs)) / beta)
+
+    for res in multistart_minimize(objective, lambda v: _fd_gradient(objective, v, scale),
+                                   n, scale, DESCENT_STARTS):
+        consider(project_to_simplex(res.x, scale), "descent")
 
     if n == 2:
         steps = 10 ** 4
         for k in range(steps + 1):
-            t = float(r) * k / steps
-            consider((t, float(r) - t), "scan")
+            t = scale * k / steps
+            consider((t, scale - t), "scan")
 
     for i in range(n):
         vertex = [0 if game.exact else 0.0] * n
-        vertex[i] = r if game.exact else float(r)
+        vertex[i] = r if game.exact else scale
         consider(vertex, "vertex")
 
     pool.sort(key=lambda entry: (entry[0], not entry[3]))

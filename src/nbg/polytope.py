@@ -210,6 +210,8 @@ def implicit_equalities(rows, tol=0):
     of them reach y_i = 1. So the optimal y is 0 on the implicit
     equalities and 1 elsewhere, and y_i < 1/2 tells them apart. The LP
     runs in the u of `_lp_rows`, which leaves the equalities as they are.
+    When HiGHS neither solves the LP nor proves it infeasible, the rows
+    are decided exactly instead (`_exact_implicit_equalities`).
     """
     if _violates_flat_row(rows, tol):
         return None
@@ -231,6 +233,31 @@ def implicit_equalities(rows, tol=0):
     bounds = [(None, None)] * d + [(1, None)] + [(0, 1)] * m
     res = linprog(objective, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds,
                   method="highs")
-    if res.status != 0:
+    if res.status == 2:
         return None
+    if res.status != 0:
+        return _exact_implicit_equalities(rows)
     return [i for i, y in enumerate(res.x[d + 1:]) if y < 0.5]
+
+
+def _exact_implicit_equalities(rows):
+    """implicit_equalities by elimination on Fraction copies of the rows
+    (Q(sqrt 5) values rounded through float), for when the LP fails. For
+    (u, theta) with theta >= 1, value_j * theta + coefs_j . u >= 0 for
+    every j says u / theta is in the region, and row i is an implicit
+    equality when value_i * theta + coefs_i . u >= 1 has no solution with
+    them. Raises NbgError past ELIMINATION_ROW_CAP."""
+    from fractions import Fraction
+
+    from .errors import NbgError
+
+    cone = [(0, [v if numeric.rational_types({type(v)}) else Fraction(float(v))
+                 for v in (*coefs, value)]) for value, coefs in rows]
+    theta = (-1, [0] * len(rows[0][1]) + [1])
+    verdicts = [_fourier_motzkin(cone + [theta] + strict)
+                for strict in [[]] + [[(-1, coefs)] for _, coefs in cone]]
+    if None in verdicts:
+        raise NbgError(f"the LP failed and elimination passed {ELIMINATION_ROW_CAP} rows")
+    if verdicts[0] == "empty":
+        return None
+    return [i for i, verdict in enumerate(verdicts[1:]) if verdict == "empty"]

@@ -6,7 +6,8 @@ the simplex are equilibria. The converse fails: an equilibrium can sit at
 a maximum of Phi, which is why minimization filters candidates through a
 local-minimum probe instead of returning every critical point. On affine
 games the candidates are the exact equilibrium set from support
-enumeration; only games with other cost forms fall back to float descent.
+enumeration; only games with other cost forms fall back to float descent,
+which works in units of r (see `simplexopt`) like every slack here.
 
 Non-symmetric influence admits no such function (the mixed second
 derivatives of any candidate would have to equal both alpha_{i,j} and
@@ -23,7 +24,7 @@ from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily,
                           _affine_or_none)
 from .errors import UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
-from .simplexopt import multistart_minimize
+from .simplexopt import DEDUP_TOL, multistart_minimize
 
 #: probe offset for the local-minimum test, as a share of the total mass;
 #: float comparison slack, as a share of r^2 (a probe at a maximum drops
@@ -32,13 +33,10 @@ from .simplexopt import multistart_minimize
 PROBE_STEP = Fraction(1, 100000)
 PROBE_SLACK = 1e-12
 PROBE_ROUNDING = 1e-14
-#: share of the total mass within which two minima that are not both
-#: exact count as one
-MERGE_TOLERANCE = 1e-6
-#: random descent starts, and their seed, on games without an exact path
+#: random descent starts on games without an exact path
 DESCENT_STARTS = 30
-DESCENT_SEED = 0
-#: worst cost gap at which a descent end point counts as an equilibrium
+#: worst cost gap, as a share of r, at which a descent end point counts
+#: as an equilibrium
 DESCENT_TOLERANCE = 1e-7
 
 
@@ -111,11 +109,11 @@ def minimize_potential(game: Game) -> tuple:
     enumeration and run no descent: the isolated equilibria and three
     samples of each family, exact on exact games. Other games take the
     end points of projected-gradient descent that pass verify_equilibrium
-    at DESCENT_TOLERANCE, started from every simplex vertex and from
-    DESCENT_STARTS random interior points drawn with DESCENT_SEED.
-    Candidates that pass the local-minimum probe are returned sorted; two
-    exact minima are one only when equal, any other two when they lie
-    within MERGE_TOLERANCE * r of each other.
+    at DESCENT_TOLERANCE * r, started from every simplex vertex and from
+    DESCENT_STARTS random interior points. Candidates that pass the
+    local-minimum probe are returned sorted; two exact minima are one only
+    when equal, any other two when they lie within simplexopt.DEDUP_TOL * r
+    of each other, the rule that merges descent end points.
     """
     _require_symmetric(game)
     if game.n <= SUPPORT_ENUMERATION_MAX_N and _affine_or_none(game) is not None:
@@ -126,8 +124,9 @@ def minimize_potential(game: Game) -> tuple:
             else:
                 candidates.append(found.x)
     else:
+        tol = DESCENT_TOLERANCE * float(game.r)
         candidates = [x for x in _descent_end_points(game)
-                      if verify_equilibrium(game, x, DESCENT_TOLERANCE).is_equilibrium]
+                      if verify_equilibrium(game, x, tol).is_equilibrium]
     minima = [x for x in candidates if is_local_minimum(game, x)]
 
     unique = []
@@ -152,12 +151,11 @@ def _descent_end_points(game: Game) -> list:
 
     return [MassDistribution(res.x, game.r)
             for res in multistart_minimize(objective, gradient, game.n,
-                                           float(game.r), starts=DESCENT_STARTS,
-                                           seed=DESCENT_SEED)]
+                                           float(game.r), DESCENT_STARTS)]
 
 
 def _same_minimum(game: Game, a: MassDistribution, b: MassDistribution) -> bool:
     if a.exact and b.exact:
         return a.masses == b.masses
-    tol = MERGE_TOLERANCE * float(game.r)
+    tol = DEDUP_TOL * float(game.r)
     return max(abs(float(u) - float(v)) for u, v in zip(a.masses, b.masses)) <= tol

@@ -262,7 +262,7 @@ def _group_paths(rec: Recorder) -> None:
                         make_family("path", Fraction(1, 2), n=10),
                         point.x.masses)
 
-    system = uniform_cost_solve(make_family("path", Fraction(3, 4), n=3), "path")
+    system = uniform_cost_solve(make_family("path", Fraction(3, 4), n=3))
     rec.check("path n=3, coefficient 3/4: equal-costs system", "none", system.status)
 
 

@@ -3,6 +3,9 @@
 Float-only workhorse used by potential minimization and social-cost
 search on the games that have no exact path (non-affine cost forms, and
 affine games above the support-enumeration cap); the callers check its end points themselves.
+Distances are in units of the total mass r and step lengths are unitless,
+so on an objective in the units of the potential (mass times cost) whose
+costs scale with r, r = 2^k gives the r = 1 end points times 2^k exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 INITIAL_STEP = 1.0
-#: iteration cap and stopping shift of one descent; end points closer
-#: than DEDUP_TOL in the infinity norm count as one
+#: iteration cap and stopping shift of one descent, as a share of r;
+#: end points closer than DEDUP_TOL * r in the infinity norm count as one
 MAX_ITERS = 500
 XTOL = 1e-12
 DEDUP_TOL = 1e-6
@@ -67,16 +70,16 @@ def descend(objective, gradient, x0, r):
         cand, fc = moved
         shift = float(np.max(np.abs(cand - x)))
         x, fx = cand, fc
-        if shift <= XTOL:
+        if shift <= XTOL * r:
             return DescentResult(tuple(float(t) for t in x), fx, it, True)
     return DescentResult(tuple(float(t) for t in x), fx, MAX_ITERS, False)
 
 
-def multistart_minimize(objective, gradient, n, r, starts=20, seed=0):
-    """Run descent from random interior points plus the simplex vertices.
+def multistart_minimize(objective, gradient, n, r, starts, seed=0):
+    """Run descent from the simplex vertices and `starts` random points.
 
     Returns DescentResults sorted by (value, point), deduplicated at
-    DEDUP_TOL in the infinity norm; deterministic for a fixed seed.
+    DEDUP_TOL * r in the infinity norm; deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     points = list(np.eye(n) * float(r))
@@ -87,7 +90,7 @@ def multistart_minimize(objective, gradient, n, r, starts=20, seed=0):
     results.sort(key=lambda res: (res.value, res.x))
     kept = []
     for res in results:
-        if any(max(abs(a - b) for a, b in zip(res.x, other.x)) <= DEDUP_TOL
+        if any(max(abs(a - b) for a, b in zip(res.x, other.x)) <= DEDUP_TOL * r
                for other in kept):
             continue
         kept.append(res)

@@ -160,19 +160,27 @@ class TestSolve:
 
     def test_uniform_cost_unique(self, capsys, files, tmp_path):
         game = make_path_file(capsys, tmp_path, 4, "1/2", "p4.json")
-        code, out, _ = run(capsys, "solve", game, "--method", "uniform-cost",
-                           "--graph", "path")
+        code, out, _ = run(capsys, "solve", game, "--method", "uniform-cost")
         assert code == 0
-        assert "determinant: 3/4 (0.75)" in out
+        assert out.startswith("graph kind: path\ndeterminant: 3/4 (0.75)\n")
         assert ("solution: masses (1/3, 1/6, 1/6, 1/3)"
                 "  common cost 5/12 (0.416666666667)") in out
         assert "nonnegative: yes" in out
         assert "equilibrium: yes" in out
 
+    def test_uniform_cost_reads_the_graph_kind_off_the_game(self, capsys, tmp_path):
+        star = tmp_path / "star.json"
+        run(capsys, "family", "--kind", "star", "--alpha", "1/3", "--n", "4", "-o", star)
+        code, out, _ = run(capsys, "solve", star, "--method", "uniform-cost")
+        assert (code, out.splitlines()[0]) == (0, "graph kind: general")
+        code, out, err = run(capsys, "solve", star, "--method", "uniform-cost",
+                             "--graph", "path")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --graph path" in err
+
     def test_uniform_cost_inconsistent(self, capsys, files, tmp_path):
         game = make_path_file(capsys, tmp_path, 3, "3/4", "p3.json")
-        code, out, _ = run(capsys, "solve", game, "--method", "uniform-cost",
-                           "--graph", "path")
+        code, out, _ = run(capsys, "solve", game, "--method", "uniform-cost")
         assert code == 1
         assert "determinant: 0" in out
         assert "status: none" in out
@@ -180,8 +188,7 @@ class TestSolve:
 
     def test_uniform_cost_negative_solution(self, capsys, files, tmp_path):
         game = make_path_file(capsys, tmp_path, 3, "9/10", "p3neg.json")
-        code, out, _ = run(capsys, "solve", game, "--method", "uniform-cost",
-                           "--graph", "path")
+        code, out, _ = run(capsys, "solve", game, "--method", "uniform-cost")
         assert code == 1
         assert "solution: masses (-1/6, 4/3, -1/6)" in out
         assert "nonnegative: no" in out
@@ -192,9 +199,10 @@ class TestSolve:
                          "--n", "6", "-o", out_file)
         assert code == 0
         code, out, _ = run(capsys, "solve", out_file,
-                           "--method", "uniform-cost", "--graph", "cycle")
+                           "--method", "uniform-cost")
         assert code == 0
         lines = out.splitlines()
+        assert lines[0] == "graph kind: cycle"
         assert "status: family" in lines
         assert ("base: masses (1/3, 0, 1/3, 0, 1/3, 0)"
                 "  common cost 1/3 (0.333333333333)") in lines

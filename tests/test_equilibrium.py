@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
-                 Game, PHI, QuadExt, UnsupportedGameError, affine,
+                 Game, NbgError, PHI, QuadExt, UnsupportedGameError, affine,
                  affine_coefficients, braess_game, best_response_dynamics,
                  brouwer_map, cost_vector, dilemma_game, distribution,
                  family_cost_range, influence_from_triples, make_family,
@@ -16,6 +16,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  price_report, solve_affine_by_supports, three_equilibria_game,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
+from nbg import polytope
 from nbg.equilibrium import _SupportPass
 from util import (dense_costs, families_of, family_matches, grid_delta_strong,
                   is_equilibrium_oracle, point_masses,
@@ -440,6 +441,16 @@ class TestFamilyMechanics:
         assert float(lo) == pytest.approx(0.5, abs=1e-7)
         assert float(hi) == pytest.approx(0.5, abs=1e-7)
 
+    def test_a_failed_cost_bound_is_refused(self, monkeypatch):
+        # a failed LP gives no bound, so the base cost must not stand in
+        # for the family's cost range
+        solved = solve_affine_by_supports(make_family("path", Fraction(1), n=5))
+        fam = next(f for f in families_of(solved) if f.dimension == 2)
+        monkeypatch.setattr(polytope, "minimize", lambda rows, objective: None)
+        vertices = ", ".join(str(i + 1) for i in fam.support)
+        with pytest.raises(NbgError, match=f"family on vertices {vertices}:"):
+            family_cost_range(fam)
+
 
 class TestGoldenRatioPath:
     def test_determinant_vanishes_exactly(self):
@@ -448,7 +459,7 @@ class TestGoldenRatioPath:
 
     def test_uniform_cost_family_over_the_extension_field(self):
         game = make_family("path", PHI, n=4)
-        system = uniform_cost_solve(game, "path")
+        system = uniform_cost_solve(game)
         assert system.status == "family"
         assert system.determinant == 0
         assert len(system.directions) == 1

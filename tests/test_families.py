@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbg import linalg
-from nbg import (PHI, EquilibriumFamily, EquilibriumPoint,
+from nbg import (PHI, EquilibriumFamily, EquilibriumPoint, Game,
                  UnsupportedGameError, bipartite_closed_form, braess_game,
                  check_rules, classify, conjecture_scan, cycle_closed_form,
                  cycle_determinant, cycle_matrix, determinant, digraph_to_nbg,
-                 directed_triangle, family_cost_range, is_exact_scalar, make_family,
+                 directed_triangle, family_cost_range, influence_from_triples,
+                 is_exact_scalar, make_family,
                  path_closed_form, path_determinant, path_matrix,
                  solve_affine_by_supports, star_closed_form, underlying_graph,
                  uniform_cost_matrix, uniform_cost_solve, verify_equilibrium)
@@ -104,17 +105,20 @@ class TestUniformCostSystem:
         with pytest.raises(UnsupportedGameError):
             uniform_cost_solve(braess_game(Fraction(1, 2)))
 
-    def test_graph_kind_validation(self):
-        game = make_family("cycle", Fraction(1, 3), n=4)
-        with pytest.raises(ValueError):
-            uniform_cost_solve(game, "tree")
-        with pytest.raises(UnsupportedGameError):
-            uniform_cost_solve(game, "path")
-        assert uniform_cost_solve(game, "cycle").status == "unique"
+    def test_graph_kind_is_read_off_the_influence_graph(self):
+        for kind, n, want in (("path", 1, "path"), ("path", 2, "path"), ("path", 5, "path"),
+                              ("cycle", 3, "cycle"), ("cycle", 4, "cycle"),
+                              ("star", 4, "general")):
+            system = uniform_cost_solve(make_family(kind, Fraction(1, 3), n=n))
+            assert system.kind == want
+        # a path through the vertices out of order is no labelled path
+        game = Game.graphical(3, 1, [affine(1, 0)] * 3, influence_from_triples(
+            3, [(0, 2, 1), (2, 0, 1), (2, 1, 1), (1, 2, 1)]))
+        assert uniform_cost_solve(game).kind == "general"
 
     def test_unique_solution_with_pinned_vector(self):
         game = make_family("path", Fraction(1, 4), n=6)
-        system = uniform_cost_solve(game, "path")
+        system = uniform_cost_solve(game)
         assert system.status == "unique"
         assert system.determinant != 0
         assert system.masses == tuple(
@@ -124,14 +128,14 @@ class TestUniformCostSystem:
 
     def test_singular_inconsistent_system(self):
         game = make_family("path", Fraction(3, 4), n=3)
-        system = uniform_cost_solve(game, "path")
+        system = uniform_cost_solve(game)
         assert system.status == "none"
         assert system.determinant == 0
         assert system.masses is None
 
     def test_unique_but_negative_solution(self):
         game = make_family("path", Fraction(9, 10), n=3)
-        system = uniform_cost_solve(game, "path")
+        system = uniform_cost_solve(game)
         assert system.status == "unique"
         assert system.masses == (Fraction(-1, 6), Fraction(4, 3), Fraction(-1, 6))
         assert system.cost == Fraction(31, 30)
@@ -139,7 +143,7 @@ class TestUniformCostSystem:
 
     def test_family_solution_satisfies_the_system(self):
         game = make_family("cycle", Fraction(1, 2), n=6)
-        system = uniform_cost_solve(game, "cycle")
+        system = uniform_cost_solve(game)
         assert system.status == "family"
         assert system.determinant == 0
         assert len(system.directions) == 1
@@ -215,7 +219,7 @@ class TestPathClosedForms:
         for n in (4, 6):
             closed = path_closed_form(n, Fraction(1, 2))
             game = make_family("path", Fraction(1, 2), n=n)
-            system = uniform_cost_solve(game, "path")
+            system = uniform_cost_solve(game)
             assert system.status == "unique"
             assert closed[0].x.masses == system.masses
             assert closed[0].cost == system.cost
@@ -229,7 +233,7 @@ class TestPathClosedForms:
         assert point.cost == Fraction(11, 60)
         game = make_family("path", Fraction(1, 2), n=10)
         assert verify_equilibrium(game, point.x).is_equilibrium
-        system = uniform_cost_solve(game, "path")
+        system = uniform_cost_solve(game)
         assert system.masses == point.x.masses
 
     def test_alpha_one_remainder_two_gives_family(self):
@@ -539,7 +543,7 @@ def test_reported_determinants_are_the_matrix_determinants(kind, n, alpha, coupl
     matrix = path_matrix(n, alpha) if kind == "path" else cycle_matrix(n, alpha)
     (row,) = conjecture_scan(kind, [n], [alpha]).rows
     assert row.determinant == determinant(matrix)
-    system = uniform_cost_solve(make_family(kind, coupling, n=n), kind)
+    system = uniform_cost_solve(make_family(kind, coupling, n=n))
     assert system.determinant == determinant([list(r) for r in system.matrix])
 
 
@@ -553,7 +557,7 @@ def test_each_equal_costs_matrix_is_eliminated_once(monkeypatch):
     assert len(calls) == len(report.rows) == 10
     for alpha in (Fraction(1, 4), 0.25, 1):
         calls.clear()
-        uniform_cost_solve(make_family("cycle", alpha, n=5), "cycle")
+        uniform_cost_solve(make_family("cycle", alpha, n=5))
         assert len(calls) == 1
 
 
@@ -578,7 +582,7 @@ class TestPinnedPathVectors:
             Fraction(k, 71) for k in (13, 8, 10, 9, 10, 8, 13))
         assert found[0].cost == Fraction(47, 213)
 
-        system = uniform_cost_solve(make_family("path", Fraction(1, 4), n=7), "path")
+        system = uniform_cost_solve(make_family("path", Fraction(1, 4), n=7))
         assert system.masses == tuple(
             Fraction(k, 240) for k in (41, 30, 33, 32, 33, 30, 41))
         assert system.cost == Fraction(97, 480)

@@ -13,6 +13,7 @@ from nbg import (CorrespondenceReport, Digraph, Game, Kernel,
                  satisfies_correspondence_hypotheses,
                  solve_affine_by_supports, strong_supports_match_kernels,
                  verify_delta_strong, verify_equilibrium)
+from nbg import kernel_structure
 from util import random_digraph, subsets_kernels
 
 
@@ -161,6 +162,13 @@ class TestCorrespondence:
                 checked_nonempty += 1
         assert checked_nonempty >= 10
 
-    def test_size_guard(self):
-        with pytest.raises(UnsupportedGameError):
-            strong_supports_match_kernels(digraph(11, []), 2)
+    def test_size_guard(self, monkeypatch):
+        # n = 11 is within the support-enumeration cap; the empty digraph's
+        # one kernel is every vertex
+        report = strong_supports_match_kernels(digraph(11, []), 2)
+        assert report.matched and report.strong_supports == (tuple(range(11)),)
+        # above the cap the solver refuses before any kernel is enumerated
+        monkeypatch.setattr(kernel_structure, "enumerate_kernels",
+                            lambda d: pytest.fail("kernels enumerated"))
+        with pytest.raises(UnsupportedGameError, match="n <= 16"):
+            strong_supports_match_kernels(digraph(17, []), 2)

@@ -91,6 +91,17 @@ class TestMinSocialCost:
         assert float(result.value) == pytest.approx(0.0, abs=1e-9)
         assert not result.exact
 
+    def test_egalitarian_descent_on_a_curved_game(self):
+        # C1 = x1^2, C2 = x2, C3 = x3: the worst cost is least where all
+        # three equal 1/4, at (1/2, 1/4, 1/4); with three vertices no line
+        # scan runs, so the smooth-max descent has to find it
+        game = Game.graphical(3, 1, [polynomial((0, 0, 1)), affine(1, 0), affine(1, 0)],
+                              influence_from_triples(3, []))
+        result = min_social_cost(game, "egalitarian")
+        assert abs(result.value - 0.25) <= 1e-6
+        assert result.method == "descent"
+        assert not result.exact
+
     def test_face_optimum_skips_descent(self, monkeypatch):
         # C4 at alpha = 1/2: descent used to land one ulp below the exact
         # face optimum 1/2 and turn the report into an estimate

@@ -7,15 +7,16 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nbg
-from nbg import PHI, polytope
+from nbg import PHI, NbgError, polytope
 from util import per_row_equalities, region_class
 
 
@@ -85,6 +86,23 @@ class TestLinearPrograms:
         # an unbounded region, and a flat row that holds at zero
         assert polytope.implicit_equalities(self.TRIANGLE[:2] + [(0, [0, 0])]) == [2]
         assert polytope.implicit_equalities(self.TRIANGLE + [(-2, [1, 1])]) is None
+
+    def test_a_failed_lp_is_decided_by_elimination(self):
+        # HiGHS can end with neither a solution nor a proof of
+        # infeasibility (status 4, "model_status Unknown")
+        def floats(rows):
+            return [(float(v), [float(c) for c in coefs]) for v, coefs in rows]
+
+        corner = self.TRIANGLE + [(0, [-1, -1])]
+        failed = mock.Mock(return_value=SimpleNamespace(status=4))
+        with mock.patch("scipy.optimize.linprog", failed):
+            assert polytope.implicit_equalities(corner) == [0, 1, 3]
+            assert polytope.implicit_equalities(floats(corner)) == [0, 1, 3]
+            assert polytope.implicit_equalities(floats(self.TRIANGLE)) == []
+            assert polytope.implicit_equalities(floats(self.TRIANGLE + [(-2, [1, 1])])) is None
+            with pytest.raises(NbgError, match="elimination passed 200 rows"):
+                polytope.implicit_equalities(cap_rows(random.Random(3)))
+        assert failed.call_count == 5
 
     def test_minimize_reports_the_minimiser(self):
         value, t = polytope.minimize(self.TRIANGLE, [1.0, -1.0])
@@ -238,6 +256,11 @@ def check_against_highs(rows):
 
 @settings(max_examples=200, deadline=None)
 @given(planted_rows())
+# a pinched region on which HiGHS reports status 4 ("model_status
+# Unknown"), so its rows and their float copy are decided by elimination
+@example((3, [(0, [0, -1, 0]), (0, [1, -1, 0]), (2, [-1, 1, -1]), (0, [0, -1, 0]),
+              (-1, [-1, -4, 2]), (5, [-1, 2, 0]), (0, [-1, 1, 2]), (1, [-1, 1, -1]),
+              (-1, [1, -1, 1])]))
 def test_implicit_equalities_match_the_per_row_rule(drawn):
     _, rows = drawn
     expected, found = check_against_highs(rows)
@@ -248,20 +271,26 @@ def test_implicit_equalities_match_the_per_row_rule(drawn):
     assert with_solver_noise(floats) == found
 
 
+def cap_rows(rng, pinned=False):
+    """16 rows in 6 parameters with 8 positive and 8 negative coefficients
+    in every column, which grow the first elimination step to 64 rows and
+    the second past the cap; `pinned` makes row 1 the negation of row 0."""
+    columns = [rng.sample([rng.randint(1, 6) for _ in range(8)]
+                          + [-rng.randint(1, 6) for _ in range(8)], 16)
+               for _ in range(6)]
+    rows = [(rng.randint(-2, 6), [column[i] for column in columns])
+            for i in range(16)]
+    if pinned:
+        value, coefs = rows[0]
+        rows[1] = (-value, [-c for c in coefs])
+    return rows
+
+
 def test_row_cap_leaves_the_verdict_to_the_lp():
     rng = random.Random(3)
     verdicts = set()
     for k in range(6):
-        # 8 positive and 8 negative coefficients in every column grow the
-        # first step to 64 rows and the second past the cap
-        columns = [rng.sample([rng.randint(1, 6) for _ in range(8)]
-                              + [-rng.randint(1, 6) for _ in range(8)], 16)
-                   for _ in range(6)]
-        rows = [(rng.randint(-2, 6), [column[i] for column in columns])
-                for i in range(16)]
-        if k % 2:
-            value, coefs = rows[0]
-            rows[1] = (-value, [-c for c in coefs])
+        rows = cap_rows(rng, pinned=k % 2)
         assert polytope._fourier_motzkin(rows) is None
         verdicts.add(check_against_highs(rows)[0])
     assert verdicts == {"empty", "full", "pinched"}

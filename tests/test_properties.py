@@ -8,19 +8,21 @@ equilibrium sets: points by their masses, families by their support,
 dimension and affine hull, and one-parameter families also by their end
 points. The last two properties compare a game with a copy whose total
 mass and offsets are rescaled: the potential minima of a symmetric
-game, and the equilibria and prices of a float game.
+game, and the equilibria and prices of a float game. The last ones do
+the same for the float descent on polynomial games.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbg import (EquilibriumFamily, EquilibriumPoint, Game, affine,
                  family_cost_range, influence_from_triples, make_family,
-                 minimize_potential, price_report, solve_affine_by_supports,
-                 verify_equilibrium)
+                 min_social_cost, minimize_potential, polynomial, price_report,
+                 solve_affine_by_supports, verify_equilibrium)
 from nbg.equilibrium import _equal_cost_pass, _family_rows, _values
 from util import two_vertex_game
 
@@ -315,3 +317,76 @@ def test_a_tiny_total_mass_splits_evenly():
         ((r / 2, r / 2), r / 2, (0, 1))]
     report = price_report(game)
     assert (report.poa_u, report.poa_e, report.pos_u, report.pos_e) == (1, 1, 1, 1)
+
+
+#: C1 = x1 + x1^2 / r + x2 / 2, C2 = 2 x2 + x1 / 2, as the coefficients
+#: a_j of t^j at r = 1 and the influences; its one potential minimum is
+#: (sqrt(5/2) - 1, 2 - sqrt(5/2)) r = (0.5811 r, 0.4189 r)
+CURVED = ([(0.0, 1.0, 1.0), (0.0, 2.0)], [(0, 1, 0.5), (1, 0, 0.5)])
+
+
+def polynomial_game(r, spec):
+    """The float game of `spec` at total mass r: each vertex pays
+    a_j r^(1-j) t^j on its own mass t, so a cost at r x is r times the
+    cost at x for x of total 1."""
+    costs, influence = spec
+    forms = [polynomial([a * r ** (1 - j) for j, a in enumerate(c)]) for c in costs]
+    return Game.graphical(len(costs), r, forms, influence_from_triples(len(costs), influence))
+
+
+coefficients = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+positive_coefficients = st.sampled_from([0.5, 1.0, 2.0])
+
+
+@st.composite
+def polynomial_specs(draw):
+    """Symmetric float games on 2 or 3 vertices. Every cost rises
+    linearly, so the descents converge well inside their iteration cap,
+    and the first one has degree 2 or 3, so no game is affine and each
+    takes the descent."""
+    n = draw(st.integers(2, 3))
+    costs = [[draw(coefficients), draw(positive_coefficients)]
+             + draw(st.lists(coefficients, max_size=2)) for _ in range(n)]
+    costs[0] = costs[0][:draw(st.integers(2, 3))] + [draw(positive_coefficients)]
+    influence = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            alpha = draw(coefficients)
+            influence += [(i, j, alpha), (j, i, alpha)]
+    return costs, influence
+
+
+def times(r, x):
+    return tuple(r * m for m in x.masses)
+
+
+@settings(max_examples=15)
+@given(polynomial_specs(), st.sampled_from([-20, -10, 10, 20]).map(lambda k: 2.0 ** k))
+@example(CURVED, 2.0 ** -20)
+@example(CURVED, 2.0 ** -10)
+@example(CURVED, 2.0 ** 10)
+@example(CURVED, 2.0 ** 20)
+@example(CURVED, 1e6)
+@example(CURVED, 1e-6)
+def test_descent_minima_scale_with_the_game(spec, r):
+    base = minimize_potential(polynomial_game(1.0, spec))
+    found = minimize_potential(polynomial_game(r, spec))
+    assert base
+    if math.frexp(r)[0] == 0.5:
+        # r is a power of two, so every descent step at r is r times the
+        # step at 1, exactly
+        assert [x.masses for x in found] == [times(r, x) for x in base]
+    else:
+        assert len(found) == len(base)
+        for x, y in zip(base, found):
+            assert max(abs(a - b) for a, b in zip(times(r, x), y.masses)) <= 1e-6 * r
+
+
+@pytest.mark.parametrize("which", ["utilitarian", "egalitarian"])
+def test_social_optimum_descent_scales_with_the_game(which):
+    base = min_social_cost(polynomial_game(1.0, CURVED), which)
+    assert base.method == "descent"
+    for r in (2.0 ** -10, 2.0 ** 10):
+        found = min_social_cost(polynomial_game(r, CURVED), which)
+        assert found.x.masses == times(r, base.x)
+        assert found.value == r * base.value
