@@ -41,16 +41,15 @@ from .metrics import (OptimumResult, PriceReport, SocialCostPair, cost_degree,
 from .closed_forms import (FAMILY_KINDS, RuleViolation, ScanReport, ScanRow,
                            UniformCostSystem, bipartite_closed_form,
                            check_rules, conjecture_scan, cycle_closed_form,
-                           cycle_determinant, cycle_matrix, make_family,
-                           path_closed_form, path_determinant, path_matrix,
-                           star_closed_form, uniform_cost_matrix,
+                           cycle_matrix, make_family, path_closed_form,
+                           path_matrix, star_closed_form, uniform_cost_matrix,
                            uniform_cost_solve)
 from .instances import (braess_game, dilemma_game, directed_triangle,
                         no_equilibrium_game, potential_maximum_game,
                         stability_gap_game, three_equilibria_game,
                         unbounded_anarchy_game, unique_nonstrong_game)
 from .serialize import (game_from_dict, game_to_dict, load_distribution,
-                        load_game, parse_masses, save_distribution, save_game)
+                        load_game, parse_masses, save_game)
 
 __version__ = "0.1.0"
 

@@ -21,7 +21,7 @@ from .errors import UnsupportedGameError
 from .games import (Game, MassDistribution, affine, classify,
                     influence_from_triples, underlying_graph)
 from .graphs import UndirectedGraph
-from .linalg import determinant, solve_with_determinant
+from .linalg import solve_with_determinant
 
 FAMILY_KINDS = ("path", "cycle", "complete_bipartite", "star")
 
@@ -138,11 +138,14 @@ def uniform_cost_solve(game: Game) -> UniformCostSystem:
                                  nonnegative=all(m >= 0 for m in masses))
     base = solution.solution[:n]
     directions = tuple((tuple(vec[:n]), vec[n]) for vec in solution.basis)
-    feasible = polytope.feasible([(value, [d[row] for d, _ in directions])
-                                  for row, value in enumerate(base)])
+    # the masses sum to r, so the region of nonnegative members is bounded:
+    # it is nonempty exactly when it has a vertex
+    rows = [(value, [d[row] for d, _ in directions]) for row, value in enumerate(base)]
+    tol = numeric.auto_tolerance(numeric.all_exact(base), game.r)
     return UniformCostSystem(n, graph_kind, matrix, rhs, det, "family",
                              base_masses=base, base_cost=solution.solution[n],
-                             directions=directions, nonnegative=feasible)
+                             directions=directions,
+                             nonnegative=next(polytope.vertices(rows, tol), None) is not None)
 
 
 def path_matrix(n, alpha):
@@ -153,14 +156,6 @@ def path_matrix(n, alpha):
 def cycle_matrix(n, alpha):
     """The (n+1) x (n+1) equal-costs matrix of the n-cycle."""
     return _equal_costs_rows(n, _both_ways(_family_edges("cycle", n=n)[1], alpha))
-
-
-def path_determinant(n, alpha):
-    return determinant(path_matrix(n, alpha))
-
-
-def cycle_determinant(n, alpha):
-    return determinant(cycle_matrix(n, alpha))
 
 
 # ---------------------------------------------------------------------------

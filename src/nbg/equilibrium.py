@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numeric, polytope
-from .errors import DimensionMismatchError, NbgError, UnsupportedGameError
+from .errors import DimensionMismatchError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
 from .linalg import matvec, solve_linear_system
 
@@ -343,8 +343,8 @@ class EquilibriumFamily:
     `interval` is the exact feasible range of t. Larger families may carry
     `constraints`, rows (value, coefs) with value + coefs . t >= 0 cutting
     the parameter space down to the true feasible region; when present,
-    sample_points draws from that polytope rather than from the whole
-    nonnegative slice of the hull.
+    sample_points and family_cost_range read the vertices of that
+    polytope rather than of the whole nonnegative slice of the hull.
     """
 
     n: int
@@ -408,47 +408,39 @@ class EquilibriumFamily:
 
     def sample_points(self, count=5):
         """Representative members. Exact and evenly spaced across the
-        interval for one-parameter families; for larger families, convex
-        mixes of polytope vertices found by linear programming."""
+        interval for one-parameter families; for larger families, the
+        first `count` distinct vertices of the region, exact on exact
+        input."""
         if self.dimension == 1 and self.interval is not None:
             lo, hi = self.interval
             if count == 1 or hi == lo:
                 return [self.point_at((lo,))]
             width = hi - lo
             return [self.point_at((lo + width * k / (count - 1),)) for k in range(count)]
-        return self._sample_by_lp(count)
-
-    def _region(self):
-        """The rows (value, coefs), each meaning value + coefs . t >= 0,
-        of the parameter region: the stored `constraints` (the solver
-        stores them on every family without an interval), or the
-        nonnegative masses of a family that carries none."""
-        return self.constraints or [(b, [d[i] for d in self.directions])
-                                    for i, b in enumerate(self.base)]
-
-    def _sample_by_lp(self, count):
-        import numpy as np
-
-        rng = np.random.default_rng(12345)
-        dim = self.dimension
-        rows = self._region()
-        found = []
-        objectives = [np.ones(dim), -np.ones(dim)]
-        while len(objectives) < max(count, 2):
-            objectives.append(rng.normal(size=dim))
-        for obj in objectives[:max(count, 2)]:
-            optimum = polytope.minimize(rows, obj)
-            if optimum is not None:
-                found.append(tuple(float(t) for t in optimum[1]))
         points = []
-        seen = []
-        for params in found:
+        seen = set()
+        for params in self._vertices():
             point = self.point_at(params)
             key = _float_key(point.x)
             if key not in seen:
-                seen.append(key)
+                seen.add(key)
                 points.append(point)
-        return points[:count]
+                if len(points) == count:
+                    break
+        return points
+
+    def _vertices(self):
+        """`polytope.vertices` of the parameter region, the rows (value,
+        coefs), each meaning value + coefs . t >= 0: the stored
+        `constraints` (the solver stores them on every family without an
+        interval), or the nonnegative masses of a family that carries
+        none. The region is bounded, so it is the hull of these vertices.
+        Float rows hold within the mass slack of r, which serves the gap
+        rows too, since the support pass scales them by its `unit`."""
+        rows = self.constraints or [(b, [d[i] for d in self.directions])
+                                    for i, b in enumerate(self.base)]
+        exact = numeric.all_exact([v for value, coefs in rows for v in (value, *coefs)])
+        return polytope.vertices(rows, numeric.auto_tolerance(exact, self.r))
 
 
 class _SupportPass:
@@ -793,28 +785,15 @@ def _restrict_family(pass_, support, den, vectors):
 def family_cost_range(family: EquilibriumFamily):
     """Extremes of the common cost over a family: (low, high, exact).
 
-    The cost is affine in the family parameters, so one-parameter families
-    give exact interval endpoints; larger families are bounded by linear
-    programming over the family's own region (`EquilibriumFamily._region`,
-    float, inexact). Raises NbgError when that LP fails.
+    The cost is affine in the family parameters, so its extremes lie at
+    the end points of a one-parameter family's interval, or at vertices
+    of a larger family's region (`EquilibriumFamily._vertices`); both are
+    exact on exact input.
     """
     if family.dimension == 1 and family.interval is not None:
-        lo, hi = family.interval
-        a = family.cost_base + lo * family.cost_directions[0]
-        b = family.cost_base + hi * family.cost_directions[0]
-        exact = numeric.all_exact([a, b])
-        return (a, b) if a <= b else (b, a), exact
-
-    import numpy as np
-
-    rows = family._region()
-    obj = np.array([float(c) for c in family.cost_directions])
-    values = []
-    for sign in (1.0, -1.0):
-        optimum = polytope.minimize(rows, sign * obj)
-        if optimum is None:
-            vertices = ", ".join(str(i + 1) for i in family.support)
-            raise NbgError(f"no cost bound for the family on vertices {vertices}:"
-                           " its linear program failed")
-        values.append(float(family.cost_base) + float(obj @ optimum[1]))
-    return (min(values), max(values)), False
+        ends = [(t,) for t in family.interval]
+    else:
+        ends = family._vertices()
+    costs = [family.cost_base + sum(t * dc for t, dc in zip(params, family.cost_directions))
+             for params in ends]
+    return (min(costs), max(costs)), numeric.all_exact(costs)

@@ -12,8 +12,10 @@ support systems of an `equilibrium._SupportPass` with nonnegative
 masses: face stationarity systems (M + M^T) for the utilitarian cost,
 equal-cost systems (M) for the egalitarian one. Singular systems add no
 candidate (see `_least_support_point`), so no linear program runs.
-Other games fall back to float multistart descent, flagged as an
-estimate.
+Equilibrium costs come from the same pass: each point carries its cost,
+and each family its cost range, read off interval end points or region
+vertices, so `price_report` is exact on exact input. Other games fall
+back to float multistart descent, flagged as an estimate.
 """
 
 from __future__ import annotations
@@ -256,10 +258,9 @@ def price_report(game: Game) -> PriceReport:
     SUPPORT_ENUMERATION_MAX_N vertices; larger games are refused.
 
     Equilibrium costs come from exact support enumeration (families
-    contribute their cost extremes; multi-parameter families bound them
-    by float LP and are flagged inexact). Both optima come from the
-    support systems, so no descent runs and both are exact on exact
-    input.
+    contribute their cost extremes, at the vertices of their regions).
+    Both optima come from the support systems, so no descent runs, and
+    every value is exact on exact input.
     """
     if _affine_or_none(game) is None:
         raise UnsupportedGameError("price report needs an affine game")

@@ -8,22 +8,27 @@ feasible region by rows (value, coefs), each meaning
 One-parameter regions are intervals, decided by one rule for every
 scalar kind: each bound is a pair (numerator, positive denominator),
 pairs are compared by cross-multiplication, and only the two end points
-are divided, so rational rows give exact Fraction end points. On larger
-exact regions (every entry an int or a Fraction, tolerance 0),
-Fourier-Motzkin elimination decides whether the region is empty and
-whether it is full-dimensional; only a nonempty region pinched to a
-lower dimension, or one whose elimination would grow past a row cap,
-goes to linear programming, which runs in float HiGHS and finds every
-implicit equality of a region at once. Rows of ints are taken as they
-are. Larger float and Q(sqrt 5) regions always take the LP. scipy is
-imported on the first LP call, so importing the package stays light.
+are divided, so rational rows give exact Fraction end points. Bounded
+regions are the convex hull of their vertices, which `vertices` lists
+by solving each choice of d rows as equalities, again by one rule for
+every scalar kind. On larger exact regions (every entry an int or a
+Fraction, tolerance 0), Fourier-Motzkin elimination decides whether the
+region is empty and whether it is full-dimensional; only a nonempty
+region pinched to a lower dimension, or one whose elimination would grow
+past a row cap, goes to the one linear program, which runs in float
+HiGHS and finds every implicit equality of a region at once. Rows of
+ints are taken as they are. Larger float and Q(sqrt 5) regions always
+take the LP. scipy is imported on the first LP call, so importing the
+package stays light.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import numeric
+from .linalg import solve_linear_system
 
 #: float coefficients smaller than this count as zero in the zero-slope rule
 SLOPE_TOLERANCE = 1e-13
@@ -73,6 +78,34 @@ def interval(rows, tol=0):
     return numeric.quotient(*lo), numeric.quotient(*hi)
 
 
+def vertices(rows, tol=0):
+    """Yield the vertices of the region of the rows, each once, as tuples t.
+
+    Each d-subset of the rows, taken in `itertools.combinations` order,
+    is solved as equalities by `solve_linear_system`, and a unique
+    solution at which every row holds within `tol` is a vertex: it is
+    fixed by d independent tight rows (Schrijver, Theory of Linear and
+    Integer Programming, 1986, section 8.5). Exact rows at tol 0 give
+    exact vertices. A bounded region is the convex hull of its vertices,
+    so it is empty exactly when none is yielded. Exact rational rows are
+    scaled to integers once, which moves no vertex and spares each solve
+    its own scaling.
+    """
+    if tol == 0 and _rational(rows):
+        rows = [(ints[0], ints[1:]) for ints in
+                (numeric.integer_row((value, *coefs))[0] for value, coefs in rows)]
+    seen = set()
+    for subset in itertools.combinations(rows, len(rows[0][1])):
+        solved = solve_linear_system([list(coefs) for _, coefs in subset],
+                                     [-value for value, _ in subset])
+        if solved.status != "unique" or solved.solution in seen:
+            continue
+        t = solved.solution
+        if all(value + sum(c * x for c, x in zip(coefs, t)) >= -tol for value, coefs in rows):
+            seen.add(t)
+            yield t
+
+
 def _lp_rows(rows):
     """(A, b, s): the rows as A u <= b in u = t / s. HiGHS's feasibility
     tolerances are absolute, so s, the power of two within a factor of two
@@ -84,23 +117,6 @@ def _lp_rows(rows):
     s = numeric.power_of_two_ratio(max(map(abs, values), default=0.0),
                                    max((abs(c) for row in a for c in row), default=0.0))
     return a, [v / s for v in values], s
-
-
-def minimize(rows, objective):
-    """Minimise objective . t over the rows by float linear programming.
-
-    Returns (minimum, minimiser) as HiGHS reports them, mapped back from
-    the u of `_lp_rows`, or None when the program is infeasible,
-    unbounded or fails.
-    """
-    from scipy.optimize import linprog
-
-    a_ub, b_ub, s = _lp_rows(rows)
-    res = linprog(objective, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * len(objective), method="highs")
-    if res.status != 0:
-        return None
-    return res.fun * s, res.x * s
 
 
 def _violates_flat_row(rows, tol) -> bool:
@@ -168,25 +184,6 @@ def _fourier_motzkin(rows):
                 kept.add(tuple(v // g for v in combined))
         live = kept
     return "pinched" if pinched else "full"
-
-
-def feasible(rows) -> bool:
-    """Whether some t satisfies every row. Rows free of parameters are
-    judged by the zero-slope rule and rational rows by Fourier-Motzkin
-    elimination; other one-parameter rows get `interval`, and the rest a
-    float LP."""
-    if _violates_flat_row(rows, 0):
-        return False
-    if all(_is_zero(c) for _, coefs in rows for c in coefs):
-        return True
-    if _rational(rows):
-        verdict = _fourier_motzkin(rows)
-        if verdict is not None:
-            return verdict != "empty"
-    dim = len(rows[0][1])
-    if dim == 1:
-        return interval(rows) is not None
-    return minimize(rows, [0.0] * dim) is not None
 
 
 def implicit_equalities(rows, tol=0):

@@ -107,7 +107,8 @@ def minimize_potential(game: Game) -> tuple:
     Every local minimum is an equilibrium, so affine games with at most
     SUPPORT_ENUMERATION_MAX_N vertices take their candidates from support
     enumeration and run no descent: the isolated equilibria and three
-    samples of each family, exact on exact games. Other games take the
+    samples of each family (interval points, or vertices of its region),
+    exact on exact games. Other games take the
     end points of projected-gradient descent that pass verify_equilibrium
     at DESCENT_TOLERANCE * r, started from every simplex vertex and from
     DESCENT_STARTS random interior points. Candidates that pass the

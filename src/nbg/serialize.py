@@ -1,4 +1,4 @@
-"""JSON input and output for games and mass distributions.
+"""JSON input and output for games, and input for mass distributions.
 
 Game files look like:
 
@@ -221,11 +221,3 @@ def load_distribution(path) -> MassDistribution:
     masses = [_parse_scalar(m, f"{path}: masses[{k}]")
               for k, m in enumerate(raw_masses)]
     return distribution(masses, total)
-
-
-def save_distribution(dist: MassDistribution, path) -> None:
-    data = {"masses": [numeric.scalar_to_json(m) for m in dist.masses],
-            "total": numeric.scalar_to_json(dist.total)}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")

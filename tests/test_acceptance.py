@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from nbg import (EquilibriumFamily, EquilibriumPoint, Game,
                  best_response_dynamics, bipartite_closed_form, braess_game,
-                 brouwer_map, conjecture_scan, cycle_closed_form,
+                 brouwer_map, conjecture_scan, cycle_closed_form, determinant,
                  digraph_to_nbg, dilemma_game, directed_triangle,
                  enumerate_kernels, influence_from_triples, make_family,
-                 minimize_potential, path_closed_form, path_determinant,
+                 minimize_potential, path_closed_form,
                  path_matrix, polynomial, potential, potential_maximum_game,
                  price_report, solve_affine_by_supports, stability_gap_game,
                  star_closed_form, strong_supports_match_kernels,
@@ -107,7 +107,7 @@ def test_02_determinant_polynomials(capsys):
             for k in range(10):
                 alpha = Fraction(k, 7)
                 expected = poly(alpha)
-                ok = ok and path_determinant(n, alpha) == expected
+                ok = ok and determinant(path_matrix(n, alpha)) == expected
                 ok = ok and cofactor_determinant(
                     [list(row) for row in path_matrix(n, alpha)]) == expected
         out["ok"] = ok and time.perf_counter() - start < REPLAY_BUDGET

@@ -5,6 +5,7 @@ captured and compared byte for byte. Game files are written once per
 session; family files are produced by the family subcommand itself.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from nbg import (Digraph, Game, affine, braess_game, cycle_closed_form,
 from nbg.cli import main
 from nbg.closed_forms import ScanReport, ScanRow
 from nbg.reproduce import Recorder
-from nbg.serialize import load_game, save_distribution, save_game
+from nbg.serialize import load_game, save_game
 
 
 @pytest.fixture(scope="session")
@@ -36,8 +37,8 @@ def files(tmp_path_factory):
         influence_from_triples(2, [(0, 1, Fraction(1, 2)),
                                    (1, 0, Fraction(1, 2))]))
     save_game(quad, root / "quad.json")
-    save_distribution(braess.distribution((Fraction(1, 2), Fraction(1, 2))),
-                      root / "eq.json")
+    (root / "eq.json").write_text(json.dumps({"masses": ["1/2", "1/2"], "total": 1}),
+                                  encoding="utf-8")
     (root / "broken.json").write_text("not json\n", encoding="utf-8")
     return root
 
@@ -598,9 +599,9 @@ def test_family_games_match_the_golden_output(capsys, tmp_path, name, command):
 
 
 #: the games of games.txt whose `nbg solve --method potential` stdout has a
-#: golden file potential_<name>.txt; path and cycle at alpha = 1 have none,
-#: because float LPs sample their multi-parameter families and the vertices
-#: they return may vary with the SciPy version
+#: golden file potential_<name>.txt; the float paths have none. The minima
+#: of path and cycle at alpha = 1 include exact vertices of their
+#: multi-parameter families, so their bytes do not depend on an LP solver
 POTENTIAL_GOLDEN = sorted(path.stem[len("potential_"):]
                           for path in CLI_GOLDEN.glob("potential_*.txt"))
 

@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
-                 Game, NbgError, PHI, QuadExt, UnsupportedGameError, affine,
+                 Game, PHI, QuadExt, UnsupportedGameError, affine,
                  affine_coefficients, braess_game, best_response_dynamics,
-                 brouwer_map, cost_vector, dilemma_game, distribution,
-                 family_cost_range, influence_from_triples, make_family,
-                 no_equilibrium_game, path_determinant, polynomial,
+                 brouwer_map, cost_vector, determinant, dilemma_game,
+                 distribution, family_cost_range, influence_from_triples,
+                 make_family, no_equilibrium_game, path_matrix, polynomial,
                  price_report, solve_affine_by_supports, three_equilibria_game,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
-from nbg import polytope
 from nbg.equilibrium import _SupportPass
 from util import (dense_costs, families_of, family_matches, grid_delta_strong,
                   is_equilibrium_oracle, point_masses,
@@ -440,22 +439,25 @@ class TestFamilyMechanics:
         (lo, hi), exact = family_cost_range(fam)
         assert float(lo) == pytest.approx(0.5, abs=1e-7)
         assert float(hi) == pytest.approx(0.5, abs=1e-7)
+        assert exact
+        assert all(point.x.exact for point in samples)
 
-    def test_a_failed_cost_bound_is_refused(self, monkeypatch):
-        # a failed LP gives no bound, so the base cost must not stand in
-        # for the family's cost range
-        solved = solve_affine_by_supports(make_family("path", Fraction(1), n=5))
-        fam = next(f for f in families_of(solved) if f.dimension == 2)
-        monkeypatch.setattr(polytope, "minimize", lambda rows, objective: None)
-        vertices = ", ".join(str(i + 1) for i in fam.support)
-        with pytest.raises(NbgError, match=f"family on vertices {vertices}:"):
-            family_cost_range(fam)
+    def test_float_regions_are_sampled_within_the_mass_slack(self):
+        # t1 >= 0.1, t2 >= 0.2 and t1 + t2 <= 0.3 meet at one point, where
+        # 0.3 - (0.1 + 0.2) rounds below zero
+        rows = ((-0.1, (1.0, 0.0)), (-0.2, (0.0, 1.0)), (0.3, (-1.0, -1.0)))
+        family = EquilibriumFamily(3, 1.0, (0, 1, 2), (0.0, 0.0, 1.0), 1.0,
+                                   ((1.0, 0.0, -1.0), (0.0, 1.0, -1.0)), (0.0, 0.0),
+                                   constraints=rows)
+        (point,) = family.sample_points(5)
+        assert point.x.masses == pytest.approx((0.1, 0.2, 0.7))
+        assert family_cost_range(family) == ((1.0, 1.0), False)
 
 
 class TestGoldenRatioPath:
     def test_determinant_vanishes_exactly(self):
-        assert path_determinant(4, PHI) == 0
-        assert path_determinant(4, Fraction(61803, 100000)) != 0
+        assert determinant(path_matrix(4, PHI)) == 0
+        assert determinant(path_matrix(4, Fraction(61803, 100000))) != 0
 
     def test_uniform_cost_family_over_the_extension_field(self):
         game = make_family("path", PHI, n=4)

@@ -11,10 +11,9 @@ from nbg import linalg
 from nbg import (PHI, EquilibriumFamily, EquilibriumPoint, Game,
                  UnsupportedGameError, bipartite_closed_form, braess_game,
                  check_rules, classify, conjecture_scan, cycle_closed_form,
-                 cycle_determinant, cycle_matrix, determinant, digraph_to_nbg,
-                 directed_triangle, family_cost_range, influence_from_triples,
-                 is_exact_scalar, make_family,
-                 path_closed_form, path_determinant, path_matrix,
+                 cycle_matrix, determinant, digraph_to_nbg, directed_triangle,
+                 family_cost_range, influence_from_triples, is_exact_scalar,
+                 make_family, path_closed_form, path_matrix,
                  solve_affine_by_supports, star_closed_form, underlying_graph,
                  uniform_cost_matrix, uniform_cost_solve, verify_equilibrium)
 from nbg.games import affine
@@ -177,7 +176,7 @@ class TestDeterminants:
         for n, poly in PATH_DETS.items():
             for k in range(10):
                 alpha = Fraction(k, 7)
-                det = path_determinant(n, alpha)
+                det = determinant(path_matrix(n, alpha))
                 assert det == poly(alpha)
                 assert det == cofactor_determinant(path_matrix(n, alpha))
 
@@ -185,14 +184,14 @@ class TestDeterminants:
         for n, poly in CYCLE_DETS.items():
             for k in range(10):
                 alpha = Fraction(k, 7)
-                det = cycle_determinant(n, alpha)
+                det = determinant(cycle_matrix(n, alpha))
                 assert det == poly(alpha)
                 assert det == cofactor_determinant(cycle_matrix(n, alpha))
 
     def test_golden_ratio_roots(self):
-        assert path_determinant(4, PHI) == 0
-        assert cycle_determinant(5, PHI) == 0
-        assert path_determinant(4, Fraction(61803, 100000)) != 0
+        assert determinant(path_matrix(4, PHI)) == 0
+        assert determinant(cycle_matrix(5, PHI)) == 0
+        assert determinant(path_matrix(4, Fraction(61803, 100000))) != 0
 
     def test_size_guards(self):
         with pytest.raises(ValueError):

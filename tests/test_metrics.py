@@ -17,7 +17,7 @@ from nbg import (EquilibriumFamily, Game, UnsupportedGameError, affine,
                  solve_affine_by_supports, stability_gap_game,
                  unbounded_anarchy_game)
 from nbg.equilibrium import _SupportPass
-from util import (random_affine_game, random_affine_symmetric_game,
+from util import (lp_minimum, random_affine_game, random_affine_symmetric_game,
                   random_linear_symmetric_game, random_masses,
                   utilitarian_oracle)
 
@@ -378,7 +378,7 @@ def face_family_oracle(game):
             masses = bounds and [b + bounds[0] * d
                                  for b, d in zip(base, directions[0])]
         else:
-            optimum = polytope.minimize(rows, [0.0] * len(directions))
+            optimum = lp_minimum(rows, [0.0] * len(directions))
             masses = optimum and [
                 max(float(b) + sum(float(d[row]) * t
                                    for d, t in zip(directions, optimum[1])), 0.0)

@@ -1,7 +1,8 @@
-"""Constraint polytopes: the exact interval rule, Fourier-Motzkin
-elimination, the LP wrappers, and the guard that keeps every linear
-program behind nbg.polytope."""
+"""Constraint polytopes: the exact interval rule, region vertices,
+Fourier-Motzkin elimination, the implicit-equality LP, and the guard that
+keeps the one linear program behind nbg.polytope."""
 
+import ast
 import random
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import nbg
 from nbg import PHI, NbgError, polytope
-from util import per_row_equalities, region_class
+from util import lp_minimum, per_row_equalities, region_class
 
 
 class TestInterval:
@@ -63,29 +64,53 @@ class TestInterval:
         assert polytope.interval([(1, [0]), (-1, [0])]) is None
 
 
+# triangle t1, t2 >= 0, t1 + t2 <= 1
+TRIANGLE = [(0, [1, 0]), (0, [0, 1]), (1, [-1, -1])]
+
+
+class TestVertices:
+    def test_triangle(self):
+        found = list(polytope.vertices(TRIANGLE))
+        assert found == [(0, 0), (0, 1), (1, 0)]
+        assert all(type(t) in (int, Fraction) for vertex in found for t in vertex)
+
+    def test_pinched_region(self):
+        # t1 + t2 <= 0 pins the triangle to its corner
+        assert list(polytope.vertices(TRIANGLE + [(0, [-1, -1])])) == [(0, 0)]
+
+    def test_empty_region(self):
+        assert list(polytope.vertices(TRIANGLE + [(-2, [1, 1])])) == []
+
+    def test_degenerate_vertex_is_yielded_once(self):
+        # t1 >= t2 makes three rows tight at the origin
+        rows = TRIANGLE + [(0, [1, -1])]
+        assert list(polytope.vertices(rows)) == [
+            (0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))]
+
+    def test_float_rows_hold_within_the_slack(self):
+        # t1 >= 0.1, t2 >= 0.2, t1 + t2 <= 0.3: one point, where
+        # 0.3 - (0.1 + 0.2) rounds to -5.6e-17
+        rows = [(-0.1, [1.0, 0.0]), (-0.2, [0.0, 1.0]), (0.3, [-1.0, -1.0])]
+        assert list(polytope.vertices(rows)) == []
+        found = list(polytope.vertices(rows, 1e-12))
+        assert found
+        for vertex in found:
+            assert vertex == pytest.approx((0.1, 0.2), abs=1e-15)
+
+    def test_quadratic_rows(self):
+        rows = TRIANGLE[:2] + [(PHI, [-1, -1])]
+        assert list(polytope.vertices(rows)) == [(0, 0), (0, PHI), (PHI, 0)]
+
+
 class TestLinearPrograms:
-    # triangle t1, t2 >= 0, t1 + t2 <= 1
-    TRIANGLE = [(0, [1, 0]), (0, [0, 1]), (1, [-1, -1])]
-
-    def test_feasible(self):
-        empty = self.TRIANGLE + [(-2, [1, 1])]
-        assert polytope.feasible(self.TRIANGLE)
-        assert not polytope.feasible(empty)
-        assert polytope.minimize(self.TRIANGLE, [0, 0]) is not None
-        assert polytope.minimize(empty, [0, 0]) is None
-        # float rows take the LP, flat rows the zero-slope rule
-        assert polytope.feasible([(float(v), [float(c) for c in coefs])
-                                  for v, coefs in self.TRIANGLE])
-        assert not polytope.feasible([(-1, [0, 0])])
-
     def test_implicit_equalities(self):
-        assert polytope.implicit_equalities(self.TRIANGLE) == []
+        assert polytope.implicit_equalities(TRIANGLE) == []
         # t1 + t2 <= 0 pins the triangle to its corner (0, 0)
-        corner = self.TRIANGLE + [(0, [-1, -1])]
+        corner = TRIANGLE + [(0, [-1, -1])]
         assert polytope.implicit_equalities(corner) == [0, 1, 3]
         # an unbounded region, and a flat row that holds at zero
-        assert polytope.implicit_equalities(self.TRIANGLE[:2] + [(0, [0, 0])]) == [2]
-        assert polytope.implicit_equalities(self.TRIANGLE + [(-2, [1, 1])]) is None
+        assert polytope.implicit_equalities(TRIANGLE[:2] + [(0, [0, 0])]) == [2]
+        assert polytope.implicit_equalities(TRIANGLE + [(-2, [1, 1])]) is None
 
     def test_a_failed_lp_is_decided_by_elimination(self):
         # HiGHS can end with neither a solution nor a proof of
@@ -93,21 +118,16 @@ class TestLinearPrograms:
         def floats(rows):
             return [(float(v), [float(c) for c in coefs]) for v, coefs in rows]
 
-        corner = self.TRIANGLE + [(0, [-1, -1])]
+        corner = TRIANGLE + [(0, [-1, -1])]
         failed = mock.Mock(return_value=SimpleNamespace(status=4))
         with mock.patch("scipy.optimize.linprog", failed):
             assert polytope.implicit_equalities(corner) == [0, 1, 3]
             assert polytope.implicit_equalities(floats(corner)) == [0, 1, 3]
-            assert polytope.implicit_equalities(floats(self.TRIANGLE)) == []
-            assert polytope.implicit_equalities(floats(self.TRIANGLE + [(-2, [1, 1])])) is None
+            assert polytope.implicit_equalities(floats(TRIANGLE)) == []
+            assert polytope.implicit_equalities(floats(TRIANGLE + [(-2, [1, 1])])) is None
             with pytest.raises(NbgError, match="elimination passed 200 rows"):
                 polytope.implicit_equalities(cap_rows(random.Random(3)))
         assert failed.call_count == 5
-
-    def test_minimize_reports_the_minimiser(self):
-        value, t = polytope.minimize(self.TRIANGLE, [1.0, -1.0])
-        assert value == pytest.approx(-1.0)
-        assert list(t) == pytest.approx([0.0, 1.0])
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -130,8 +150,8 @@ def family_rows(draw):
 @given(family_rows())
 def test_interval_agrees_with_lp(rows):
     bounds = polytope.interval(rows)
-    assert (bounds is not None) == (polytope.minimize(rows, [0]) is not None)
-    assert (bounds is not None) == polytope.feasible(rows)
+    assert (bounds is not None) == (lp_minimum(rows, [0]) is not None)
+    assert (bounds is not None) == (next(polytope.vertices(rows), None) is not None)
     # both sides are bounded, so a region is full-dimensional exactly
     # when its interval has positive length
     expected = ("empty" if bounds is None
@@ -246,7 +266,6 @@ def check_against_highs(rows):
     expected = region_class(rows)
     if polytope._rational(rows):
         assert polytope._fourier_motzkin(rows) in (None, expected)
-    assert polytope.feasible(rows) == (expected != "empty")
     found = polytope.implicit_equalities(rows)
     assert (found is None) == (expected == "empty")
     if found is not None:
@@ -302,6 +321,22 @@ class TestSingleLpSite:
         users = sorted(path.name for path in package.glob("*.py")
                        if "linprog" in path.read_text(encoding="utf-8"))
         assert users == ["polytope.py"]
+        # one call, in implicit_equalities
+        tree = ast.parse((package / "polytope.py").read_text(encoding="utf-8"))
+        callers = [function.name for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef)
+                   for node in ast.walk(function)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "linprog"]
+        assert callers == ["implicit_equalities"]
+
+    def test_equilibrium_imports_neither_numpy_nor_scipy(self):
+        path = Path(nbg.__file__).parent / "equilibrium.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {module.split(".")[0] for module in modules} & {"numpy", "scipy"}
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         src = str(Path(nbg.__file__).parent.parent)

@@ -6,7 +6,9 @@ make singular support systems and so solution families common. Each
 property solves a game and a transformed copy and compares the two
 equilibrium sets: points by their masses, families by their support,
 dimension and affine hull, and one-parameter families also by their end
-points. The last two properties compare a game with a copy whose total
+points. On degenerate games, the vertices of each family of two or more
+parameters, which sample it and bound its cost, are checked exactly and
+against HiGHS. Two more properties compare a game with a copy whose total
 mass and offsets are rescaled: the potential minima of a symmetric
 game, and the equilibria and prices of a float game. The last ones do
 the same for the float descent on polynomial games.
@@ -24,7 +26,7 @@ from nbg import (EquilibriumFamily, EquilibriumPoint, Game, affine,
                  min_social_cost, minimize_potential, polynomial, price_report,
                  solve_affine_by_supports, verify_equilibrium)
 from nbg.equilibrium import _equal_cost_pass, _family_rows, _values
-from util import two_vertex_game
+from util import lp_minimum, two_vertex_game
 
 scalars = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
@@ -180,6 +182,65 @@ def test_points_and_one_parameter_end_points_verify_exactly(game):
             report = verify_equilibrium(game, member.x, tol=0)
             assert report.is_equilibrium
             assert report.common_cost == member.cost
+
+
+@st.composite
+def degenerate_games(draw):
+    """Games with offsets 0 or 1/2 and every influence 1: unweighted graphs
+    with slopes 1, about one in eight of which has a family of two or more
+    parameters, or digraphs with slopes 0 or 1, where such a family's cost
+    can vary."""
+    n = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        slopes = [Fraction(1)] * n
+        triples = [t for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+                   for t in ((i, j, Fraction(1)), (j, i, Fraction(1)))]
+    else:
+        slopes = [draw(st.sampled_from([Fraction(0), Fraction(1)])) for _ in range(n)]
+        triples = [(i, j, Fraction(1)) for i in range(n) for j in range(n)
+                   if i != j and draw(st.booleans())]
+    costs = [affine(a, draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))) for a in slopes]
+    return Game.graphical(n, draw(positive), costs, influence_from_triples(n, triples))
+
+
+#: two two-parameter families, each with a common cost from 0 to 1
+VARYING_COST = Game.graphical(
+    4, 1, [affine(0, 0), affine(0, 0), affine(1, 0), affine(0, 0)],
+    influence_from_triples(4, [(2, 0, 1), (2, 1, 1), (2, 3, 1), (3, 0, 1), (3, 1, 1),
+                               (3, 2, 1)]))
+
+
+@settings(max_examples=60)
+@given(degenerate_games())
+@example(make_family("path", Fraction(1), n=7))
+@example(make_family("cycle", Fraction(1), n=8))
+@example(VARYING_COST)
+def test_multi_parameter_samples_and_cost_ranges_are_exact(game):
+    # the float copy samples and bounds each family at the same vertices,
+    # which its rows meet within the mass slack
+    floated = solve_affine_by_supports(rebuilt(game, scalar=float))
+    for family, twin in zip(solve_affine_by_supports(game), floated):
+        if not isinstance(family, EquilibriumFamily) or family.interval is not None:
+            continue
+        (lo, hi), exact = family_cost_range(family)
+        assert exact
+        samples = family.sample_points(5)
+        for point in samples:
+            report = verify_equilibrium(game, point.x, tol=0)
+            assert report.is_equilibrium
+            assert report.common_cost == point.cost
+            assert lo <= point.cost <= hi
+        slopes = [float(c) for c in family.cost_directions]
+        low = lp_minimum(family.constraints, slopes)[0]
+        high = -lp_minimum(family.constraints, [-c for c in slopes])[0]
+        assert float(lo) == pytest.approx(float(family.cost_base) + low, abs=1e-9)
+        assert float(hi) == pytest.approx(float(family.cost_base) + high, abs=1e-9)
+        assert twin.support == family.support
+        assert all(close(a, b) for a, b in zip((lo, hi), family_cost_range(twin)[0]))
+        twin_samples = twin.sample_points(5)
+        assert len(twin_samples) == len(samples)
+        for point, other in zip(samples, twin_samples):
+            assert all(close(a, b) for a, b in zip(point.x.masses, other.x.masses))
 
 
 def close(a, b):

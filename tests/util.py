@@ -21,12 +21,26 @@ from nbg import (Digraph, EquilibriumFamily, EquilibriumPoint, Game, affine,
 # linear programming oracles
 
 
+def lp_minimum(rows, objective):
+    """Minimise objective . t over the rows by one HiGHS LP, posed in the
+    u of `polytope._lp_rows`. Returns (minimum, minimiser) mapped back to
+    t, or None when the program is infeasible, unbounded or fails."""
+    from scipy.optimize import linprog
+
+    a_ub, b_ub, s = polytope._lp_rows(rows)
+    res = linprog(objective, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * len(objective), method="highs")
+    if res.status != 0:
+        return None
+    return res.fun * s, res.x * s
+
+
 def per_row_equalities(rows):
-    """Implicit equalities by one HiGHS LP per row (`polytope.minimize`):
-    a row is tight when its largest value over the region is at most 1e-9."""
+    """Implicit equalities by one HiGHS LP per row (`lp_minimum`): a row
+    is tight when its largest value over the region is at most 1e-9."""
     tight = []
     for i, (value, coefs) in enumerate(rows):
-        found = polytope.minimize(rows, [-float(c) for c in coefs])
+        found = lp_minimum(rows, [-float(c) for c in coefs])
         if found is not None and float(value) - found[0] <= 1e-9:
             tight.append(i)
     return tight
@@ -35,7 +49,7 @@ def per_row_equalities(rows):
 def region_class(rows):
     """"empty", "full" or "pinched" by the HiGHS oracles: no point, no row
     with parameters tight over the whole region, or some such row tight."""
-    if polytope.minimize(rows, [0.0] * len(rows[0][1])) is None:
+    if lp_minimum(rows, [0.0] * len(rows[0][1])) is None:
         return "empty"
     if any(any(rows[i][1]) for i in per_row_equalities(rows)):
         return "pinched"
