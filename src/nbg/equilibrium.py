@@ -461,7 +461,11 @@ class _SupportPass:
     an exact pass. A float pass takes 0.0, the float slack at r, and that
     of gaps of size (spread of b) + r max|M| read off costs up to
     max|b| + r max|M|. Family rows read gaps times `unit`, a power of two
-    near tol / gap_tol, so `tol` serves every row.
+    near tol / gap_tol, so `tol` serves every row. A float pass also
+    solves its systems in `cost_unit`, the power of two nearest max|M|:
+    the cost rows and offsets are divided by it, so the elimination sees
+    entries near 1 however large or small the costs are against r, and
+    the common cost it solves for is read back times it.
 
     The costs are C_j(x) = b_j + sum_s M[s][j] x_s, with the scaled
     coefficients and offsets. A vector and a cost are read as numerators
@@ -474,7 +478,7 @@ class _SupportPass:
     """
 
     __slots__ = ("n", "r", "exact", "tol", "gap_tol", "unit", "zero", "scale",
-                 "offsets", "columns", "cost_rows", "sum_row")
+                 "cost_unit", "offsets", "columns", "cost_rows", "sum_row")
 
     def __init__(self, coefficients, offsets, r):
         n = self.n = len(offsets)
@@ -488,14 +492,16 @@ class _SupportPass:
             flat = [v.numerator * (scale // v.denominator) for v in flat]
             r_num, r_den = r.numerator, r.denominator
         self.tol = self.gap_tol = self.zero = 0
-        self.unit = 1
+        self.unit = self.cost_unit = 1
         if not self.exact:
             flat, r_num, self.zero = [float(v) for v in flat], float(r), 0.0
-            offsets, change = flat[n * n:], r_num * max(map(abs, flat[:n * n]))
+            slope = max(map(abs, flat[:n * n]))
+            offsets, change = flat[n * n:], r_num * slope
             self.tol = numeric.auto_tolerance(False, r_num)
             self.gap_tol = numeric.auto_tolerance(False, max(offsets) - min(offsets) + change,
                                                   max(map(abs, offsets)) + change)
             self.unit = numeric.power_of_two_ratio(self.tol, self.gap_tol)
+            self.cost_unit = numeric.power_of_two_ratio(slope, 1.0)
         self.scale, self.offsets = scale, flat[n * n:]
         # the masses of a support sum to r: r_den * sum x = r_num
         self.sum_row = (r_den, r_num)
@@ -508,13 +514,17 @@ class _SupportPass:
     def systems(self):
         """Yield (support, LinearSolution) for every consistent support
         system, supports in bitmask order: the equal-cost rows of the
-        support in (x_S, c), scaled by D, and the sum row scaled by the
-        denominator of r. Scaling rows leaves the solution set as it is,
-        and a rational elimination starts from integers. Inconsistent
-        systems are skipped."""
-        n, (r_den, r_num) = self.n, self.sum_row
-        targets = [-b for b in self.offsets]
-        rows_in = [row + [-self.scale] for row in self.cost_rows]
+        support in (x_S, c), scaled by D (on a float pass, in the cost
+        unit), and the sum row scaled by the denominator of r. Scaling
+        rows leaves the solution set as it is, and a rational elimination
+        starts from integers. Inconsistent systems are skipped."""
+        n, (r_den, r_num), unit = self.n, self.sum_row, self.cost_unit
+        cost_rows, offsets = self.cost_rows, self.offsets
+        if unit != 1:
+            cost_rows = [[a / unit for a in row] for row in cost_rows]
+            offsets = [b / unit for b in offsets]
+        targets = [-b for b in offsets]
+        rows_in = [row + [-self.scale] for row in cost_rows]
         sum_rows = [[r_den] * k + [0] for k in range(n + 1)]
         # a support's columns: its lowest vertex, those of the rest, then n
         columns = [(n,)] * (1 << n)
@@ -525,8 +535,17 @@ class _SupportPass:
             rows = [[row[j] for j in cols] for row in [rows_in[i] for i in support]]
             rows.append(sum_rows[len(support)])
             solution = solve_linear_system(rows, [targets[i] for i in support] + [r_num])
-            if solution.status != "none":
-                yield support, solution
+            if solution.status == "none":
+                continue
+            if unit != 1:
+                # the rows over the cost unit solve for c / unit: c is read
+                # back, and a free c (the last basis vector) keeps its unit step
+                read = [(*v[:-1], v[-1] * unit)
+                        for v in (solution.numerators, *solution.basis_numerators)]
+                if len(support) not in solution._pivots:
+                    read[-1] = tuple(v / unit for v in read[-1])
+                solution.numerators, solution.basis_numerators = read[0], tuple(read[1:])
+            yield support, solution
 
     def gaps(self, nums, cost, vertices, den):
         """D*L*(C_j - cost) for each j in vertices, from numerators over
@@ -788,9 +807,11 @@ def family_cost_range(family: EquilibriumFamily):
     The cost is affine in the family parameters, so its extremes lie at
     the end points of a one-parameter family's interval, or at vertices
     of a larger family's region (`EquilibriumFamily._vertices`); both are
-    exact on exact input.
+    exact on exact input. A cost with no direction is its base.
     """
-    if family.dimension == 1 and family.interval is not None:
+    if not any(family.cost_directions):
+        ends = [()]
+    elif family.dimension == 1 and family.interval is not None:
         ends = [(t,) for t in family.interval]
     else:
         ends = family._vertices()

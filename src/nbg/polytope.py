@@ -220,16 +220,14 @@ def implicit_equalities(rows, tol=0):
             return [i for i, (value, coefs) in enumerate(rows)
                     if value == 0 and not any(coefs)]
     from scipy.optimize import linprog
-    import numpy as np
 
     m, d = len(rows), len(rows[0][1])
     # columns: u, theta, y
-    region = [row + [-value] for row, value in zip(*_lp_rows(rows)[:2])]
-    a_ub = np.hstack([np.array(region), np.eye(m)])
+    a_ub = [row + [-value] + [float(k == i) for k in range(m)]
+            for i, (row, value) in enumerate(zip(*_lp_rows(rows)[:2]))]
     objective = [0.0] * (d + 1) + [-1.0] * m
     bounds = [(None, None)] * d + [(1, None)] + [(0, 1)] * m
-    res = linprog(objective, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds,
-                  method="highs")
+    res = linprog(objective, A_ub=a_ub, b_ub=[0.0] * m, bounds=bounds, method="highs")
     if res.status == 2:
         return None
     if res.status != 0:

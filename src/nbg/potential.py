@@ -141,18 +141,15 @@ def _descent_end_points(game: Game) -> list:
     def objective(v):
         total = 0.0
         for i, form in enumerate(game.vertex_costs):
-            total += float(form.integral(float(v[i])))
+            total += form.integral(v[i])
         for (i, j), alpha in game.influence.items():
             if i < j:
-                total += float(alpha) * float(v[i]) * float(v[j])
+                total += alpha * v[i] * v[j]
         return total
 
-    def gradient(v):
-        return [float(c) for c in cost_vector(game, [float(t) for t in v])]
-
     return [MassDistribution(res.x, game.r)
-            for res in multistart_minimize(objective, gradient, game.n,
-                                           float(game.r), DESCENT_STARTS)]
+            for res in multistart_minimize(objective, lambda v: cost_vector(game, v),
+                                           game.n, float(game.r), DESCENT_STARTS)]
 
 
 def _same_minimum(game: Game, a: MassDistribution, b: MassDistribution) -> bool:

@@ -16,6 +16,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  price_report, solve_affine_by_supports, three_equilibria_game,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
+from nbg import polytope
 from nbg.equilibrium import _SupportPass
 from util import (dense_costs, families_of, family_matches, grid_delta_strong,
                   is_equilibrium_oracle, point_masses,
@@ -298,6 +299,31 @@ class TestSolveBySupports:
         assert not report.exact["worst_equilibrium_cost"]
         assert type(report.best_equilibrium_cost) is float
 
+    @pytest.mark.parametrize("k", [-30, 0, 30, 44])
+    def test_costs_large_or_small_against_r_keep_the_equilibrium(self, k):
+        # C = 2^k x + 2^(k-1) on one vertex at r = 1: the one point x = 1
+        # costs 1.5 * 2^k at every scale of the cost
+        game = Game.graphical(1, 1.0, [affine(2.0 ** k, 2.0 ** (k - 1))],
+                              influence_from_triples(1, []))
+        solved = solve_affine_by_supports(game)
+        assert [(item.x.masses, item.cost) for item in solved] == [((1.0,), 1.5 * 2.0 ** k)]
+
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
+    def test_float_costs_scale_with_every_coefficient(self, k):
+        # every slope, offset and influence times 2^k: the same supports
+        # and masses, and every cost times 2^k
+        game = make_family("path", 0.5, r=1.0, n=5)
+        scaled = Game.graphical(
+            game.n, game.r,
+            [affine(*(v * 2.0 ** k for v in form.as_affine())) for form in game.vertex_costs],
+            influence_from_triples(game.n, [(i, j, alpha * 2.0 ** k)
+                                            for (i, j), alpha in game.influence.items()]))
+        solved = solve_affine_by_supports(game)
+        assert solved and all(isinstance(item, EquilibriumPoint) for item in solved)
+        assert ([(item.support, item.x.masses, item.cost * 2.0 ** k) for item in solved]
+                == [(item.support, item.x.masses, item.cost)
+                    for item in solve_affine_by_supports(scaled)])
+
     def test_results_sorted_by_support_bitmask(self):
         rng = random.Random(59)
         for _ in range(20):
@@ -452,6 +478,23 @@ class TestFamilyMechanics:
         (point,) = family.sample_points(5)
         assert point.x.masses == pytest.approx((0.1, 0.2, 0.7))
         assert family_cost_range(family) == ((1.0, 1.0), False)
+
+    def test_a_constant_cost_range_enumerates_no_vertex(self, monkeypatch):
+        # no family of path alpha = 1, n = 10 has a cost direction, so each
+        # range is read off the base and equals the range of its vertex costs
+        families = families_of(solve_affine_by_supports(make_family("path", Fraction(1), n=10)))
+        assert len(families) == 81
+        expected = []
+        for family in families:
+            assert not any(family.cost_directions)
+            costs = [family.point_at(t).cost for t in family._vertices()]
+            expected.append(((min(costs), max(costs)), True))
+
+        def no_vertices(*args, **kwargs):
+            raise AssertionError("polytope.vertices called")
+
+        monkeypatch.setattr(polytope, "vertices", no_vertices)
+        assert [family_cost_range(family) for family in families] == expected
 
 
 class TestGoldenRatioPath:

@@ -315,6 +315,16 @@ def test_row_cap_leaves_the_verdict_to_the_lp():
     assert verdicts == {"empty", "full", "pinched"}
 
 
+def imported_packages(path):
+    """The top-level packages that the module at `path` imports anywhere."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    return {module.split(".")[0] for module in modules}
+
+
 class TestSingleLpSite:
     def test_linprog_only_in_polytope(self):
         package = Path(nbg.__file__).parent
@@ -331,12 +341,7 @@ class TestSingleLpSite:
 
     def test_equilibrium_imports_neither_numpy_nor_scipy(self):
         path = Path(nbg.__file__).parent / "equilibrium.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                   for alias in node.names}
-        modules |= {node.module for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom) and node.module}
-        assert not {module.split(".")[0] for module in modules} & {"numpy", "scipy"}
+        assert not imported_packages(path) & {"numpy", "scipy"}
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         src = str(Path(nbg.__file__).parent.parent)
@@ -351,8 +356,13 @@ class TestSingleLpSite:
         users = sorted(path.name for path in package.glob("*.py")
                        if "scipy" in path.read_text(encoding="utf-8"))
         assert users == ["polytope.py"]
+        # nor any numpy module, which scipy would bring
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
         out = subprocess.run([sys.executable, "-c", code, str(package.parent)],
                              check=True, capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_no_module_imports_numpy(self):
+        for path in Path(nbg.__file__).parent.glob("*.py"):
+            assert "numpy" not in imported_packages(path), path.name

@@ -288,6 +288,17 @@ class TestSimplexOptimizer:
             x = rng.dirichlet(np.ones(4))
             assert np.allclose(project_to_simplex(x), x, atol=1e-12)
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+           st.sampled_from([1.0, 3.0, 2.0 ** -20, 1e6]))
+    def test_projection_matches_the_cumulative_sum_rule(self, v, r):
+        # the NumPy form of the same rule: a running sum of the values in
+        # descending order, and theta from the last prefix above it
+        u = np.sort(v)[::-1]
+        cssv = np.cumsum(u) - r
+        rho = np.nonzero(u * np.arange(1, len(v) + 1) > cssv)[0][-1]
+        theta = cssv[rho] / (rho + 1.0)
+        assert project_to_simplex(v, r) == list(np.maximum(np.asarray(v) - theta, 0.0))
+
     def test_projection_known_values(self):
         assert np.allclose(project_to_simplex([2.0, 0.0]), [1.0, 0.0])
         assert np.allclose(project_to_simplex([0.6, 0.6]), [0.5, 0.5])
@@ -299,7 +310,7 @@ class TestSimplexOptimizer:
         for _ in range(25):
             n = rng.integers(2, 6)
             v = rng.normal(size=n) * 2
-            p = project_to_simplex(v, r=1.0)
+            p = np.asarray(project_to_simplex(v, r=1.0))
             assert abs(p.sum() - 1.0) < 1e-9
             assert (p >= -1e-12).all()
             dist = np.sum((v - p) ** 2)
@@ -331,3 +342,23 @@ class TestSimplexOptimizer:
         results = multistart_minimize(objective, gradient, 2, 1.0, starts=6)
         assert len(results) == 1
         assert results[0].x == pytest.approx((0.25, 0.75), abs=1e-6)
+
+    def test_multistart_starts_are_floats_fixed_by_the_seed(self):
+        # each descent evaluates its projected start first; a descent from
+        # a vertex stops there at once, and the random starts are interior
+        def starts(seed):
+            seen = []
+
+            def objective(x):
+                seen.append(x)
+                return -sum(t * t for t in x)
+
+            multistart_minimize(objective, lambda x: [-2 * t for t in x], 3, 2.0,
+                                starts=5, seed=seed)
+            return seen
+
+        first = starts(4)
+        assert first == starts(4) and first != starts(5)
+        assert all(type(t) is float for x in first for t in x)
+        assert first[:3] == [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
+        assert min(first[3]) > 0 and sum(first[3]) == pytest.approx(2.0)
