@@ -446,9 +446,11 @@ class EquilibriumFamily:
 class _SupportPass:
     """One support pass over the cost structure (coefficients, offsets, r):
     the support systems that equalise the values offsets[i] + sum_{j in
-    S} coefficients[j][i] * x_j over each support S, and the gap tests
-    read on their solutions. The equilibrium solver passes the cost
-    matrix M; the utilitarian face search passes M + M^T.
+    S} coefficients[j][i] * x_j over each support S, and the mass rule
+    (`masses`) and gap tests read on their solutions. The equilibrium
+    solver passes the cost matrix M; the utilitarian face search passes
+    M + M^T. Both optima of `nbg.metrics` and every listed equilibrium
+    point take their masses through `masses`.
 
     The scalar kind is decided once, here. A rational structure (every
     coefficient, offset and r an int or a Fraction) is scaled by the lcm
@@ -547,6 +549,22 @@ class _SupportPass:
                 solution.numerators, solution.basis_numerators = read[0], tuple(read[1:])
             yield support, solution
 
+    def masses(self, support, nums):
+        """The masses on the support in nums placed on the n vertices, with
+        those that are not positive as zero; None when one is below -tol,
+        or when none is positive (float masses all within tol below zero
+        are rounding noise). Numerators over a positive denominator have
+        the signs of their values, so no value is built for a rejected
+        system."""
+        # most systems fail on a mass sign, so it is read first
+        if min(nums[:len(support)]) < -self.tol:
+            return None
+        masses = [self.zero] * self.n
+        for s, m in zip(support, nums):
+            if m > 0:
+                masses[s] = m
+        return masses if any(masses) else None
+
     def gaps(self, nums, cost, vertices, den):
         """D*L*(C_j - cost) for each j in vertices, from numerators over
         den = L. A direction passes den = 0, which drops the offsets and
@@ -587,8 +605,9 @@ def _equilibria(pass_: _SupportPass, systems) -> list:
 
     Every test runs on the numerators that the elimination hands over,
     over their one denominator (see `_SupportPass`): integers on rational
-    games. Values are built only for the points and families that are
-    kept.
+    games. `_accept_point` reads each point's gaps once, and a point that
+    a family covers is dropped on the tie mask read there. Values are
+    built only for the points and families that are kept.
     """
     points = []
     families = []
@@ -607,22 +626,15 @@ def _equilibria(pass_: _SupportPass, systems) -> list:
             points.append(family)
 
     # A point x of common cost c lies on the hull of a family F over
-    # support T exactly when supp(x) is in T and C_i(x) = c on T. x meets
-    # every row of F, so it lies in F's region, where folded-back implicit
-    # equalities vanish. Float games count costs within tol of c as tied;
-    # on supp(x) the costs equal c by the support system.
+    # support T exactly when supp(x) is in T and C_i(x) = c on T, which
+    # its tie mask reads. x meets every row of F, so it lies in F's
+    # region, where folded-back implicit equalities vanish.
     family_masks = [f.bitmask for f in families]
     kept_points = []
     seen = set()
-    for mask, _, den, masses, cost in sorted(points, key=lambda p: p[:2]):
-        covering = [f for f in family_masks if mask & ~f == 0]
-        if covering:
-            outside = [j for j in range(pass_.n) if not mask >> j & 1]
-            tied = mask | sum(1 << j for j, gap in
-                              zip(outside, pass_.gaps(masses, cost, outside, den))
-                              if abs(gap) <= pass_.gap_tol)
-            if any(f & ~tied == 0 for f in covering):
-                continue
+    for mask, _, den, masses, cost, tied in sorted(points, key=lambda p: p[:2]):
+        if any(mask & ~f == 0 and f & ~tied == 0 for f in family_masks):
+            continue
         point = _point(pass_, masses, cost, den)
         key = tuple(point.x.masses) if pass_.exact else _float_key(point.x)
         if key in seen:
@@ -652,31 +664,28 @@ def _family_vectors(pass_, support, particular, basis):
 
 
 def _accept_point(pass_, support, values, den):
-    """The `_candidate` for the equilibrium whose masses on the support
-    and common cost are values / den, or None when a mass is negative or
-    an off-support vertex costs less."""
-    # most systems fail on a mass sign, so it is read first
-    if min(values[:len(support)]) < -pass_.tol:
+    """The one test that lists a point: (bitmask, key, den, masses, cost,
+    tied) for the equilibrium whose masses on the support and common
+    cost c are values / den, or None when `_SupportPass.masses` rejects
+    them or an off-support vertex costs less. masses are numerators on
+    all n vertices, bitmask their support, key their float values (int /
+    int rounds as a Fraction does), and tied the vertices whose cost ties
+    with c: the support, which the system equalises, and each vertex off
+    it whose gap is at most gap_tol. `_point` builds the kept values."""
+    masses = pass_.masses(support, values)
+    if masses is None:
         return None
-    masses = _masses(pass_, support, values)
-    if not any(masses):  # float masses all within tol below 0 are rounding noise
-        return None
-    cost = values[len(support)]
-    tol = pass_.gap_tol
-    if any(gap < -tol for gap in pass_.gaps(masses, cost, _outside(pass_.n, support), den)):
-        return None
-    return _candidate(pass_, masses, cost, den)
-
-
-def _masses(pass_, support, values):
-    """The masses on the support in values placed on the n vertices;
-    masses that are not positive (float masses within tol below zero)
-    count as zero."""
-    masses = [pass_.zero] * pass_.n
-    for s, m in zip(support, values):
-        if m > 0:
-            masses[s] = m
-    return masses
+    cost, tol = values[len(support)], pass_.gap_tol
+    tied = sum(1 << s for s in support)
+    outside = _outside(pass_.n, support)
+    for j, gap in zip(outside, pass_.gaps(masses, cost, outside, den)):
+        if gap < -tol:
+            return None
+        if gap <= tol:
+            tied |= 1 << j
+    values = _on_total(pass_, [m / den for m in masses])
+    mask = sum(1 << i for i, v in enumerate(masses if pass_.exact else values) if v > pass_.tol)
+    return mask, tuple(map(float, values)), den, masses, cost, tied
 
 
 def _on_total(pass_, values):
@@ -688,19 +697,9 @@ def _on_total(pass_, values):
     return [v * ratio for v in values]
 
 
-def _candidate(pass_, masses, cost, den):
-    """(bitmask, key, den, masses, cost) for the point of nonnegative
-    masses / den and common cost cost / den, numerators with masses on
-    all n vertices: its support and float masses (int / int rounds as a
-    Fraction does), so that `_point` builds only the points kept."""
-    values = _on_total(pass_, [m / den for m in masses])
-    mask = sum(1 << i for i, v in enumerate(masses if pass_.exact else values) if v > pass_.tol)
-    return mask, tuple(map(float, values)), den, masses, cost
-
-
 def _point(pass_, masses, cost, den):
-    """The EquilibriumPoint of a `_candidate`; only here do points build
-    their values."""
+    """The EquilibriumPoint of an `_accept_point` point; only here do
+    points build their values."""
     x = MassDistribution(tuple(_on_total(pass_, [
         numeric.quotient(m, den) if m > 0 else pass_.zero for m in masses])), pass_.r)
     return EquilibriumPoint(x, numeric.quotient(cost, den), x.support())
@@ -751,13 +750,14 @@ def _restrict_family(pass_, support, den, vectors):
 
     vectors = (base, cost_base, directions, cost_dirs) are numerators
     over den (see `LinearSolution`). One-parameter families get an
-    exact interval, and one that collapses to a point becomes that
-    point. Multi-parameter families keep their constraint rows;
+    exact interval. Multi-parameter families keep their constraint rows;
     `polytope.implicit_equalities` finds the constraints that bind
     across the whole feasible region (exactly on rational rows unless the
     region is pinched, when one LP names them), and they are folded back
     into the linear system, so a region pinched to a lower dimension is
-    re-derived at its true size (possibly a single point).
+    re-derived at its true size. A region that collapses to one point
+    t0, an interval of zero length or a pinched region whose folded
+    system is unique, is folded at t0 and tested by `_accept_point`.
     """
     n = pass_.n
     rows = _family_rows(pass_, support, den, *vectors)
@@ -767,38 +767,32 @@ def _restrict_family(pass_, support, den, vectors):
         if bounds is None:
             return None
         lo, hi = bounds
-        if hi - lo <= pass_.tol:
-            # every row holds at t = lo = num / q, so the point needs no
-            # second test
-            num, q = (lo.numerator, lo.denominator) if isinstance(lo, Fraction) else (lo, 1)
-            base, cost = _fold(vectors, q, (num,), ())[:2]
-            return _candidate(pass_, _masses(pass_, support, [base[s] for s in support]),
-                              cost, q * den)
-        return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), (lo, hi))
-
-    # rows that bind across the whole region squeeze it into a
-    # lower-dimensional slice
-    equalities = polytope.implicit_equalities(rows, pass_.tol)
-    if equalities is None:
-        return None
-    tight = [rows[i] for i in equalities if any(c != 0 for c in rows[i][1])]
-    reduced = None
-    if tight:
-        reduced = solve_linear_system([list(coefs) for _, coefs in tight],
-                                      [-value for value, _ in tight])
-    # with no tight row, or a misdetected equality, the family keeps the
-    # full constraint polytope
-    if reduced is None or reduced.status == "none":
-        # each row is D*den times the row in t
-        return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), None, "",
-                                 tuple(_values(pass_.scale * den, rows)))
-    q, t0, units = reduced.denominator, reduced.numerators, reduced.basis_numerators
-    folded = _fold(vectors, q, t0, units)
-    if reduced.status == "unique":
-        new_base, new_cost = folded[:2]
-        return _accept_point(pass_, support, [new_base[s] for s in support] + [new_cost],
-                             q * den)
-    return _restrict_family(pass_, support, q * den, folded)
+        if hi - lo > pass_.tol:
+            return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), (lo, hi))
+        # the range collapses to t0 = lo = num / q
+        q, t0 = (lo.denominator, (lo.numerator,)) if isinstance(lo, Fraction) else (1, (lo,))
+    else:
+        # rows that bind across the whole region squeeze it into a
+        # lower-dimensional slice
+        equalities = polytope.implicit_equalities(rows, pass_.tol)
+        if equalities is None:
+            return None
+        tight = [rows[i] for i in equalities if any(c != 0 for c in rows[i][1])]
+        reduced = None
+        if tight:
+            reduced = solve_linear_system([list(coefs) for _, coefs in tight],
+                                          [-value for value, _ in tight])
+        # with no tight row, or a misdetected equality, the family keeps the
+        # full constraint polytope
+        if reduced is None or reduced.status == "none":
+            # each row is D*den times the row in t
+            return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), None, "",
+                                     tuple(_values(pass_.scale * den, rows)))
+        q, t0, units = reduced.denominator, reduced.numerators, reduced.basis_numerators
+        if units:
+            return _restrict_family(pass_, support, q * den, _fold(vectors, q, t0, units))
+    base, cost = _fold(vectors, q, t0, ())[:2]
+    return _accept_point(pass_, support, [base[s] for s in support] + [cost], q * den)
 
 
 def family_cost_range(family: EquilibriumFamily):

@@ -151,8 +151,10 @@ def _eliminate(m, is_zero, kind):
             # int / int is float division; an exact inverse keeps rows exact
             inverse = Fraction(1) / pivot
             m[row] = [v * inverse for v in m[row]]
+        # rows above are already divided by their pivots, so the zero test,
+        # sized by the whole matrix, is for the rows below
         for i in range(n_rows):
-            if i != row and not is_zero(m[i][col], col):
+            if i < row and m[i][col] != 0 or i > row and not is_zero(m[i][col], col):
                 factor = m[i][col]
                 m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
         pivots.append(col)

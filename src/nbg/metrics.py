@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import numeric
 from .equilibrium import (SUPPORT_ENUMERATION_MAX_N, EquilibriumFamily, _affine_or_none,
-                          _equal_cost_pass, _equilibria, _masses, _on_total, _SupportPass,
+                          _equal_cost_pass, _equilibria, _on_total, _SupportPass,
                           family_cost_range)
 from .errors import NbgError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector, distribution
@@ -105,20 +105,17 @@ def _least_support_point(pass_: _SupportPass, systems, value):
     give x^T (M + M^T) x = c r - b.x on the support, with b the offsets,
     so r times the utilitarian cost, b.x + x^T M x, is (c r + b.x) / 2.
     """
-    tol = pass_.tol
     best = None
     for support, solution in systems:
         if solution.status != "unique":
             continue
-        k = len(support)
-        # the numerators have the signs of the masses, and the values are
-        # built only for candidates
-        if any(m < -tol for m in solution.numerators[:k]):
+        # the values are built only for candidates
+        masses = pass_.masses(support, solution.numerators)
+        if masses is None:
             continue
-        point = _masses(pass_, support, solution.solution)
-        if not any(point):  # float masses all within tol below 0 are rounding noise
-            continue
-        candidate = value(point, solution.solution[k])
+        den = solution.denominator
+        point = [numeric.quotient(m, den) if m else m for m in masses]
+        candidate = value(point, numeric.quotient(solution.numerators[len(support)], den))
         if best is None or candidate < best[1]:
             best = (point, candidate)
     return _on_total(pass_, best[0])

@@ -108,12 +108,20 @@ def vertices(rows, tol=0):
 
 def _lp_rows(rows):
     """(A, b, s): the rows as A u <= b in u = t / s. HiGHS's feasibility
-    tolerances are absolute, so s, the power of two within a factor of two
+    tolerances are absolute, so each row is first divided by the power of
+    two within a factor of two of its largest |entry|, which moves no
+    implicit equality and keeps integer rows with entries near 10^14 from
+    reading as infeasible. Then s, the power of two within a factor of two
     of max|value| / max|coef| (1 if either is 0), brings values that scale
     with r to the coefficients' size, exactly: a game scaled by 2^k poses
     the same LP."""
-    a = [[-float(c) for c in coefs] for _, coefs in rows]
-    values = [float(value) for value, _ in rows]
+    scaled = []
+    for value, coefs in rows:
+        row = [float(value), *map(float, coefs)]
+        size = numeric.power_of_two_ratio(max(map(abs, row)), 1.0)
+        scaled.append([v / size for v in row])
+    a = [[-c for c in row[1:]] for row in scaled]
+    values = [row[0] for row in scaled]
     s = numeric.power_of_two_ratio(max(map(abs, values), default=0.0),
                                    max((abs(c) for row in a for c in row), default=0.0))
     return a, [v / s for v in values], s

@@ -17,7 +17,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
 from nbg import polytope
-from nbg.equilibrium import _SupportPass
+from nbg.equilibrium import _equal_cost_pass, _equilibria, _SupportPass
 from util import (dense_costs, families_of, family_matches, grid_delta_strong,
                   is_equilibrium_oracle, point_masses,
                   random_affine_symmetric_game, random_affine_game,
@@ -323,6 +323,39 @@ class TestSolveBySupports:
         assert ([(item.support, item.x.masses, item.cost * 2.0 ** k) for item in solved]
                 == [(item.support, item.x.masses, item.cost)
                     for item in solve_affine_by_supports(scaled)])
+
+    @pytest.mark.parametrize("k", [-40, -30, -20, 0, 20])
+    def test_a_collapsed_interval_is_tested_like_any_point(self, k):
+        # C0 = C2 = 0, C1 = 0.5 + 0.5 x1 + x3 and C3 = 1 + 0.5 x3, every
+        # coefficient times 2^k: the corner x1 = r costs 2^k at vertex 1
+        # against 0 at vertex 0, so only the family over {0, 2} is listed
+        game = Game.graphical(
+            4, 1.0, [affine(0.0, 0.0), affine(0.5 * 2.0 ** k, 0.5 * 2.0 ** k),
+                     affine(0.0, 0.0), affine(0.5 * 2.0 ** k, 2.0 ** k)],
+            influence_from_triples(4, [(3, 1, 2.0 ** k)]))
+        solved = solve_affine_by_supports(game)
+        assert [(type(item), item.support) for item in solved] == [(EquilibriumFamily, (0, 2))]
+
+    def test_covered_points_are_dropped_without_a_second_gap_pass(self, monkeypatch):
+        # each point's cost ties are read with its gaps when it is
+        # accepted, so no gap is computed once every system has been read
+        game = make_family("cycle", Fraction(1), n=6)
+        expected = solve_affine_by_supports(game)
+        pass_ = _equal_cost_pass(game)
+        read = []
+
+        def systems():
+            yield from pass_.systems()
+            read.append(True)
+
+        gaps = _SupportPass.gaps
+
+        def checked(self, *args):
+            assert not read, "a gap pass after every support system was read"
+            return gaps(self, *args)
+
+        monkeypatch.setattr(_SupportPass, "gaps", checked)
+        assert _equilibria(pass_, systems()) == expected
 
     def test_results_sorted_by_support_bitmask(self):
         rng = random.Random(59)

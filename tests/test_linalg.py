@@ -141,6 +141,14 @@ class TestSolve:
         # the residual count as zero
         assert solve_linear_system([[1.0], [1.0]], [scale, 2 * scale]).status == "none"
 
+    def test_rows_above_a_pivot_are_eliminated_at_their_own_scale(self):
+        # after the first pivot row is divided by 2^44, its -1 in the
+        # second column is far below 1e-12 times the largest entry, and
+        # must still be eliminated
+        result = solve_linear_system([[2.0 ** 44, -2.0 ** 44], [2.0 ** 44, 0.0]],
+                                     [-2.0 ** 43, 2.0 ** 44])
+        assert result.solution == (1.0, 1.5)
+
     def test_float_systems_match_numpy(self):
         rng = random.Random(33)
         for _ in range(30):

@@ -112,6 +112,15 @@ class TestLinearPrograms:
         assert polytope.implicit_equalities(TRIANGLE[:2] + [(0, [0, 0])]) == [2]
         assert polytope.implicit_equalities(TRIANGLE + [(-2, [1, 1])]) is None
 
+    def test_rows_with_large_integer_entries_are_scaled_for_the_lp(self):
+        # the rows of a pinched face of an exact game with denominators 29
+        # and 39, each D * den times its row in t: the segment t2 = 0,
+        # 0 <= t1 <= 1, which HiGHS reads as empty on the unscaled rows
+        big = 379610664429672
+        rows = [(big, [-big, 641411122657032]), (0, [big, 0]), (0, [0, 0]),
+                (0, [0, -1021021787086704]), (0, [0, big]), (0, [0, 0])]
+        assert polytope.implicit_equalities(rows) == [2, 3, 4, 5]
+
     def test_a_failed_lp_is_decided_by_elimination(self):
         # HiGHS can end with neither a solution nor a proof of
         # infeasibility (status 4, "model_status Unknown")

@@ -247,8 +247,17 @@ def close(a, b):
     return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
 
 
+#: a pinched face whose integer rows reach about 4e14 (denominators 29
+#: and 39), which HiGHS read as empty on the unscaled rows
+LARGE_ROWS = Game.graphical(
+    6, Fraction(1), [affine(0, 0)] * 6,
+    influence_from_triples(6, [(2, 5, Fraction(1, 2)), (3, 1, Fraction(1, 2)),
+                               (4, 1, Fraction(39, 29)), (5, 2, Fraction(1, 39))]))
+
+
 @settings(max_examples=60)
 @given(exact_games())
+@example(LARGE_ROWS)
 def test_exact_and_float_modes_agree(game):
     solved = solve_affine_by_supports(game)
     floated = solve_affine_by_supports(rebuilt(game, scalar=float))
