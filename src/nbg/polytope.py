@@ -108,17 +108,19 @@ def vertices(rows, tol=0):
 
 def _lp_rows(rows):
     """(A, b, s): the rows as A u <= b in u = t / s. HiGHS's feasibility
-    tolerances are absolute, so each row is first divided by the power of
-    two within a factor of two of its largest |entry|, which moves no
-    implicit equality and keeps integer rows with entries near 10^14 from
-    reading as infeasible. Then s, the power of two within a factor of two
+    tolerances are absolute, so each row whose largest |entry| passes 1 is
+    first divided by the power of two within a factor of two of it, which
+    moves no implicit equality and keeps integer rows with entries near
+    10^14 from reading as infeasible. Rows are never scaled up: a row of
+    float rounding noise, such as a flat row of value -3e-17, stays within
+    the LP's tolerance. Then s, the power of two within a factor of two
     of max|value| / max|coef| (1 if either is 0), brings values that scale
     with r to the coefficients' size, exactly: a game scaled by 2^k poses
     the same LP."""
     scaled = []
     for value, coefs in rows:
         row = [float(value), *map(float, coefs)]
-        size = numeric.power_of_two_ratio(max(map(abs, row)), 1.0)
+        size = max(1.0, numeric.power_of_two_ratio(max(map(abs, row)), 1.0))
         scaled.append([v / size for v in row])
     a = [[-c for c in row[1:]] for row in scaled]
     values = [row[0] for row in scaled]

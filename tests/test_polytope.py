@@ -121,6 +121,15 @@ class TestLinearPrograms:
                 (0, [0, -1021021787086704]), (0, [0, big]), (0, [0, 0])]
         assert polytope.implicit_equalities(rows) == [2, 3, 4, 5]
 
+    def test_a_flat_row_of_rounding_noise_is_not_scaled_up(self):
+        # a float family's rows, the last a zero-slope row whose value is
+        # rounding noise below zero: scaled to its own size it would read
+        # as a violated row and empty the region
+        rows = [(0.2, [0.0, 0.0]), (0.49999999999999994, [0.0, 0.0]),
+                (0.30000000000000004, [-1.0, -1.0]), (0.0, [1.0, 0.0]), (0.0, [0.0, 1.0]),
+                (-2.7755575615628914e-17, [0.0, 0.0])]
+        assert polytope.implicit_equalities(rows, 1e-9) == [5]
+
     def test_a_failed_lp_is_decided_by_elimination(self):
         # HiGHS can end with neither a solution nor a proof of
         # infeasibility (status 4, "model_status Unknown")

@@ -255,9 +255,18 @@ LARGE_ROWS = Game.graphical(
                                (4, 1, Fraction(39, 29)), (5, 2, Fraction(1, 39))]))
 
 
+#: a float family region with a flat row of rounding noise (-3e-17),
+#: which an LP that scaled rows up read as empty
+NOISE_ROW = Game.graphical(
+    6, Fraction(1), [affine(Fraction(5, 2), 0), affine(1, 0), affine(0, Fraction(1, 2)),
+                     affine(0, 0), affine(0, Fraction(1, 2)), affine(0, Fraction(1, 2))],
+    influence_from_triples(6, [(1, 3, Fraction(1))]))
+
+
 @settings(max_examples=60)
 @given(exact_games())
 @example(LARGE_ROWS)
+@example(NOISE_ROW)
 def test_exact_and_float_modes_agree(game):
     solved = solve_affine_by_supports(game)
     floated = solve_affine_by_supports(rebuilt(game, scalar=float))
