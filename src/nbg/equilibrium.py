@@ -464,10 +464,11 @@ class _SupportPass:
     of gaps of size (spread of b) + r max|M| read off costs up to
     max|b| + r max|M|. Family rows read gaps times `unit`, a power of two
     near tol / gap_tol, so `tol` serves every row. A float pass also
-    solves its systems in `cost_unit`, the power of two nearest max|M|:
-    the cost rows and offsets are divided by it, so the elimination sees
-    entries near 1 however large or small the costs are against r, and
-    the common cost it solves for is read back times it.
+    solves its systems in `cost_unit`, the power of two nearest the
+    larger of max|M| and (max b - min b) / r: the cost rows and offsets
+    are divided by it, so the elimination sees entries near 1 however
+    large or small the costs are against r, and the common cost it
+    solves for is read back times it.
 
     The costs are C_j(x) = b_j + sum_s M[s][j] x_s, with the scaled
     coefficients and offsets. A vector and a cost are read as numerators
@@ -503,7 +504,8 @@ class _SupportPass:
             self.gap_tol = numeric.auto_tolerance(False, max(offsets) - min(offsets) + change,
                                                   max(map(abs, offsets)) + change)
             self.unit = numeric.power_of_two_ratio(self.tol, self.gap_tol)
-            self.cost_unit = numeric.power_of_two_ratio(slope, 1.0)
+            spread = (max(offsets) - min(offsets)) / r_num
+            self.cost_unit = numeric.power_of_two_ratio(max(slope, spread), 1.0)
         self.scale, self.offsets = scale, flat[n * n:]
         # the masses of a support sum to r: r_den * sum x = r_num
         self.sum_row = (r_den, r_num)
@@ -730,69 +732,68 @@ def _values(den, numerators):
     return numeric.quotient(numerators, den)
 
 
-def _fold(vectors, scale, t0, units):
-    """The family (base, cost_base, directions, cost_dirs) restricted to
-    t = t0 + sum_k u_k * units[k], times scale: a base of
-    scale * base + sum_i t0_i * directions[i], and one direction
-    sum_i u_i * directions[i] per unit vector u."""
+def _fold(rows, q, t0, units):
+    """Each affine function value + coefs . t of `rows`, times q, at
+    t = (t0 + sum_k u_k * units[k]) / q: a row in the u."""
+    return [(q * value + sum(c * t for c, t in zip(coefs, t0)),
+             [sum(c * u for c, u in zip(coefs, unit)) for unit in units]) for value, coefs in rows]
+
+
+def _fold_family(vectors, q, t0, units):
+    """The family (base, cost_base, directions, cost_dirs) folded by
+    `_fold`, each mass and the cost read as a row."""
     base, cost_base, directions, cost_dirs = vectors
-    new_base = tuple(scale * b + sum(t * d[i] for t, d in zip(t0, directions))
-                     for i, b in enumerate(base))
-    new_cost = scale * cost_base + sum(t * dc for t, dc in zip(t0, cost_dirs))
-    new_dirs = tuple(tuple(sum(u * d[i] for u, d in zip(vec, directions))
-                           for i in range(len(base))) for vec in units)
-    new_cdirs = tuple(sum(u * dc for u, dc in zip(vec, cost_dirs)) for vec in units)
-    return new_base, new_cost, new_dirs, new_cdirs
+    *masses, (cost, cost_dirs) = _fold([*zip(base, zip(*directions)), (cost_base, cost_dirs)],
+                                       q, t0, units)
+    return tuple(m for m, _ in masses), cost, tuple(zip(*(d for _, d in masses))), tuple(cost_dirs)
 
 
 def _restrict_family(pass_, support, den, vectors):
     """Clip a solution family to the feasible region.
 
     vectors = (base, cost_base, directions, cost_dirs) are numerators
-    over den (see `LinearSolution`). One-parameter families get an
-    exact interval. Multi-parameter families keep their constraint rows;
-    `polytope.implicit_equalities` finds the constraints that bind
-    across the whole feasible region (exactly on rational rows unless the
-    region is pinched, when one LP names them), and they are folded back
-    into the linear system, so a region pinched to a lower dimension is
-    re-derived at its true size. A region that collapses to one point
-    t0, an interval of zero length or a pinched region whose folded
-    system is unique, is folded at t0 and tested by `_accept_point`.
+    over den (see `LinearSolution`). A multi-parameter family asks
+    `polytope.implicit_equalities` for the rows that bind across its
+    whole region; when some have parameters, the family and its rows are
+    folded once onto their solutions t = (t0 + sum_k u_k units[k]) / q,
+    so a region pinched to a lower dimension is kept at its true size.
+    Then a family of two or more parameters keeps its constraint rows,
+    and a one-parameter family gets an exact interval. A region that
+    collapses to one point t0, an interval along which no mass moves by
+    more than tol or a folded system with no unit, is folded at t0 and
+    tested by `_accept_point`.
     """
     n = pass_.n
     rows = _family_rows(pass_, support, den, *vectors)
-
-    if len(vectors[2]) == 1:
-        bounds = polytope.interval(rows, pass_.tol)
-        if bounds is None:
-            return None
-        lo, hi = bounds
-        if hi - lo > pass_.tol:
-            return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), (lo, hi))
-        # the range collapses to t0 = lo = num / q
-        q, t0 = (lo.denominator, (lo.numerator,)) if isinstance(lo, Fraction) else (1, (lo,))
-    else:
-        # rows that bind across the whole region squeeze it into a
-        # lower-dimensional slice
+    if len(vectors[2]) > 1:
         equalities = polytope.implicit_equalities(rows, pass_.tol)
         if equalities is None:
             return None
         tight = [rows[i] for i in equalities if any(c != 0 for c in rows[i][1])]
-        reduced = None
-        if tight:
-            reduced = solve_linear_system([list(coefs) for _, coefs in tight],
-                                          [-value for value, _ in tight])
-        # with no tight row, or a misdetected equality, the family keeps the
-        # full constraint polytope
-        if reduced is None or reduced.status == "none":
-            # each row is D*den times the row in t
-            return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), None, "",
-                                     tuple(_values(pass_.scale * den, rows)))
-        q, t0, units = reduced.denominator, reduced.numerators, reduced.basis_numerators
-        if units:
-            return _restrict_family(pass_, support, q * den, _fold(vectors, q, t0, units))
-    base, cost = _fold(vectors, q, t0, ())[:2]
-    return _accept_point(pass_, support, [base[s] for s in support] + [cost], q * den)
+        reduced = solve_linear_system([list(coefs) for _, coefs in tight],
+                                      [-value for value, _ in tight]) if tight else None
+        # a misdetected equality leaves the family its full constraint polytope
+        if reduced and reduced.status != "none":
+            q, t0, units = reduced.denominator, reduced.numerators, reduced.basis_numerators
+            vectors, den = _fold_family(vectors, q, t0, units), q * den
+            rows = _fold(rows, q, t0, units)
+    if len(vectors[2]) > 1:
+        # each row is D*den times the row in t
+        return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), None, "",
+                                 tuple(_values(pass_.scale * den, rows)))
+    if vectors[2]:
+        bounds = polytope.interval(rows, pass_.tol)
+        if bounds is None:
+            return None
+        lo, hi = bounds
+        # t may be in cost units, so the range is judged by the masses it moves
+        if (hi - lo) * max(map(abs, vectors[2][0])) > pass_.tol * den:
+            return EquilibriumFamily(n, pass_.r, support, *_values(den, vectors), (lo, hi))
+        # the range collapses to t0 = lo = num / q
+        q, t0 = (lo.denominator, (lo.numerator,)) if isinstance(lo, Fraction) else (1, (lo,))
+        vectors, den = _fold_family(vectors, q, t0, ()), q * den
+    base, cost = vectors[:2]
+    return _accept_point(pass_, support, [base[s] for s in support] + [cost], den)
 
 
 def family_cost_range(family: EquilibriumFamily):

@@ -25,8 +25,6 @@ from fractions import Fraction
 
 from . import numeric
 
-_PIVOT_TOLERANCE = 1e-12
-
 #: matrix kinds: every entry int or Fraction; some entry in Q(sqrt 5) and
 #: the rest exact; some entry inexact (float, bool, NumPy scalar, ...)
 _RATIONAL, _QUADRATIC, _FLOAT = "rational", "quadratic", "float"
@@ -49,7 +47,7 @@ def _zero_test_for(rows, kind, width):
         return lambda v, col: v == 0
     left = max((abs(float(v)) for row in rows for v in row[:width]), default=0.0)
     right = max((abs(float(v)) for row in rows for v in row[width:]), default=0.0)
-    return lambda v, col: abs(float(v)) <= _PIVOT_TOLERANCE * (left if col < width else right)
+    return lambda v, col: abs(float(v)) <= numeric.ZERO_SHARE * (left if col < width else right)
 
 
 def _bareiss(rows, ints=False):

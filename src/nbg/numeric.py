@@ -20,6 +20,9 @@ FLOAT_TOLERANCE = 1e-9
 #: float-mode slack for the rounding of a difference, relative to the
 #: magnitude of the values it is read off: 256 machine epsilons
 ROUNDING_TOLERANCE = 2.0 ** -44
+#: a float entry at most this share of the largest entry it is read with
+#: counts as zero: linalg's pivots and right-hand sides, polytope's slopes
+ZERO_SHARE = 1e-12
 
 
 class QuadExt:

@@ -13,10 +13,10 @@ regions are the convex hull of their vertices, which `vertices` lists
 by solving each choice of d rows as equalities, again by one rule for
 every scalar kind. On larger exact regions (every entry an int or a
 Fraction, tolerance 0), Fourier-Motzkin elimination decides whether the
-region is empty and whether it is full-dimensional; only a nonempty
-region pinched to a lower dimension, or one whose elimination would grow
-past a row cap, goes to the one linear program, which runs in float
-HiGHS and finds every implicit equality of a region at once. Rows of
+region is empty and names the rows that hold with equality over all of
+it; a region pinched to a lower dimension, or one whose elimination
+would grow past a row cap, still goes to the one linear program, which
+runs in float HiGHS and finds every implicit equality at once. Rows of
 ints are taken as they are. Larger float and Q(sqrt 5) regions always
 take the LP. scipy is imported on the first LP call, so importing the
 package stays light.
@@ -30,9 +30,6 @@ import math
 from . import numeric
 from .linalg import solve_linear_system
 
-#: float coefficients smaller than this count as zero in the zero-slope rule
-SLOPE_TOLERANCE = 1e-13
-
 #: Fourier-Motzkin elimination leaves the verdict to the LP when a step
 #: would leave more rows than this; family regions stay near their
 #: starting row count, while random dense rows can grow doubly
@@ -40,9 +37,12 @@ SLOPE_TOLERANCE = 1e-13
 ELIMINATION_ROW_CAP = 200
 
 
-def _is_zero(coef) -> bool:
-    return coef == 0 or (not numeric.is_exact_scalar(coef)
-                         and abs(float(coef)) < SLOPE_TOLERANCE)
+def _zero_test(rows):
+    """is_zero(coef) for the coefficients of `rows`: 0, or at most
+    numeric.ZERO_SHARE times the largest |float coefficient| of the rows."""
+    cut = numeric.ZERO_SHARE * max((abs(c) for _, coefs in rows for c in coefs
+                                    if isinstance(c, float)), default=0.0)
+    return lambda coef: coef == 0 or abs(coef) <= cut
 
 
 def interval(rows, tol=0):
@@ -52,15 +52,16 @@ def interval(rows, tol=0):
     denominator), and pairs are compared by cross-multiplication, so
     int, Fraction, float and Q(sqrt 5) rows take one rule. Only the two
     end points are divided, by `numeric.quotient`. The range is empty,
-    and None is returned, when a zero-slope row has value below -tol or
-    when lo exceeds hi by more than tol. Rows of a support family bound t on
-    both sides, since a kernel direction sums to zero on its support; a
-    side left unbounded collapses onto the other one. Rows that bound t
-    on neither side raise ValueError.
+    and None is returned, when a row of zero slope (`_zero_test`) has
+    value below -tol or when lo exceeds hi by more than tol. Rows of a
+    support family bound t on both sides, since a kernel direction sums
+    to zero on its support; a side left unbounded collapses onto the
+    other one. Rows that bound t on neither side raise ValueError.
     """
     lo = hi = None
+    is_zero = _zero_test(rows)
     for value, (slope,) in rows:
-        if _is_zero(slope):
+        if is_zero(slope):
             if value < -tol:
                 return None
             continue
@@ -132,8 +133,8 @@ def _lp_rows(rows):
 def _violates_flat_row(rows, tol) -> bool:
     """The zero-slope rule of `interval`: a row free of parameters with
     value below -tol empties the region."""
-    return any(value < -tol and all(_is_zero(c) for c in coefs)
-               for value, coefs in rows)
+    is_zero = _zero_test(rows)
+    return any(value < -tol and all(map(is_zero, coefs)) for value, coefs in rows)
 
 
 def _rational(rows) -> bool:
@@ -142,34 +143,42 @@ def _rational(rows) -> bool:
 
 
 def _fourier_motzkin(rows):
-    """The class of the region of rational rows by Fourier-Motzkin
-    elimination (Schrijver, Theory of Linear and Integer Programming,
-    1986, section 12.2): "empty", "pinched" when some row with a nonzero
-    coefficient holds with equality over the whole region, else "full";
-    None when a step would exceed ELIMINATION_ROW_CAP rows.
+    """The implicit equalities of the region of rational rows by
+    Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
+    Programming, 1986, section 12.2): the sorted indices of every row
+    that a combination free of parameters and of value 0 uses, "empty"
+    when such a combination is negative, or None when a step would
+    exceed ELIMINATION_ROW_CAP rows.
 
     Rows are scaled to integers (rows of ints as they are) and divided
-    by their gcd, which merges duplicates. Each step eliminates the
-    parameter with the fewest pairs of a positive and a negative
-    coefficient, and the sum of a pair cancels it. A sum left with no
-    parameters holds over the region; it empties the region when
-    negative and, with every row that has a parameter read as strict,
-    pinches it when zero.
+    by their gcd, which merges duplicates; each row keeps the mask of the
+    input rows it combines, and merged rows OR their masks. Each step
+    eliminates the parameter with the fewest pairs of a positive and a
+    negative coefficient, and the sum of a pair cancels it. The sums
+    left with no parameters generate every nonnegative combination of
+    the rows that cancels the parameters, so on a nonempty region a row
+    is an implicit equality exactly when a sum of value 0 uses it.
     """
-    pinched = False
-    live = set()
-    for value, coefs in rows:
+    equal, sums = 0, []
+    for i, (value, coefs) in enumerate(rows):
         ints = (value, *coefs)
         if not all(type(v) is int for v in ints):
             ints, _ = numeric.integer_row(ints)
-        if not any(ints[1:]):
-            if ints[0] < 0:
-                return "empty"
-            continue
-        g = math.gcd(*ints)
-        live.add(tuple(v // g for v in ints))
+        sums.append((ints, 1 << i))
     columns = list(range(1, len(rows[0][1]) + 1)) if rows else []
-    while live:
+    while True:
+        live = {}
+        for ints, mask in sums:
+            if any(ints[1:]):
+                g = math.gcd(*ints)
+                row = tuple(v // g for v in ints)
+                live[row] = live.get(row, 0) | mask
+            elif ints[0] < 0:
+                return "empty"
+            elif ints[0] == 0:
+                equal |= mask
+        if not live:
+            return [i for i in range(len(rows)) if equal >> i & 1]
         signs = {}
         for col in columns:
             pos = [row for row in live if row[col] > 0]
@@ -180,20 +189,9 @@ def _fourier_motzkin(rows):
         if len(live) - len(pos) - len(neg) + len(pos) * len(neg) > ELIMINATION_ROW_CAP:
             return None
         columns.remove(col)
-        kept = {row for row in live if row[col] == 0}
-        for p in pos:
-            for q in neg:
-                a, b = -q[col], p[col]
-                combined = [a * u + b * v for u, v in zip(p, q)]
-                if not any(combined[1:]):
-                    if combined[0] < 0:
-                        return "empty"
-                    pinched = pinched or combined[0] == 0
-                    continue
-                g = math.gcd(*combined)
-                kept.add(tuple(v // g for v in combined))
-        live = kept
-    return "pinched" if pinched else "full"
+        sums = [(row, mask) for row, mask in live.items() if row[col] == 0]
+        sums += [([-q[col] * u + p[col] * v for u, v in zip(p, q)], live[p] | live[q])
+                 for p in pos for q in neg]
 
 
 def implicit_equalities(rows, tol=0):
@@ -202,11 +200,11 @@ def implicit_equalities(rows, tol=0):
 
     A row free of parameters with value below -tol empties the region,
     which needs no LP (the zero-slope rule of `interval`). Exact rows at
-    tolerance 0 go to Fourier-Motzkin elimination first: an empty region
-    gives None, and a region where every row with parameters can hold
-    strictly gives the rows free of parameters with value 0. Otherwise,
-    and for float and Q(sqrt 5) rows, one float LP in
-    (t free, theta >= 1, 0 <= y <= 1) decides every row
+    tolerance 0 go to `_fourier_motzkin` first, which gives None on an
+    empty region and, when none of them has parameters, returns the
+    implicit equalities it names. Otherwise, on a pinched exact region,
+    on exact rows past the cap and on float and Q(sqrt 5) rows, one
+    float LP in (t free, theta >= 1, 0 <= y <= 1) decides every row
     (Freund, Roundy & Todd, MIT Sloan WP 1674-85, 1985):
 
         maximise sum y_i  subject to  y_i <= value_i * theta + coefs_i . t.
@@ -223,12 +221,11 @@ def implicit_equalities(rows, tol=0):
     if _violates_flat_row(rows, tol):
         return None
     if tol == 0 and _rational(rows):
-        verdict = _fourier_motzkin(rows)
-        if verdict == "empty":
+        found = _fourier_motzkin(rows)
+        if found == "empty":
             return None
-        if verdict == "full":
-            return [i for i, (value, coefs) in enumerate(rows)
-                    if value == 0 and not any(coefs)]
+        if found is not None and not any(any(rows[i][1]) for i in found):
+            return found
     from scipy.optimize import linprog
 
     m, d = len(rows), len(rows[0][1])
@@ -246,23 +243,17 @@ def implicit_equalities(rows, tol=0):
 
 
 def _exact_implicit_equalities(rows):
-    """implicit_equalities by elimination on Fraction copies of the rows
-    (Q(sqrt 5) values rounded through float), for when the LP fails. For
-    (u, theta) with theta >= 1, value_j * theta + coefs_j . u >= 0 for
-    every j says u / theta is in the region, and row i is an implicit
-    equality when value_i * theta + coefs_i . u >= 1 has no solution with
-    them. Raises NbgError past ELIMINATION_ROW_CAP."""
+    """implicit_equalities by `_fourier_motzkin` on Fraction copies of the
+    rows (Q(sqrt 5) values rounded through float), for when the LP fails.
+    Raises NbgError past ELIMINATION_ROW_CAP."""
     from fractions import Fraction
 
     from .errors import NbgError
 
-    cone = [(0, [v if numeric.rational_types({type(v)}) else Fraction(float(v))
-                 for v in (*coefs, value)]) for value, coefs in rows]
-    theta = (-1, [0] * len(rows[0][1]) + [1])
-    verdicts = [_fourier_motzkin(cone + [theta] + strict)
-                for strict in [[]] + [[(-1, coefs)] for _, coefs in cone]]
-    if None in verdicts:
+    def exact(v):
+        return v if numeric.rational_types({type(v)}) else Fraction(float(v))
+
+    found = _fourier_motzkin([(exact(value), [exact(c) for c in coefs]) for value, coefs in rows])
+    if found is None:
         raise NbgError(f"the LP failed and elimination passed {ELIMINATION_ROW_CAP} rows")
-    if verdicts[0] == "empty":
-        return None
-    return [i for i, verdict in enumerate(verdicts[1:]) if verdict == "empty"]
+    return None if found == "empty" else found

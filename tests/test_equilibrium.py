@@ -18,8 +18,9 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  verify_delta_strong, verify_equilibrium)
 from nbg import polytope
 from nbg.equilibrium import _equal_cost_pass, _equilibria, _SupportPass
-from util import (dense_costs, families_of, family_matches, grid_delta_strong,
-                  is_equilibrium_oracle, point_masses,
+from util import (cost_parameter_game, covered_corner_game, dense_costs, families_of,
+                  family_matches, grid_delta_strong, is_equilibrium_oracle,
+                  offsets_only_game, point_masses,
                   random_affine_symmetric_game, random_affine_game,
                   random_fraction, random_masses, region_class)
 
@@ -324,17 +325,30 @@ class TestSolveBySupports:
                 == [(item.support, item.x.masses, item.cost)
                     for item in solve_affine_by_supports(scaled)])
 
-    @pytest.mark.parametrize("k", [-40, -30, -20, 0, 20])
+    @pytest.mark.parametrize("k", [-40, -30, -20, 0, 20, 43, 44])
     def test_a_collapsed_interval_is_tested_like_any_point(self, k):
-        # C0 = C2 = 0, C1 = 0.5 + 0.5 x1 + x3 and C3 = 1 + 0.5 x3, every
-        # coefficient times 2^k: the corner x1 = r costs 2^k at vertex 1
-        # against 0 at vertex 0, so only the family over {0, 2} is listed
-        game = Game.graphical(
-            4, 1.0, [affine(0.0, 0.0), affine(0.5 * 2.0 ** k, 0.5 * 2.0 ** k),
-                     affine(0.0, 0.0), affine(0.5 * 2.0 ** k, 2.0 ** k)],
-            influence_from_triples(4, [(3, 1, 2.0 ** k)]))
-        solved = solve_affine_by_supports(game)
+        # at k = 43 and 44 the gap slopes of the family over {1, 3} are
+        # near 2^-42, which only a zero test relative to the rows keeps
+        solved = solve_affine_by_supports(covered_corner_game(k))
         assert [(type(item), item.support) for item in solved] == [(EquilibriumFamily, (0, 2))]
+
+    @pytest.mark.parametrize("k", [-60, -40, -29, 0, 59, 60])
+    def test_a_segment_in_cost_units_is_kept_at_every_scale(self, k):
+        # the parameter of the segment is the common cost, so its length
+        # in t is about 2^k; it is judged by the masses it moves, and its
+        # gap slopes, about 2^-k, by the size of the rows around them
+        solved = solve_affine_by_supports(cost_parameter_game(k))
+        assert [(type(item), item.support) for item in solved] == [(EquilibriumFamily, (2, 3))]
+        ends = {point.x.masses for point in solved[0].sample_points(2)}
+        assert ends == {(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)}
+
+    @pytest.mark.parametrize("k", [-60, -50, -39, 0])
+    def test_offsets_far_below_r_keep_one_point(self, k):
+        # with no slope the cost unit is the spread of the offsets over r,
+        # so the offset 2^(k-1) is not read as zero against r
+        solved = solve_affine_by_supports(offsets_only_game(k))
+        assert [(type(item), item.x.masses, item.cost) for item in solved] == [
+            (EquilibriumPoint, (1.0, 0.0), 0.0)]
 
     def test_covered_points_are_dropped_without_a_second_gap_pass(self, monkeypatch):
         # each point's cost ties are read with its gaps when it is

@@ -1,6 +1,7 @@
-"""Constraint polytopes: the exact interval rule, region vertices,
-Fourier-Motzkin elimination, the implicit-equality LP, and the guard that
-keeps the one linear program behind nbg.polytope."""
+"""Constraint polytopes: the exact interval rule, region vertices, the
+implicit equalities that Fourier-Motzkin elimination names, the
+implicit-equality LP, and the guard that keeps the one linear program
+behind nbg.polytope."""
 
 import ast
 import random
@@ -45,6 +46,14 @@ class TestInterval:
         # lo exceeds hi, but by less than the tolerance
         assert polytope.interval([(-1.0, [1.0]), (1.0 - 1e-12, [-1.0])],
                                  tol=1e-9) is not None
+
+    def test_float_slopes_are_zero_relative_to_their_rows(self):
+        # 0 <= t <= 1 in rows of size 2^-50: no slope is small next to
+        # the others, and a slope below 1e-12 of theirs is zero
+        tiny = 2.0 ** -50
+        rows = [(0.0, [tiny]), (tiny, [-tiny])]
+        assert polytope.interval(rows) == (0.0, 1.0)
+        assert polytope.interval(rows + [(-1e-20, [1e-13 * tiny])], tol=1e-9) == (0.0, 1.0)
 
     def test_int_values_stay_exact(self):
         lo, hi = polytope.interval([(1, [3]), (2, [-3])])
@@ -174,8 +183,9 @@ def test_interval_agrees_with_lp(rows):
     # when its interval has positive length
     expected = ("empty" if bounds is None
                 else "full" if bounds[0] < bounds[1] else "pinched")
-    assert polytope._fourier_motzkin(rows) == expected
     assert region_class(rows) == expected
+    assert polytope._fourier_motzkin(rows) == (
+        "empty" if bounds is None else per_row_equalities(rows))
     if bounds is not None:
         for t in bounds:
             assert isinstance(t, Fraction)
@@ -187,8 +197,9 @@ def division_interval(rows, tol):
     Q(sqrt 5) rows before it kept bounds as pairs: each bound -value/slope
     divided out at once and compared as a value."""
     lo = hi = None
+    is_zero = polytope._zero_test(rows)
     for value, (slope,) in rows:
-        if polytope._is_zero(slope):
+        if is_zero(slope):
             if value < -tol:
                 return None
             continue
@@ -282,12 +293,11 @@ def check_against_highs(rows):
     """Every verdict on `rows` against the HiGHS oracles. Returns the
     region's class and the implicit equalities found."""
     expected = region_class(rows)
+    equalities = "empty" if expected == "empty" else per_row_equalities(rows)
     if polytope._rational(rows):
-        assert polytope._fourier_motzkin(rows) in (None, expected)
+        assert polytope._fourier_motzkin(rows) in (None, equalities)
     found = polytope.implicit_equalities(rows)
-    assert (found is None) == (expected == "empty")
-    if found is not None:
-        assert found == per_row_equalities(rows)
+    assert found == (None if expected == "empty" else equalities)
     return expected, found
 
 
@@ -331,6 +341,27 @@ def test_row_cap_leaves_the_verdict_to_the_lp():
         assert polytope._fourier_motzkin(rows) is None
         verdicts.add(check_against_highs(rows)[0])
     assert verdicts == {"empty", "full", "pinched"}
+
+
+@pytest.mark.parametrize("kind, n", [("path", 8), ("cycle", 9)])
+def test_elimination_names_the_equalities_of_every_pinched_family_region(kind, n):
+    # exact pinched regions still take the LP; elimination names the same
+    # rows on each region the solver meets (path n = 7 and cycle n = 8 at
+    # alpha = 1 meet none, these meet 10 and 39)
+    answers = []
+    lp = polytope.implicit_equalities
+
+    def recorded(rows, tol=0):
+        answers.append((rows, lp(rows, tol)))
+        return answers[-1][1]
+
+    with mock.patch.object(polytope, "implicit_equalities", recorded):
+        nbg.solve_affine_by_supports(nbg.make_family(kind, Fraction(1), n=n))
+    pinched = [(rows, found) for rows, found in answers
+               if found and any(any(rows[i][1]) for i in found)]
+    assert pinched
+    for rows, found in pinched:
+        assert polytope._fourier_motzkin(rows) == found
 
 
 def imported_packages(path):

@@ -10,7 +10,8 @@ points. On degenerate games, the vertices of each family of two or more
 parameters, which sample it and bound its cost, are checked exactly and
 against HiGHS. Two more properties compare a game with a copy whose total
 mass and offsets are rescaled: the potential minima of a symmetric
-game, and the equilibria and prices of a float game. The last ones do
+game, and the equilibria and prices of a float game. Another scales
+every coefficient of a float game by a power of two. The last ones do
 the same for the float descent on polynomial games.
 """
 
@@ -26,7 +27,8 @@ from nbg import (EquilibriumFamily, EquilibriumPoint, Game, affine,
                  min_social_cost, minimize_potential, polynomial, price_report,
                  solve_affine_by_supports, verify_equilibrium)
 from nbg.equilibrium import _equal_cost_pass, _family_rows, _values
-from util import lp_minimum, two_vertex_game
+from util import (cost_parameter_game, covered_corner_game, lp_minimum,
+                  offsets_only_game, two_vertex_game)
 
 scalars = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
@@ -383,6 +385,35 @@ def test_float_games_solve_the_same_at_every_scale(game, k):
         assert getattr(scaled_prices, name) == getattr(prices, name)
     for name in ("optimum_u", "optimum_e"):
         assert math.ldexp(getattr(scaled_prices, name), -k) == getattr(prices, name)
+
+
+def without_parameters(solved, k):
+    """The equilibrium set with every cost divided by 2^k, read without
+    family parameters: each entry's support, dimension, and the masses
+    and costs of its points, a family's `sample_points(5)`."""
+    out = []
+    for item in solved:
+        family = isinstance(item, EquilibriumFamily)
+        points = item.sample_points(5) if family else [item]
+        out.append((item.support, item.dimension if family else 0,
+                    [(point.x.masses, math.ldexp(point.cost, -k)) for point in points]))
+    return out
+
+
+@settings(max_examples=200)
+@given(float_games(), st.integers(-60, 60))
+@example(covered_corner_game(0), 43)
+@example(cost_parameter_game(0), -29)
+@example(cost_parameter_game(0), 60)
+@example(offsets_only_game(0), -39)
+def test_float_games_scale_with_every_coefficient(game, k):
+    # every slope, offset and influence times 2^k, which is exact: the
+    # same points and families, with every cost times 2^k
+    def times(v):
+        return math.ldexp(v, k)
+
+    scaled = solve_affine_by_supports(rebuilt(game, slope=times, offset=times, alpha=times))
+    assert without_parameters(scaled, k) == without_parameters(solve_affine_by_supports(game), 0)
 
 
 def test_a_tiny_total_mass_splits_evenly():

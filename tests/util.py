@@ -238,6 +238,37 @@ def random_digraph(rng: random.Random, n, p=0.4) -> Digraph:
 
 
 # ---------------------------------------------------------------------------
+# float games at r = 1.0 with every slope, offset and influence times 2^k
+
+
+def covered_corner_game(k) -> Game:
+    """C0 = C2 = 0, C1 = 0.5 + 0.5 x1 + x3 and C3 = 1 + 0.5 x3: the
+    corner x1 = r costs 2^k at vertex 1 against 0 at vertex 0, so only
+    the family over {0, 2} is an equilibrium set."""
+    s = math.ldexp(1.0, k)
+    return Game.graphical(4, 1.0, [affine(0.0, 0.0), affine(0.5 * s, 0.5 * s),
+                                   affine(0.0, 0.0), affine(0.5 * s, s)],
+                          influence_from_triples(4, [(3, 1, s)]))
+
+
+def cost_parameter_game(k) -> Game:
+    """C0 = C1 = 0.5, C2 = C3 = 0.5 x3 (the influence 3 -> 2 gives C2):
+    the one equilibrium family is the segment from (0, 0, 1, 0) to
+    (0, 0, 0, 1), and its free parameter is the common cost."""
+    s = math.ldexp(1.0, k)
+    return Game.graphical(4, 1.0, [affine(0.0, 0.5 * s), affine(0.0, 0.5 * s),
+                                   affine(0.0, 0.0), affine(0.5 * s, 0.0)],
+                          influence_from_triples(4, [(3, 2, 0.5 * s)]))
+
+
+def offsets_only_game(k) -> Game:
+    """Two independent vertices with C0 = 0 and C1 = 0.5: no slope, so
+    the only equilibrium is (1, 0)."""
+    return Game.graphical(2, 1.0, [affine(0.0, 0.0), affine(0.0, math.ldexp(0.5, k))],
+                          influence_from_triples(2, []))
+
+
+# ---------------------------------------------------------------------------
 # equilibrium-set comparison
 
 
