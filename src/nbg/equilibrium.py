@@ -633,16 +633,15 @@ def _equilibria(pass_: _SupportPass, systems) -> list:
     # region, where folded-back implicit equalities vanish.
     family_masks = [f.bitmask for f in families]
     kept_points = []
-    seen = set()
     for mask, _, den, masses, cost, tied in sorted(points, key=lambda p: p[:2]):
         if any(mask & ~f == 0 and f & ~tied == 0 for f in family_masks):
             continue
         point = _point(pass_, masses, cost, den)
-        key = tuple(point.x.masses) if pass_.exact else _float_key(point.x)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept_points.append(point)
+        # copies of a point agree within the mass slack in every mass (0 on
+        # an exact pass), wherever rounding puts them
+        if not any(all(abs(a - b) <= pass_.tol for a, b in zip(point.x.masses, kept.x.masses))
+                   for kept in kept_points):
+            kept_points.append(point)
     families.sort(key=lambda f: f.bitmask)
     return sorted(kept_points + families, key=lambda e: e.bitmask)
 

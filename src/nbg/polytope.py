@@ -14,12 +14,12 @@ by solving each choice of d rows as equalities, again by one rule for
 every scalar kind. On larger exact regions (every entry an int or a
 Fraction, tolerance 0), Fourier-Motzkin elimination decides whether the
 region is empty and names the rows that hold with equality over all of
-it; a region pinched to a lower dimension, or one whose elimination
-would grow past a row cap, still goes to the one linear program, which
-runs in float HiGHS and finds every implicit equality at once. Rows of
-ints are taken as they are. Larger float and Q(sqrt 5) regions always
-take the LP. scipy is imported on the first LP call, so importing the
-package stays light.
+it, with no float step. Rows of ints are taken as they are. Larger float
+and Q(sqrt 5) regions, and exact ones whose elimination would grow past
+a row cap, go to the one linear program, which runs in float HiGHS and
+finds every implicit equality at once. scipy is imported on the first
+LP call, so importing the package, and solving exact games whose
+regions stay within the cap, never load it.
 """
 
 from __future__ import annotations
@@ -198,12 +198,11 @@ def implicit_equalities(rows, tol=0):
     """Indices of the rows that hold with equality over the whole region,
     in row order, or None when the region is empty or the LP fails.
 
-    A row free of parameters with value below -tol empties the region,
-    which needs no LP (the zero-slope rule of `interval`). Exact rows at
-    tolerance 0 go to `_fourier_motzkin` first, which gives None on an
-    empty region and, when none of them has parameters, returns the
-    implicit equalities it names. Otherwise, on a pinched exact region,
-    on exact rows past the cap and on float and Q(sqrt 5) rows, one
+    Exact rows at tolerance 0 are decided by `_fourier_motzkin`, which
+    gives None on an empty region and otherwise the implicit equalities
+    it names. On exact rows past the cap and on float and Q(sqrt 5) rows,
+    a row free of parameters with value below -tol empties the region,
+    which needs no LP (the zero-slope rule of `interval`); otherwise one
     float LP in (t free, theta >= 1, 0 <= y <= 1) decides every row
     (Freund, Roundy & Todd, MIT Sloan WP 1674-85, 1985):
 
@@ -218,14 +217,12 @@ def implicit_equalities(rows, tol=0):
     When HiGHS neither solves the LP nor proves it infeasible, the rows
     are decided exactly instead (`_exact_implicit_equalities`).
     """
-    if _violates_flat_row(rows, tol):
-        return None
     if tol == 0 and _rational(rows):
         found = _fourier_motzkin(rows)
-        if found == "empty":
-            return None
-        if found is not None and not any(any(rows[i][1]) for i in found):
-            return found
+        if found is not None:
+            return None if found == "empty" else found
+    if _violates_flat_row(rows, tol):
+        return None
     from scipy.optimize import linprog
 
     m, d = len(rows), len(rows[0][1])

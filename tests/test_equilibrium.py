@@ -237,7 +237,7 @@ class TestSolveBySupports:
             for point in family.sample_points(5):
                 assert verify_equilibrium(game, point.x).is_equilibrium
 
-    def test_one_lp_per_multiparameter_restriction(self, monkeypatch):
+    def test_no_lp_in_exact_multiparameter_restrictions(self, monkeypatch):
         import scipy.optimize
 
         from nbg import equilibrium
@@ -260,13 +260,13 @@ class TestSolveBySupports:
         monkeypatch.setattr(equilibrium, "_family_rows", recording)
         solve_affine_by_supports(make_family("path", Fraction(1), n=8))
         solver_lps = len(lp_calls)
-        # exact elimination settles empty and full-dimensional regions;
-        # only regions pinched to a lower dimension take an LP
+        # exact elimination settles every region within its row cap:
+        # empty, full-dimensional and pinched to a lower dimension alike
+        assert solver_lps == 0
         classes = [region_class(rows) for rows in regions]
         assert len(classes) == 25
         assert (classes.count("empty"), classes.count("full"),
                 classes.count("pinched")) == (10, 5, 10)
-        assert solver_lps == classes.count("pinched")
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, PHI], ids=["half", "one", "phi"])
     def test_games_not_rational_with_integer_support_systems(self, alpha):
@@ -731,6 +731,19 @@ class TestLargeCommonOffsets:
         assert [item.support for item in solved] == [(0, 1)]
         assert solved[0].x.masses == pytest.approx((0.75 * r, 0.25 * r), rel=1e-5)
         assert price_report(game).poa_u == pytest.approx(1)
+
+    def test_a_point_found_twice_is_listed_once(self):
+        # supports {1, 2} and {1, 2, 3} both solve to (1/3, 2/3, 0), and
+        # their float copies land 6.2e-10 apart
+        exact = [affine(Fraction(1, 2), Fraction(5, 3)), affine(1, Fraction(7, 6)),
+                 affine(Fraction(7, 3), Fraction(11, 6))]
+        costs = [affine(float(a), float(b) + 1e6)
+                 for a, b in (cost.as_affine() for cost in exact)]
+        game = Game.graphical(3, 1.0, costs, influence_from_triples(3, [(2, 0, 3.0)]))
+        solved = solve_affine_by_supports(game)
+        assert len(solved) == 1
+        assert solved[0].x.masses == pytest.approx((1 / 3, 2 / 3, 0), abs=1e-8)
+        assert verify_equilibrium(game, solved[0].x).is_equilibrium
 
     def test_exact_dynamics_stop_at_the_gap_size(self):
         # the equilibrium x1 = 2/3 is off the chunk grid, so the run stops

@@ -128,7 +128,13 @@ class TestLinearPrograms:
         big = 379610664429672
         rows = [(big, [-big, 641411122657032]), (0, [big, 0]), (0, [0, 0]),
                 (0, [0, -1021021787086704]), (0, [0, big]), (0, [0, 0])]
-        assert polytope.implicit_equalities(rows) == [2, 3, 4, 5]
+        # every entry is below 2^53, so the float copy is the same region,
+        # and it takes the LP
+        floats = [(float(value), [float(c) for c in coefs]) for value, coefs in rows]
+        assert polytope.implicit_equalities(floats) == [2, 3, 4, 5]
+        # the int rows are decided by elimination, with no LP
+        with mock.patch("scipy.optimize.linprog", side_effect=AssertionError):
+            assert polytope.implicit_equalities(rows) == [2, 3, 4, 5]
 
     def test_a_flat_row_of_rounding_noise_is_not_scaled_up(self):
         # a float family's rows, the last a zero-slope row whose value is
@@ -147,6 +153,8 @@ class TestLinearPrograms:
 
         corner = TRIANGLE + [(0, [-1, -1])]
         failed = mock.Mock(return_value=SimpleNamespace(status=4))
+        # the exact corner is decided by elimination and never reaches
+        # the LP; the float rows and the exact rows past the cap do
         with mock.patch("scipy.optimize.linprog", failed):
             assert polytope.implicit_equalities(corner) == [0, 1, 3]
             assert polytope.implicit_equalities(floats(corner)) == [0, 1, 3]
@@ -154,7 +162,7 @@ class TestLinearPrograms:
             assert polytope.implicit_equalities(floats(TRIANGLE + [(-2, [1, 1])])) is None
             with pytest.raises(NbgError, match="elimination passed 200 rows"):
                 polytope.implicit_equalities(cap_rows(random.Random(3)))
-        assert failed.call_count == 5
+        assert failed.call_count == 4
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -304,7 +312,7 @@ def check_against_highs(rows):
 @settings(max_examples=200, deadline=None)
 @given(planted_rows())
 # a pinched region on which HiGHS reports status 4 ("model_status
-# Unknown"), so its rows and their float copy are decided by elimination
+# Unknown"), so its float copy, like its rows, is decided by elimination
 @example((3, [(0, [0, -1, 0]), (0, [1, -1, 0]), (2, [-1, 1, -1]), (0, [0, -1, 0]),
               (-1, [-1, -4, 2]), (5, [-1, 2, 0]), (0, [-1, 1, 2]), (1, [-1, 1, -1]),
               (-1, [1, -1, 1])]))
@@ -345,23 +353,24 @@ def test_row_cap_leaves_the_verdict_to_the_lp():
 
 @pytest.mark.parametrize("kind, n", [("path", 8), ("cycle", 9)])
 def test_elimination_names_the_equalities_of_every_pinched_family_region(kind, n):
-    # exact pinched regions still take the LP; elimination names the same
-    # rows on each region the solver meets (path n = 7 and cycle n = 8 at
-    # alpha = 1 meet none, these meet 10 and 39)
+    # exact pinched regions are decided by elimination alone; it names the
+    # rows that the HiGHS per-row oracle finds on each region the solver
+    # meets (path n = 7 and cycle n = 8 at alpha = 1 meet none, these
+    # meet 10 and 39)
     answers = []
-    lp = polytope.implicit_equalities
+    decide = polytope.implicit_equalities
 
     def recorded(rows, tol=0):
-        answers.append((rows, lp(rows, tol)))
+        answers.append((rows, decide(rows, tol)))
         return answers[-1][1]
 
     with mock.patch.object(polytope, "implicit_equalities", recorded):
         nbg.solve_affine_by_supports(nbg.make_family(kind, Fraction(1), n=n))
     pinched = [(rows, found) for rows, found in answers
                if found and any(any(rows[i][1]) for i in found)]
-    assert pinched
+    assert len(pinched) == {"path": 10, "cycle": 39}[kind]
     for rows, found in pinched:
-        assert polytope._fourier_motzkin(rows) == found
+        assert per_row_equalities(rows) == found
 
 
 def imported_packages(path):
@@ -408,6 +417,18 @@ class TestSingleLpSite:
         # nor any numpy module, which scipy would bring
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+        out = subprocess.run([sys.executable, "-c", code, str(package.parent)],
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    def test_exact_solve_loads_no_scipy_module(self):
+        # path alpha = 1, n = 8 meets 25 regions of two or more parameters,
+        # 10 of them pinched, and elimination decides each of them
+        package = Path(nbg.__file__).parent
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg; "
+                "from fractions import Fraction; "
+                "nbg.solve_affine_by_supports(nbg.make_family('path', Fraction(1), n=8)); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code, str(package.parent)],
                              check=True, capture_output=True, text=True).stdout
         assert out.strip() == "[]"
