@@ -38,11 +38,6 @@ def _as_distribution(game: Game, x) -> MassDistribution:
     return MassDistribution(tuple(x), game.r)
 
 
-def _float_key(x: MassDistribution) -> tuple:
-    """Float points count as one when their masses / r agree to 9 decimals."""
-    return tuple(round(float(m) / float(x.total), 9) for m in x.masses)
-
-
 def _exact_context(x: MassDistribution, costs) -> bool:
     return x.exact and numeric.all_exact(costs)
 
@@ -418,12 +413,13 @@ class EquilibriumFamily:
             width = hi - lo
             return [self.point_at((lo + width * k / (count - 1),)) for k in range(count)]
         points = []
-        seen = set()
         for params in self._vertices():
             point = self.point_at(params)
-            key = _float_key(point.x)
-            if key not in seen:
-                seen.add(key)
+            # a vertex is new unless a kept one lies within the mass slack
+            # of it in every mass (0 on exact input)
+            slack = point.x.charge_tolerance()
+            if not any(all(abs(a - b) <= slack for a, b in zip(point.x.masses, kept.x.masses))
+                       for kept in points):
                 points.append(point)
                 if len(points) == count:
                     break
@@ -771,7 +767,8 @@ def _restrict_family(pass_, support, den, vectors):
         tight = [rows[i] for i in equalities if any(c != 0 for c in rows[i][1])]
         reduced = solve_linear_system([list(coefs) for _, coefs in tight],
                                       [-value for value, _ in tight]) if tight else None
-        # a misdetected equality leaves the family its full constraint polytope
+        # elimination names exact equalities, so only the LP on float rows
+        # can misdetect one, which leaves the family its full constraint polytope
         if reduced and reduced.status != "none":
             q, t0, units = reduced.denominator, reduced.numerators, reduced.basis_numerators
             vectors, den = _fold_family(vectors, q, t0, units), q * den

@@ -11,29 +11,29 @@ pairs are compared by cross-multiplication, and only the two end points
 are divided, so rational rows give exact Fraction end points. Bounded
 regions are the convex hull of their vertices, which `vertices` lists
 by solving each choice of d rows as equalities, again by one rule for
-every scalar kind. On larger exact regions (every entry an int or a
-Fraction, tolerance 0), Fourier-Motzkin elimination decides whether the
-region is empty and names the rows that hold with equality over all of
-it, with no float step. Rows of ints are taken as they are. Larger float
-and Q(sqrt 5) regions, and exact ones whose elimination would grow past
-a row cap, go to the one linear program, which runs in float HiGHS and
-finds every implicit equality at once. scipy is imported on the first
-LP call, so importing the package, and solving exact games whose
-regions stay within the cap, never load it.
+every scalar kind. Larger exact regions (every entry an int, a Fraction
+or in Q(sqrt 5)) are decided by Fourier-Motzkin elimination alone: it
+finds whether the region is empty and names the rows that hold with
+equality over all of it, with no float step, and raises past a row cap.
+Larger float regions go to the one linear program, which runs in float
+HiGHS and finds every implicit equality at once. scipy is imported on
+the first LP call, so importing the package, and solving exact games,
+never load it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from . import numeric
+from .errors import NbgError
 from .linalg import solve_linear_system
 
-#: Fourier-Motzkin elimination leaves the verdict to the LP when a step
-#: would leave more rows than this; family regions stay near their
-#: starting row count, while random dense rows can grow doubly
-#: exponentially
+#: implicit_equalities raises NbgError when a Fourier-Motzkin step would
+#: keep more rows than this; family regions stay near their starting row
+#: count, while random dense rows can grow doubly exponentially
 ELIMINATION_ROW_CAP = 200
 
 
@@ -92,7 +92,8 @@ def vertices(rows, tol=0):
     scaled to integers once, which moves no vertex and spares each solve
     its own scaling.
     """
-    if tol == 0 and _rational(rows):
+    if tol == 0 and numeric.rational_types({type(v) for value, coefs in rows
+                                            for v in (value, *coefs)}):
         rows = [(ints[0], ints[1:]) for ints in
                 (numeric.integer_row((value, *coefs))[0] for value, coefs in rows)]
     seen = set()
@@ -108,14 +109,15 @@ def vertices(rows, tol=0):
 
 
 def _lp_rows(rows):
-    """(A, b, s): the rows as A u <= b in u = t / s. HiGHS's feasibility
-    tolerances are absolute, so each row whose largest |entry| passes 1 is
-    first divided by the power of two within a factor of two of it, which
-    moves no implicit equality and keeps integer rows with entries near
-    10^14 from reading as infeasible. Rows are never scaled up: a row of
-    float rounding noise, such as a flat row of value -3e-17, stays within
-    the LP's tolerance. Then s, the power of two within a factor of two
-    of max|value| / max|coef| (1 if either is 0), brings values that scale
+    """(A, b, s): the rows as A u <= b in u = t / s. implicit_equalities
+    sends only float rows here. HiGHS's feasibility tolerances are
+    absolute, so each row whose largest |entry| passes 1 is first divided
+    by the power of two within a factor of two of it, which moves no
+    implicit equality and keeps rows with entries near 10^14 from reading
+    as infeasible. Rows are never scaled up: a row of float rounding
+    noise, such as a flat row of value -3e-17, stays within the LP's
+    tolerance. Then s, the power of two within a factor of two of
+    max|value| / max|coef| (1 if either is 0), brings values that scale
     with r to the coefficients' size, exactly: a game scaled by 2^k poses
     the same LP."""
     scaled = []
@@ -137,74 +139,84 @@ def _violates_flat_row(rows, tol) -> bool:
     return any(value < -tol and all(map(is_zero, coefs)) for value, coefs in rows)
 
 
-def _rational(rows) -> bool:
-    return numeric.rational_types({type(v) for value, coefs in rows
-                                   for v in (value, *coefs)})
-
-
 def _fourier_motzkin(rows):
-    """The implicit equalities of the region of rational rows by
-    Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
-    Programming, 1986, section 12.2): the sorted indices of every row
-    that a combination free of parameters and of value 0 uses, "empty"
-    when such a combination is negative, or None when a step would
-    exceed ELIMINATION_ROW_CAP rows.
+    """The implicit equalities of the region of exact rows (int, Fraction
+    or Q(sqrt 5) entries) by Fourier-Motzkin elimination (Schrijver,
+    Theory of Linear and Integer Programming, 1986, section 12.2): the
+    sorted indices of every row that a combination free of parameters and
+    of value 0 uses, "empty" when such a combination is negative, or None
+    when a step would keep more than ELIMINATION_ROW_CAP rows.
 
-    Rows are scaled to integers (rows of ints as they are) and divided
-    by their gcd, which merges duplicates; each row keeps the mask of the
-    input rows it combines, and merged rows OR their masks. Each step
-    eliminates the parameter with the fewest pairs of a positive and a
-    negative coefficient, and the sum of a pair cancels it. The sums
-    left with no parameters generate every nonnegative combination of
-    the rows that cancels the parameters, so on a nonempty region a row
-    is an implicit equality exactly when a sum of value 0 uses it.
+    Rational rows are scaled to integers, and rows with a Q(sqrt 5) entry
+    kept as they are. Each sum is divided by its gcd when it is a row of
+    ints, else by the absolute value of its first nonzero coefficient,
+    and keeps the mask of its own input rows. Each step eliminates the
+    parameter with the fewest pairs of a positive and a negative
+    coefficient, and the sum of a pair cancels it; after k steps no sum of
+    more than k + 1 input rows is made (Chernikov, USSR Comput. Math.
+    Math. Phys. 5, 1965). The verdict stays that of plain elimination.
+    The sums free of parameters span the cone {lambda >= 0 : lambda^T A =
+    0}, and the rule keeps its extreme rays, which have minimal supports.
+    So "empty", and the union of the supports of the sums of value 0, stay
+    the same: on a nonempty region a row is an implicit equality exactly
+    when a sum of value 0 uses it.
     """
     equal, sums = 0, []
     for i, (value, coefs) in enumerate(rows):
-        ints = (value, *coefs)
-        if not all(type(v) is int for v in ints):
-            ints, _ = numeric.integer_row(ints)
-        sums.append((ints, 1 << i))
+        row = (value, *coefs)
+        kinds = {type(v) for v in row}
+        if kinds != {int} and numeric.rational_types(kinds):
+            row, _ = numeric.integer_row(row)
+        sums.append((row, 1 << i))
     columns = list(range(1, len(rows[0][1]) + 1)) if rows else []
+    steps = 0
     while True:
         live = {}
-        for ints, mask in sums:
-            if any(ints[1:]):
-                g = math.gcd(*ints)
-                row = tuple(v // g for v in ints)
-                live[row] = live.get(row, 0) | mask
-            elif ints[0] < 0:
+        for row, mask in sums:
+            if any(c != 0 for c in row[1:]):
+                if all(type(v) is int for v in row):
+                    g = math.gcd(*row)
+                    row = tuple(v // g for v in row)
+                else:
+                    # quotient keeps int / int exact, where / gives a float
+                    scale = abs(next(c for c in row[1:] if c != 0))
+                    row = tuple(numeric.quotient(v, scale) for v in row)
+                # a dict keeps one copy of each (row, mask), in a fixed order
+                live[row, mask] = None
+            elif row[0] < 0:
                 return "empty"
-            elif ints[0] == 0:
+            elif row[0] == 0:
                 equal |= mask
         if not live:
             return [i for i in range(len(rows)) if equal >> i & 1]
         signs = {}
         for col in columns:
-            pos = [row for row in live if row[col] > 0]
-            neg = [row for row in live if row[col] < 0]
+            pos = [(row, mask) for row, mask in live if row[col] > 0]
+            neg = [(row, mask) for row, mask in live if row[col] < 0]
             signs[col] = pos, neg
         col = min(columns, key=lambda c: len(signs[c][0]) * len(signs[c][1]))
         pos, neg = signs[col]
-        if len(live) - len(pos) - len(neg) + len(pos) * len(neg) > ELIMINATION_ROW_CAP:
-            return None
         columns.remove(col)
-        sums = [(row, mask) for row, mask in live.items() if row[col] == 0]
-        sums += [([-q[col] * u + p[col] * v for u, v in zip(p, q)], live[p] | live[q])
-                 for p in pos for q in neg]
+        steps += 1
+        sums = [(row, mask) for row, mask in live if row[col] == 0]
+        sums += [([-q[col] * u + p[col] * v for u, v in zip(p, q)], p_mask | q_mask)
+                 for p, p_mask in pos for q, q_mask in neg
+                 if (p_mask | q_mask).bit_count() <= steps + 1]
+        if len(sums) > ELIMINATION_ROW_CAP:
+            return None
 
 
 def implicit_equalities(rows, tol=0):
     """Indices of the rows that hold with equality over the whole region,
-    in row order, or None when the region is empty or the LP fails.
+    in row order, or None when the region is empty.
 
-    Exact rows at tolerance 0 are decided by `_fourier_motzkin`, which
-    gives None on an empty region and otherwise the implicit equalities
-    it names. On exact rows past the cap and on float and Q(sqrt 5) rows,
-    a row free of parameters with value below -tol empties the region,
-    which needs no LP (the zero-slope rule of `interval`); otherwise one
-    float LP in (t free, theta >= 1, 0 <= y <= 1) decides every row
-    (Freund, Roundy & Todd, MIT Sloan WP 1674-85, 1985):
+    Exact rows are decided by `_fourier_motzkin`, which gives None on an
+    empty region and otherwise the implicit equalities it names; `tol`
+    serves float rows only. On float rows, a row free of parameters with
+    value below -tol empties the region, which needs no LP (the
+    zero-slope rule of `interval`); otherwise one float LP in (t free,
+    theta >= 1, 0 <= y <= 1) decides every row (Freund, Roundy & Todd,
+    MIT Sloan WP 1674-85, 1985):
 
         maximise sum y_i  subject to  y_i <= value_i * theta + coefs_i . t.
 
@@ -214,43 +226,30 @@ def implicit_equalities(rows, tol=0):
     of them reach y_i = 1. So the optimal y is 0 on the implicit
     equalities and 1 elsewhere, and y_i < 1/2 tells them apart. The LP
     runs in the u of `_lp_rows`, which leaves the equalities as they are.
-    When HiGHS neither solves the LP nor proves it infeasible, the rows
-    are decided exactly instead (`_exact_implicit_equalities`).
+    When HiGHS neither solves the LP nor proves it infeasible, elimination
+    decides exact Fraction copies of the float rows instead. Elimination
+    past ELIMINATION_ROW_CAP raises NbgError.
     """
-    if tol == 0 and _rational(rows):
+    if numeric.all_exact(v for value, coefs in rows for v in (value, *coefs)):
         found = _fourier_motzkin(rows)
-        if found is not None:
-            return None if found == "empty" else found
-    if _violates_flat_row(rows, tol):
+    elif _violates_flat_row(rows, tol):
         return None
-    from scipy.optimize import linprog
+    else:
+        from scipy.optimize import linprog
 
-    m, d = len(rows), len(rows[0][1])
-    # columns: u, theta, y
-    a_ub = [row + [-value] + [float(k == i) for k in range(m)]
-            for i, (row, value) in enumerate(zip(*_lp_rows(rows)[:2]))]
-    objective = [0.0] * (d + 1) + [-1.0] * m
-    bounds = [(None, None)] * d + [(1, None)] + [(0, 1)] * m
-    res = linprog(objective, A_ub=a_ub, b_ub=[0.0] * m, bounds=bounds, method="highs")
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        return _exact_implicit_equalities(rows)
-    return [i for i, y in enumerate(res.x[d + 1:]) if y < 0.5]
-
-
-def _exact_implicit_equalities(rows):
-    """implicit_equalities by `_fourier_motzkin` on Fraction copies of the
-    rows (Q(sqrt 5) values rounded through float), for when the LP fails.
-    Raises NbgError past ELIMINATION_ROW_CAP."""
-    from fractions import Fraction
-
-    from .errors import NbgError
-
-    def exact(v):
-        return v if numeric.rational_types({type(v)}) else Fraction(float(v))
-
-    found = _fourier_motzkin([(exact(value), [exact(c) for c in coefs]) for value, coefs in rows])
+        m, d = len(rows), len(rows[0][1])
+        # columns: u, theta, y
+        a_ub = [row + [-value] + [float(k == i) for k in range(m)]
+                for i, (row, value) in enumerate(zip(*_lp_rows(rows)[:2]))]
+        objective = [0.0] * (d + 1) + [-1.0] * m
+        bounds = [(None, None)] * d + [(1, None)] + [(0, 1)] * m
+        res = linprog(objective, A_ub=a_ub, b_ub=[0.0] * m, bounds=bounds, method="highs")
+        if res.status == 2:
+            return None
+        if res.status == 0:
+            return [i for i, y in enumerate(res.x[d + 1:]) if y < 0.5]
+        found = _fourier_motzkin([(Fraction(float(value)), [Fraction(float(c)) for c in coefs])
+                                  for value, coefs in rows])
     if found is None:
-        raise NbgError(f"the LP failed and elimination passed {ELIMINATION_ROW_CAP} rows")
+        raise NbgError(f"elimination passed {ELIMINATION_ROW_CAP} rows")
     return None if found == "empty" else found

@@ -526,6 +526,25 @@ class TestFamilyMechanics:
         assert point.x.masses == pytest.approx((0.1, 0.2, 0.7))
         assert family_cost_range(family) == ((1.0, 1.0), False)
 
+    def test_float_samples_are_one_point_within_the_mass_slack(self):
+        # the last three rows are tight near t1 = 5e-10, where three choices
+        # of two rows give vertices whose masses differ by at most 1.1e-16,
+        # yet two of them round apart at nine decimals; they are one sample
+        rows = ((0.25, (1.0, 0.0)), (0.25, (-1.0, 0.0)), (0.25, (0.0, 1.0)),
+                (0.25, (0.0, -1.0)),
+                (0.023146904400151498, (-1.3474337369372327, 0.1582647713859684)),
+                (-0.00040058251407329844, (-0.7550690257394217, -0.002738947744835407)),
+                (0.013302675155242069, (-0.9494910647887381, 0.09095578363365775)))
+        family = EquilibriumFamily(4, 1.0, (0, 1, 2, 3), (0.25,) * 4, 1.0,
+                                   ((1.0, -1.0, 0.0, 0.0), (0.0, 0.0, 1.0, -1.0)),
+                                   (0.0, 0.0), None, "", rows)
+        samples = family.sample_points(10)
+        assert len(samples) == 5
+        slack = samples[0].x.charge_tolerance()
+        for i, a in enumerate(samples):
+            for b in samples[:i]:
+                assert max(abs(u - v) for u, v in zip(a.x.masses, b.x.masses)) > slack
+
     def test_a_constant_cost_range_enumerates_no_vertex(self, monkeypatch):
         # no family of path alpha = 1, n = 10 has a cost direction, so each
         # range is read off the base and equals the range of its vertex costs

@@ -154,14 +154,15 @@ class TestLinearPrograms:
         corner = TRIANGLE + [(0, [-1, -1])]
         failed = mock.Mock(return_value=SimpleNamespace(status=4))
         # the exact corner is decided by elimination and never reaches
-        # the LP; the float rows and the exact rows past the cap do
+        # the LP; float rows do, and after a failed LP, elimination decides
+        # their exact copies and raises past the cap
         with mock.patch("scipy.optimize.linprog", failed):
             assert polytope.implicit_equalities(corner) == [0, 1, 3]
             assert polytope.implicit_equalities(floats(corner)) == [0, 1, 3]
             assert polytope.implicit_equalities(floats(TRIANGLE)) == []
             assert polytope.implicit_equalities(floats(TRIANGLE + [(-2, [1, 1])])) is None
             with pytest.raises(NbgError, match="elimination passed 200 rows"):
-                polytope.implicit_equalities(cap_rows(random.Random(3)))
+                polytope.implicit_equalities(floats(cap_rows(random.Random(3))))
         assert failed.call_count == 4
 
 
@@ -261,11 +262,11 @@ entry = st.one_of(small, st.fractions(min_value=-6, max_value=6,
 
 
 @st.composite
-def planted_rows(draw):
+def planted_rows(draw, entries=entry):
     """Rows in 1 to 4 parameters with planted implicit equalities: a row
     next to its negation, and a row that is minus the sum of two others."""
     dim = draw(st.integers(min_value=1, max_value=4))
-    row = st.tuples(entry, st.lists(entry, min_size=dim, max_size=dim))
+    row = st.tuples(entries, st.lists(entries, min_size=dim, max_size=dim))
     rows = draw(st.lists(row, max_size=7))
     if draw(st.booleans()):
         value, coefs = draw(row)
@@ -302,8 +303,8 @@ def check_against_highs(rows):
     region's class and the implicit equalities found."""
     expected = region_class(rows)
     equalities = "empty" if expected == "empty" else per_row_equalities(rows)
-    if polytope._rational(rows):
-        assert polytope._fourier_motzkin(rows) in (None, equalities)
+    if nbg.numeric.all_exact(v for value, coefs in rows for v in (value, *coefs)):
+        assert polytope._fourier_motzkin(rows) == equalities
     found = polytope.implicit_equalities(rows)
     assert found == (None if expected == "empty" else equalities)
     return expected, found
@@ -326,10 +327,21 @@ def test_implicit_equalities_match_the_per_row_rule(drawn):
     assert with_solver_noise(floats) == found
 
 
+@settings(max_examples=150, deadline=None)
+@given(planted_rows(quadratic))
+def test_quadratic_regions_take_elimination_alone(drawn):
+    # rows with entries p + q PHI are decided exactly, with no LP
+    _, rows = drawn
+    expected = None if region_class(rows) == "empty" else per_row_equalities(rows)
+    with mock.patch("scipy.optimize.linprog", side_effect=AssertionError):
+        assert polytope.implicit_equalities(rows) == expected
+
+
 def cap_rows(rng, pinned=False):
     """16 rows in 6 parameters with 8 positive and 8 negative coefficients
     in every column, which grow the first elimination step to 64 rows and
-    the second past the cap; `pinned` makes row 1 the negation of row 0."""
+    a later one past the cap, Chernikov's rule notwithstanding; `pinned`
+    makes row 1 the negation of row 0."""
     columns = [rng.sample([rng.randint(1, 6) for _ in range(8)]
                           + [-rng.randint(1, 6) for _ in range(8)], 16)
                for _ in range(6)]
@@ -341,13 +353,17 @@ def cap_rows(rng, pinned=False):
     return rows
 
 
-def test_row_cap_leaves_the_verdict_to_the_lp():
+def test_exact_rows_past_the_cap_raise_and_their_float_copies_take_the_lp():
     rng = random.Random(3)
     verdicts = set()
     for k in range(6):
         rows = cap_rows(rng, pinned=k % 2)
         assert polytope._fourier_motzkin(rows) is None
-        verdicts.add(check_against_highs(rows)[0])
+        with mock.patch("scipy.optimize.linprog", side_effect=AssertionError):
+            with pytest.raises(NbgError, match="elimination passed 200 rows"):
+                polytope.implicit_equalities(rows)
+        floats = [(float(value), [float(c) for c in coefs]) for value, coefs in rows]
+        verdicts.add(check_against_highs(floats)[0])
     assert verdicts == {"empty", "full", "pinched"}
 
 
@@ -423,15 +439,17 @@ class TestSingleLpSite:
 
     def test_exact_solve_loads_no_scipy_module(self):
         # path alpha = 1, n = 8 meets 25 regions of two or more parameters,
-        # 10 of them pinched, and elimination decides each of them
+        # 10 of them pinched, and the 5-cycle at alpha = PHI meets Q(sqrt 5)
+        # regions; elimination decides each of them
         package = Path(nbg.__file__).parent
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg; "
-                "from fractions import Fraction; "
-                "nbg.solve_affine_by_supports(nbg.make_family('path', Fraction(1), n=8)); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code, str(package.parent)],
-                             check=True, capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        for game in ("nbg.make_family('path', Fraction(1), n=8)",
+                     "nbg.make_family('cycle', nbg.PHI, n=5)"):
+            code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg; "
+                    f"from fractions import Fraction; nbg.solve_affine_by_supports({game}); "
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            out = subprocess.run([sys.executable, "-c", code, str(package.parent)],
+                                 check=True, capture_output=True, text=True).stdout
+            assert out.strip() == "[]", game
 
     def test_no_module_imports_numpy(self):
         for path in Path(nbg.__file__).parent.glob("*.py"):
