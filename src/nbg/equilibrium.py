@@ -638,7 +638,6 @@ def _equilibria(pass_: _SupportPass, systems) -> list:
         if not any(all(abs(a - b) <= pass_.tol for a, b in zip(point.x.masses, kept.x.masses))
                    for kept in kept_points):
             kept_points.append(point)
-    families.sort(key=lambda f: f.bitmask)
     return sorted(kept_points + families, key=lambda e: e.bitmask)
 
 
@@ -767,8 +766,8 @@ def _restrict_family(pass_, support, den, vectors):
         tight = [rows[i] for i in equalities if any(c != 0 for c in rows[i][1])]
         reduced = solve_linear_system([list(coefs) for _, coefs in tight],
                                       [-value for value, _ in tight]) if tight else None
-        # elimination names exact equalities, so only the LP on float rows
-        # can misdetect one, which leaves the family its full constraint polytope
+        # float rows can name equalities with no common solution, which
+        # leaves the family its full constraint polytope
         if reduced and reduced.status != "none":
             q, t0, units = reduced.denominator, reduced.numerators, reduced.basis_numerators
             vectors, den = _fold_family(vectors, q, t0, units), q * den

@@ -22,6 +22,7 @@ FLOAT_TOLERANCE = 1e-9
 ROUNDING_TOLERANCE = 2.0 ** -44
 #: a float entry at most this share of the largest entry it is read with
 #: counts as zero: linalg's pivots and right-hand sides, polytope's slopes
+#: and the coefficients that its elimination cancels
 ZERO_SHARE = 1e-12
 
 
@@ -29,8 +30,10 @@ class QuadExt:
     """Number a + b*sqrt(5) with rational a, b.
 
     Closed under +, -, *, / and totally ordered via exact sign tests, so the
-    rational solvers work unchanged over this field. Instances always have
-    b != 0: the `quadext` helper collapses b == 0 to a plain Fraction.
+    rational solvers work unchanged over this field. The `quadext` helper
+    collapses b == 0 to a plain Fraction; an instance built with b == 0
+    (`quadext_diff_sign` builds such differences) hashes and tests as the
+    rational a.
     """
 
     __slots__ = ("a", "b")
@@ -175,7 +178,10 @@ class QuadExt:
         return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        return hash((self.a, self.b, "sqrt5"))
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, "sqrt5"))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(5.0)

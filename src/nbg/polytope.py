@@ -11,21 +11,17 @@ pairs are compared by cross-multiplication, and only the two end points
 are divided, so rational rows give exact Fraction end points. Bounded
 regions are the convex hull of their vertices, which `vertices` lists
 by solving each choice of d rows as equalities, again by one rule for
-every scalar kind. Larger exact regions (every entry an int, a Fraction
-or in Q(sqrt 5)) are decided by Fourier-Motzkin elimination alone: it
-finds whether the region is empty and names the rows that hold with
-equality over all of it, with no float step, and raises past a row cap.
-Larger float regions go to the one linear program, which runs in float
-HiGHS and finds every implicit equality at once. scipy is imported on
-the first LP call, so importing the package, and solving exact games,
-never load it.
+every scalar kind. Larger regions are decided by Fourier-Motzkin
+elimination: it finds whether the region is empty and names the rows
+that hold with equality over all of it, exactly on exact rows (every
+entry an int, a Fraction or in Q(sqrt 5)) and within one slack rule on
+float rows, and raises past a row cap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from . import numeric
 from .errors import NbgError
@@ -108,50 +104,48 @@ def vertices(rows, tol=0):
             yield t
 
 
-def _lp_rows(rows):
-    """(A, b, s): the rows as A u <= b in u = t / s. implicit_equalities
-    sends only float rows here. HiGHS's feasibility tolerances are
-    absolute, so each row whose largest |entry| passes 1 is first divided
-    by the power of two within a factor of two of it, which moves no
-    implicit equality and keeps rows with entries near 10^14 from reading
-    as infeasible. Rows are never scaled up: a row of float rounding
-    noise, such as a flat row of value -3e-17, stays within the LP's
-    tolerance. Then s, the power of two within a factor of two of
-    max|value| / max|coef| (1 if either is 0), brings values that scale
-    with r to the coefficients' size, exactly: a game scaled by 2^k poses
-    the same LP."""
-    scaled = []
-    for value, coefs in rows:
-        row = [float(value), *map(float, coefs)]
-        size = max(1.0, numeric.power_of_two_ratio(max(map(abs, row)), 1.0))
-        scaled.append([v / size for v in row])
-    a = [[-c for c in row[1:]] for row in scaled]
-    values = [row[0] for row in scaled]
-    s = numeric.power_of_two_ratio(max(map(abs, values), default=0.0),
-                                   max((abs(c) for row in a for c in row), default=0.0))
-    return a, [v / s for v in values], s
+def _float_sum(p, q, col):
+    """The sum of float rows p and q that cancels column col, where p[col]
+    > 0 > q[col]. An entry within numeric.ZERO_SHARE of the larger of the
+    two terms it adds is rounding noise, and is 0; the value is a plain
+    sum, left to the slack rule of `_fourier_motzkin`."""
+    a, b = -q[col], p[col]
+    out = [a * p[0] + b * q[0]]
+    for u, v in zip(p[1:], q[1:]):
+        x, y = a * u, b * v
+        out.append(0.0 if abs(x + y) <= numeric.ZERO_SHARE * max(abs(x), abs(y)) else x + y)
+    return out
 
 
-def _violates_flat_row(rows, tol) -> bool:
-    """The zero-slope rule of `interval`: a row free of parameters with
-    value below -tol empties the region."""
-    is_zero = _zero_test(rows)
-    return any(value < -tol and all(map(is_zero, coefs)) for value, coefs in rows)
+def _fourier_motzkin(rows, tol=0):
+    """The implicit equalities of the region of the rows by Fourier-Motzkin
+    elimination (Schrijver, Theory of Linear and Integer Programming, 1986,
+    section 12.2): the sorted indices of every row that a combination free
+    of parameters and of value 0 uses, "empty" when such a combination is
+    negative, or None when a step would keep more than ELIMINATION_ROW_CAP
+    rows.
 
+    Exact rows (int, Fraction or Q(sqrt 5) entries) are decided at
+    tolerance 0. Rational rows are scaled to integers, and rows with a
+    Q(sqrt 5) entry kept as they are. Each sum is divided by its gcd when
+    it is a row of ints, else by the absolute value of its first nonzero
+    coefficient.
 
-def _fourier_motzkin(rows):
-    """The implicit equalities of the region of exact rows (int, Fraction
-    or Q(sqrt 5) entries) by Fourier-Motzkin elimination (Schrijver,
-    Theory of Linear and Integer Programming, 1986, section 12.2): the
-    sorted indices of every row that a combination free of parameters and
-    of value 0 uses, "empty" when such a combination is negative, or None
-    when a step would keep more than ELIMINATION_ROW_CAP rows.
+    Float rows take one slack rule. A coefficient that `_zero_test` reads
+    as 0 is 0, each row and each sum with a parameter is divided by its
+    largest |coefficient|, and `_float_sum` zeroes the coefficients that
+    a sum cancels. Each row carries two more entries, which every sum
+    combines like its values: its weight w, 1 on an input row, and the
+    size m of the values it adds, |value| on an input row. A point that meets every
+    row within tol meets a sum within tol * w, and the rounding of a sum's
+    value is taken to be at most numeric.ROUNDING_TOLERANCE * m, 256
+    machine epsilons of what it adds. So a sum free of parameters whose
+    value is below -(tol * w + ROUNDING_TOLERANCE * m) empties the region,
+    and one within that slack of 0 counts as 0. Rows and tol times a power
+    of two take the same steps.
 
-    Rational rows are scaled to integers, and rows with a Q(sqrt 5) entry
-    kept as they are. Each sum is divided by its gcd when it is a row of
-    ints, else by the absolute value of its first nonzero coefficient,
-    and keeps the mask of its own input rows. Each step eliminates the
-    parameter with the fewest pairs of a positive and a negative
+    Each sum keeps the mask of its own input rows. Each step eliminates
+    the parameter with the fewest pairs of a positive and a negative
     coefficient, and the sum of a pair cancels it; after k steps no sum of
     more than k + 1 input rows is made (Chernikov, USSR Comput. Math.
     Math. Phys. 5, 1965). The verdict stays that of plain elimination.
@@ -161,20 +155,31 @@ def _fourier_motzkin(rows):
     the same: on a nonempty region a row is an implicit equality exactly
     when a sum of value 0 uses it.
     """
-    equal, sums = 0, []
-    for i, (value, coefs) in enumerate(rows):
-        row = (value, *coefs)
-        kinds = {type(v) for v in row}
-        if kinds != {int} and numeric.rational_types(kinds):
-            row, _ = numeric.integer_row(row)
-        sums.append((row, 1 << i))
+    floating = not numeric.all_exact(v for value, coefs in rows for v in (value, *coefs))
+    if floating:
+        is_zero = _zero_test(rows)
+        # (value, coefficients, weight, size)
+        sums = [((float(value), *(0.0 if is_zero(c) else float(c) for c in coefs),
+                  1.0, abs(float(value))), 1 << i) for i, (value, coefs) in enumerate(rows)]
+    else:
+        sums = []
+        for i, (value, coefs) in enumerate(rows):
+            row = (value, *coefs)
+            kinds = {type(v) for v in row}
+            if kinds != {int} and numeric.rational_types(kinds):
+                row, _ = numeric.integer_row(row)
+            sums.append((row, 1 << i))
+    equal = 0
     columns = list(range(1, len(rows[0][1]) + 1)) if rows else []
     steps = 0
     while True:
         live = {}
         for row, mask in sums:
-            if any(c != 0 for c in row[1:]):
-                if all(type(v) is int for v in row):
+            if any(row[c] for c in columns):
+                if floating:
+                    scale = max(abs(row[c]) for c in columns)
+                    row = tuple(v / scale for v in row)
+                elif all(type(v) is int for v in row):
                     g = math.gcd(*row)
                     row = tuple(v // g for v in row)
                 else:
@@ -183,9 +188,11 @@ def _fourier_motzkin(rows):
                     row = tuple(numeric.quotient(v, scale) for v in row)
                 # a dict keeps one copy of each (row, mask), in a fixed order
                 live[row, mask] = None
-            elif row[0] < 0:
+                continue
+            slack = tol * row[-2] + numeric.ROUNDING_TOLERANCE * row[-1] if floating else 0
+            if row[0] < -slack:
                 return "empty"
-            elif row[0] == 0:
+            if row[0] <= slack:
                 equal |= mask
         if not live:
             return [i for i in range(len(rows)) if equal >> i & 1]
@@ -199,7 +206,8 @@ def _fourier_motzkin(rows):
         columns.remove(col)
         steps += 1
         sums = [(row, mask) for row, mask in live if row[col] == 0]
-        sums += [([-q[col] * u + p[col] * v for u, v in zip(p, q)], p_mask | q_mask)
+        sums += [(_float_sum(p, q, col) if floating
+                  else [-q[col] * u + p[col] * v for u, v in zip(p, q)], p_mask | q_mask)
                  for p, p_mask in pos for q, q_mask in neg
                  if (p_mask | q_mask).bit_count() <= steps + 1]
         if len(sums) > ELIMINATION_ROW_CAP:
@@ -208,48 +216,11 @@ def _fourier_motzkin(rows):
 
 def implicit_equalities(rows, tol=0):
     """Indices of the rows that hold with equality over the whole region,
-    in row order, or None when the region is empty.
-
-    Exact rows are decided by `_fourier_motzkin`, which gives None on an
-    empty region and otherwise the implicit equalities it names; `tol`
-    serves float rows only. On float rows, a row free of parameters with
-    value below -tol empties the region, which needs no LP (the
-    zero-slope rule of `interval`); otherwise one float LP in (t free,
-    theta >= 1, 0 <= y <= 1) decides every row (Freund, Roundy & Todd,
-    MIT Sloan WP 1674-85, 1985):
-
-        maximise sum y_i  subject to  y_i <= value_i * theta + coefs_i . t.
-
-    (t, theta) is feasible exactly when t / theta lies in the region. An
-    implicit equality keeps y_i <= 0; every other row is positive at a
-    relative interior point, which a large enough theta scales until all
-    of them reach y_i = 1. So the optimal y is 0 on the implicit
-    equalities and 1 elsewhere, and y_i < 1/2 tells them apart. The LP
-    runs in the u of `_lp_rows`, which leaves the equalities as they are.
-    When HiGHS neither solves the LP nor proves it infeasible, elimination
-    decides exact Fraction copies of the float rows instead. Elimination
-    past ELIMINATION_ROW_CAP raises NbgError.
-    """
-    if numeric.all_exact(v for value, coefs in rows for v in (value, *coefs)):
-        found = _fourier_motzkin(rows)
-    elif _violates_flat_row(rows, tol):
-        return None
-    else:
-        from scipy.optimize import linprog
-
-        m, d = len(rows), len(rows[0][1])
-        # columns: u, theta, y
-        a_ub = [row + [-value] + [float(k == i) for k in range(m)]
-                for i, (row, value) in enumerate(zip(*_lp_rows(rows)[:2]))]
-        objective = [0.0] * (d + 1) + [-1.0] * m
-        bounds = [(None, None)] * d + [(1, None)] + [(0, 1)] * m
-        res = linprog(objective, A_ub=a_ub, b_ub=[0.0] * m, bounds=bounds, method="highs")
-        if res.status == 2:
-            return None
-        if res.status == 0:
-            return [i for i, y in enumerate(res.x[d + 1:]) if y < 0.5]
-        found = _fourier_motzkin([(Fraction(float(value)), [Fraction(float(c)) for c in coefs])
-                                  for value, coefs in rows])
+    in row order, or None when the region is empty, as `_fourier_motzkin`
+    decides them for every scalar kind: exactly on exact rows, and within
+    `tol` and the rounding of its sums on float rows. Elimination past
+    ELIMINATION_ROW_CAP raises NbgError."""
+    found = _fourier_motzkin(rows, tol)
     if found is None:
         raise NbgError(f"elimination passed {ELIMINATION_ROW_CAP} rows")
     return None if found == "empty" else found

@@ -92,6 +92,13 @@ class TestQuadExtField:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_a_rational_instance_hashes_and_tests_as_its_rational(self):
+        # quadext_diff_sign builds such instances, with b = 0
+        assert len({QuadExt(1, 0), 1}) == 1
+        assert {QuadExt(Fraction(1, 2), 0): "a"}[Fraction(1, 2)] == "a"
+        assert not QuadExt(0, 0)
+        assert QuadExt(0, 1) and QuadExt(1, 0)
+
     def test_constructor_collapses_rational_values(self):
         assert isinstance(quadext(Fraction(3, 4)), Fraction)
         assert isinstance(quadext(2, 0), Fraction)

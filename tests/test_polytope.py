@@ -1,7 +1,7 @@
 """Constraint polytopes: the exact interval rule, region vertices, the
-implicit equalities that Fourier-Motzkin elimination names, the
-implicit-equality LP, and the guard that keeps the one linear program
-behind nbg.polytope."""
+implicit equalities that Fourier-Motzkin elimination names on exact and
+float rows, checked against HiGHS oracles, and the guard that keeps
+scipy and numpy out of nbg."""
 
 import ast
 import random
@@ -9,10 +9,8 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -128,13 +126,12 @@ class TestLinearPrograms:
         big = 379610664429672
         rows = [(big, [-big, 641411122657032]), (0, [big, 0]), (0, [0, 0]),
                 (0, [0, -1021021787086704]), (0, [0, big]), (0, [0, 0])]
-        # every entry is below 2^53, so the float copy is the same region,
-        # and it takes the LP
+        assert polytope.implicit_equalities(rows) == [2, 3, 4, 5]
+        # every entry is below 2^53, so the float copy is the same region;
+        # elimination divides each of its rows by its largest |coefficient|
         floats = [(float(value), [float(c) for c in coefs]) for value, coefs in rows]
         assert polytope.implicit_equalities(floats) == [2, 3, 4, 5]
-        # the int rows are decided by elimination, with no LP
-        with mock.patch("scipy.optimize.linprog", side_effect=AssertionError):
-            assert polytope.implicit_equalities(rows) == [2, 3, 4, 5]
+        assert per_row_equalities(floats) == [2, 3, 4, 5]
 
     def test_a_flat_row_of_rounding_noise_is_not_scaled_up(self):
         # a float family's rows, the last a zero-slope row whose value is
@@ -145,25 +142,29 @@ class TestLinearPrograms:
                 (-2.7755575615628914e-17, [0.0, 0.0])]
         assert polytope.implicit_equalities(rows, 1e-9) == [5]
 
-    def test_a_failed_lp_is_decided_by_elimination(self):
-        # HiGHS can end with neither a solution nor a proof of
-        # infeasibility (status 4, "model_status Unknown")
+    def test_float_rows_take_the_same_elimination(self):
         def floats(rows):
             return [(float(v), [float(c) for c in coefs]) for v, coefs in rows]
 
         corner = TRIANGLE + [(0, [-1, -1])]
-        failed = mock.Mock(return_value=SimpleNamespace(status=4))
-        # the exact corner is decided by elimination and never reaches
-        # the LP; float rows do, and after a failed LP, elimination decides
-        # their exact copies and raises past the cap
-        with mock.patch("scipy.optimize.linprog", failed):
-            assert polytope.implicit_equalities(corner) == [0, 1, 3]
-            assert polytope.implicit_equalities(floats(corner)) == [0, 1, 3]
-            assert polytope.implicit_equalities(floats(TRIANGLE)) == []
-            assert polytope.implicit_equalities(floats(TRIANGLE + [(-2, [1, 1])])) is None
-            with pytest.raises(NbgError, match="elimination passed 200 rows"):
-                polytope.implicit_equalities(floats(cap_rows(random.Random(3))))
-        assert failed.call_count == 4
+        assert polytope.implicit_equalities(floats(corner)) == [0, 1, 3]
+        assert polytope.implicit_equalities(floats(TRIANGLE)) == []
+        assert polytope.implicit_equalities(floats(TRIANGLE + [(-2, [1, 1])])) is None
+
+    @pytest.mark.parametrize("k", [0, 40])
+    def test_float_values_that_cancel_to_rounding_noise_pinch_the_region(self, k):
+        # t2 >= -1, t3 >= -1/3 and t2 + t3 <= 4/3 pinch the region to a
+        # face, but the binary values of the float rows sum to 2^-54, so
+        # in exact arithmetic the region is full-dimensional. That is
+        # within the rounding of the sum that cancels both parameters, so
+        # every row is tight, as the per-row oracle finds on the unscaled
+        # rows (its 1e-9 is absolute); at 2^40 times the rows as well
+        s = 2.0 ** k
+        rows = [(s, [0.0, s, 0.0]), (s / 3, [0.0, 0.0, s]), (-4 / 3 * s, [0.0, -s, -s])]
+        assert sum(Fraction(value) for value, _ in rows) == Fraction(s) / 2 ** 54
+        assert polytope.implicit_equalities(rows) == [0, 1, 2]
+        if k == 0:
+            assert per_row_equalities(rows) == [0, 1, 2]
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -280,31 +281,12 @@ def planted_rows(draw, entries=entry):
     return dim, draw(st.permutations(rows))
 
 
-def with_solver_noise(rows):
-    """`implicit_equalities` with every y HiGHS returns moved 1e-7 towards
-    1/2, the slack its default feasibility tolerance allows."""
-    import scipy.optimize
-
-    linprog = scipy.optimize.linprog
-
-    def noisy(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        if res.status == 0:
-            ys = res.x[-len(rows):]
-            ys += 1e-7 * np.sign(0.5 - ys)
-        return res
-
-    with mock.patch.object(scipy.optimize, "linprog", noisy):
-        return polytope.implicit_equalities(rows)
-
-
 def check_against_highs(rows):
     """Every verdict on `rows` against the HiGHS oracles. Returns the
     region's class and the implicit equalities found."""
     expected = region_class(rows)
     equalities = "empty" if expected == "empty" else per_row_equalities(rows)
-    if nbg.numeric.all_exact(v for value, coefs in rows for v in (value, *coefs)):
-        assert polytope._fourier_motzkin(rows) == equalities
+    assert polytope._fourier_motzkin(rows) == equalities
     found = polytope.implicit_equalities(rows)
     assert found == (None if expected == "empty" else equalities)
     return expected, found
@@ -312,29 +294,37 @@ def check_against_highs(rows):
 
 @settings(max_examples=200, deadline=None)
 @given(planted_rows())
-# a pinched region on which HiGHS reports status 4 ("model_status
-# Unknown"), so its float copy, like its rows, is decided by elimination
+# a pinched region of nine rows in three parameters
 @example((3, [(0, [0, -1, 0]), (0, [1, -1, 0]), (2, [-1, 1, -1]), (0, [0, -1, 0]),
               (-1, [-1, -4, 2]), (5, [-1, 2, 0]), (0, [-1, 1, 2]), (1, [-1, 1, -1]),
               (-1, [1, -1, 1])]))
 def test_implicit_equalities_match_the_per_row_rule(drawn):
     _, rows = drawn
     expected, found = check_against_highs(rows)
-    assert with_solver_noise(rows) == found
-    # a float copy of every region takes the LP, empty and full ones too
+    # a float copy of every region gets the same verdict
     floats = [(float(value), [float(c) for c in coefs]) for value, coefs in rows]
     assert check_against_highs(floats) == (expected, found)
-    assert with_solver_noise(floats) == found
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_rows(), st.integers(min_value=-40, max_value=40), st.sampled_from([0.0, 1e-9]))
+def test_float_verdicts_do_not_depend_on_scale(drawn, k, tol):
+    # rows and tol times 2^k take the same elimination steps
+    _, rows = drawn
+    floats = [(float(value), [float(c) for c in coefs]) for value, coefs in rows]
+    s = 2.0 ** k
+    scaled = [(value * s, [c * s for c in coefs]) for value, coefs in floats]
+    assert (polytope.implicit_equalities(scaled, tol * s)
+            == polytope.implicit_equalities(floats, tol))
 
 
 @settings(max_examples=150, deadline=None)
 @given(planted_rows(quadratic))
 def test_quadratic_regions_take_elimination_alone(drawn):
-    # rows with entries p + q PHI are decided exactly, with no LP
+    # rows with entries p + q PHI are decided exactly
     _, rows = drawn
     expected = None if region_class(rows) == "empty" else per_row_equalities(rows)
-    with mock.patch("scipy.optimize.linprog", side_effect=AssertionError):
-        assert polytope.implicit_equalities(rows) == expected
+    assert polytope.implicit_equalities(rows) == expected
 
 
 def cap_rows(rng, pinned=False):
@@ -353,17 +343,18 @@ def cap_rows(rng, pinned=False):
     return rows
 
 
-def test_exact_rows_past_the_cap_raise_and_their_float_copies_take_the_lp():
+def test_exact_and_float_rows_past_the_cap_raise():
+    # whatever the region: empty, full-dimensional or pinched
     rng = random.Random(3)
     verdicts = set()
     for k in range(6):
         rows = cap_rows(rng, pinned=k % 2)
-        assert polytope._fourier_motzkin(rows) is None
-        with mock.patch("scipy.optimize.linprog", side_effect=AssertionError):
-            with pytest.raises(NbgError, match="elimination passed 200 rows"):
-                polytope.implicit_equalities(rows)
         floats = [(float(value), [float(c) for c in coefs]) for value, coefs in rows]
-        verdicts.add(check_against_highs(floats)[0])
+        for copy in (rows, floats):
+            assert polytope._fourier_motzkin(copy) is None
+            with pytest.raises(NbgError, match="elimination passed 200 rows"):
+                polytope.implicit_equalities(copy)
+        verdicts.add(region_class(floats))
     assert verdicts == {"empty", "full", "pinched"}
 
 
@@ -400,18 +391,11 @@ def imported_packages(path):
 
 
 class TestSingleLpSite:
-    def test_linprog_only_in_polytope(self):
-        package = Path(nbg.__file__).parent
-        users = sorted(path.name for path in package.glob("*.py")
-                       if "linprog" in path.read_text(encoding="utf-8"))
-        assert users == ["polytope.py"]
-        # one call, in implicit_equalities
-        tree = ast.parse((package / "polytope.py").read_text(encoding="utf-8"))
-        callers = [function.name for function in ast.walk(tree)
-                   if isinstance(function, ast.FunctionDef)
-                   for node in ast.walk(function)
-                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "linprog"]
-        assert callers == ["implicit_equalities"]
+    def test_no_module_imports_scipy(self):
+        # nor names linprog: every family region is decided by elimination
+        for path in Path(nbg.__file__).parent.glob("*.py"):
+            assert "scipy" not in imported_packages(path), path.name
+            assert "linprog" not in path.read_text(encoding="utf-8"), path.name
 
     def test_equilibrium_imports_neither_numpy_nor_scipy(self):
         path = Path(nbg.__file__).parent / "equilibrium.py"
@@ -425,25 +409,16 @@ class TestSingleLpSite:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
-    def test_import_loads_no_scipy_module(self):
-        package = Path(nbg.__file__).parent
-        users = sorted(path.name for path in package.glob("*.py")
-                       if "scipy" in path.read_text(encoding="utf-8"))
-        assert users == ["polytope.py"]
-        # nor any numpy module, which scipy would bring
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
-        out = subprocess.run([sys.executable, "-c", code, str(package.parent)],
-                             check=True, capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
-
     def test_exact_solve_loads_no_scipy_module(self):
         # path alpha = 1, n = 8 meets 25 regions of two or more parameters,
         # 10 of them pinched, and the 5-cycle at alpha = PHI meets Q(sqrt 5)
-        # regions; elimination decides each of them
+        # regions; the float cycle n = 6 and path n = 9 at alpha = 1.0 meet
+        # float regions of two or more parameters. Elimination decides each
         package = Path(nbg.__file__).parent
         for game in ("nbg.make_family('path', Fraction(1), n=8)",
-                     "nbg.make_family('cycle', nbg.PHI, n=5)"):
+                     "nbg.make_family('cycle', nbg.PHI, n=5)",
+                     "nbg.make_family('cycle', 1.0, n=6)",
+                     "nbg.make_family('path', 1.0, n=9)"):
             code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg; "
                     f"from fractions import Fraction; nbg.solve_affine_by_supports({game}); "
                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -14,20 +14,43 @@ from fractions import Fraction
 from itertools import combinations
 
 from nbg import (Digraph, EquilibriumFamily, EquilibriumPoint, Game, affine,
-                 digraph, influence_from_triples, polytope)
+                 digraph, influence_from_triples, numeric)
 
 
 # ---------------------------------------------------------------------------
 # linear programming oracles
 
 
+def lp_rows(rows):
+    """(A, b, s): the rows as A u <= b in u = t / s. HiGHS's feasibility
+    tolerances are absolute, so each row whose largest |entry| passes 1 is
+    first divided by the power of two within a factor of two of it, which
+    moves no implicit equality and keeps rows with entries near 10^14 from
+    reading as infeasible. Rows are never scaled up: a row of float
+    rounding noise, such as a flat row of value -3e-17, stays within the
+    LP's tolerance. Then s, the power of two within a factor of two of
+    max|value| / max|coef| (1 if either is 0), brings values that scale
+    with r to the coefficients' size, exactly: a game scaled by 2^k poses
+    the same LP."""
+    scaled = []
+    for value, coefs in rows:
+        row = [float(value), *map(float, coefs)]
+        size = max(1.0, numeric.power_of_two_ratio(max(map(abs, row)), 1.0))
+        scaled.append([v / size for v in row])
+    a = [[-c for c in row[1:]] for row in scaled]
+    values = [row[0] for row in scaled]
+    s = numeric.power_of_two_ratio(max(map(abs, values), default=0.0),
+                                   max((abs(c) for row in a for c in row), default=0.0))
+    return a, [v / s for v in values], s
+
+
 def lp_minimum(rows, objective):
     """Minimise objective . t over the rows by one HiGHS LP, posed in the
-    u of `polytope._lp_rows`. Returns (minimum, minimiser) mapped back to
-    t, or None when the program is infeasible, unbounded or fails."""
+    u of `lp_rows`. Returns (minimum, minimiser) mapped back to t, or None
+    when the program is infeasible, unbounded or fails."""
     from scipy.optimize import linprog
 
-    a_ub, b_ub, s = polytope._lp_rows(rows)
+    a_ub, b_ub, s = lp_rows(rows)
     res = linprog(objective, A_ub=a_ub, b_ub=b_ub,
                   bounds=[(None, None)] * len(objective), method="highs")
     if res.status != 0:
