@@ -391,11 +391,24 @@ def imported_packages(path):
 
 
 class TestSingleLpSite:
-    def test_no_module_imports_scipy(self):
-        # nor names linprog: every family region is decided by elimination
-        for path in Path(nbg.__file__).parent.glob("*.py"):
+    def test_linprog_only_in_polytope(self):
+        # no module names linprog any more: every family region is decided
+        # by elimination, polytope.py included
+        package = Path(nbg.__file__).parent
+        users = sorted(path.name for path in package.glob("*.py")
+                       if "linprog" in path.read_text(encoding="utf-8"))
+        assert users == []
+
+    def test_import_loads_no_scipy_module(self):
+        package = Path(nbg.__file__).parent
+        for path in package.glob("*.py"):
             assert "scipy" not in imported_packages(path), path.name
-            assert "linprog" not in path.read_text(encoding="utf-8"), path.name
+        # nor any numpy module, which scipy would bring
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nbg.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+        out = subprocess.run([sys.executable, "-c", code, str(package.parent)],
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_equilibrium_imports_neither_numpy_nor_scipy(self):
         path = Path(nbg.__file__).parent / "equilibrium.py"
