@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import numeric, polytope
 from .errors import DimensionMismatchError, UnsupportedGameError
 from .games import Game, MassDistribution, cost_vector
-from .linalg import matvec, solve_linear_system
+from .linalg import bareiss_solution, bareiss_step, matvec, solve_linear_system
 
 #: eps grid size for delta-strong checks on games that are not affine
 DELTA_STRONG_SAMPLES = 33
@@ -513,39 +513,78 @@ class _SupportPass:
 
     def systems(self):
         """Yield (support, LinearSolution) for every consistent support
-        system, supports in bitmask order: the equal-cost rows of the
-        support in (x_S, c), scaled by D (on a float pass, in the cost
-        unit), and the sum row scaled by the denominator of r. Scaling
-        rows leaves the solution set as it is, and a rational elimination
-        starts from integers. Inconsistent systems are skipped."""
+        system, supports in bitmask order. A support's system has the
+        equal-cost rows of its vertices in (x_S, c), scaled by D (on a
+        float pass, in the cost unit), and the sum row scaled by the
+        denominator of r; scaling rows leaves the solution set as it is.
+
+        Bitmask order is the preorder of the tree that drops a support's
+        lowest vertex, and each system is its parent's bordered by that
+        vertex's row and column. So on a pass whose scaled entries are all
+        ints the supports share one fraction-free elimination that pivots
+        on their vertices, highest first: a stack holds, per support on
+        the current path, the last pivot, the rows of the vertices below
+        its lowest one and the sum row (over those vertices' columns, c
+        and the right-hand side) and its pivot rows. Each support then
+        costs one `linalg.bareiss_step` from its parent, and when the sum
+        row's c entry, its determinant, is nonzero, `bareiss_solution`
+        back-substitutes its unique solution. A support whose determinant
+        is zero (a family or an inconsistent system), that lies under a
+        zero pivot, or whose pass is float or Q(sqrt 5) is solved directly
+        by `solve_linear_system`, rows in vertex order and the sum row
+        last, columns x_S then c. Both give the same numerators over the
+        same denominator |det|. Inconsistent systems are skipped."""
         n, (r_den, r_num), unit = self.n, self.sum_row, self.cost_unit
         cost_rows, offsets = self.cost_rows, self.offsets
         if unit != 1:
             cost_rows = [[a / unit for a in row] for row in cost_rows]
             offsets = [b / unit for b in offsets]
-        targets = [-b for b in offsets]
-        rows_in = [row + [-self.scale] for row in cost_rows]
-        sum_rows = [[r_den] * k + [0] for k in range(n + 1)]
-        # a support's columns: its lowest vertex, those of the rest, then n
-        columns = [(n,)] * (1 << n)
+        # row i: the coefficients of cost i, -D for c, then -b_i; the sum
+        # row last
+        matrix = [row + [-self.scale, -b] for row, b in zip(cost_rows, offsets)]
+        matrix.append([r_den] * n + [0, r_num])
+        shared = all(type(v) is int for row in matrix for v in row)
+        # stack[k]: (support, state) of the last support of size k, state
+        # (last pivot, rows, pivot rows) or None off the shared elimination
+        stack = [((), (1, matrix, ()) if shared else None)]
         for mask in range(1, 1 << n):
             low = (mask & -mask).bit_length() - 1
-            cols = columns[mask] = (low,) + columns[mask & (mask - 1)]
-            support = cols[:-1]
-            rows = [[row[j] for j in cols] for row in [rows_in[i] for i in support]]
-            rows.append(sum_rows[len(support)])
-            solution = solve_linear_system(rows, [targets[i] for i in support] + [r_num])
-            if solution.status == "none":
-                continue
-            if unit != 1:
-                # the rows over the cost unit solve for c / unit: c is read
-                # back, and a free c (the last basis vector) keeps its unit step
-                read = [(*v[:-1], v[-1] * unit)
-                        for v in (solution.numerators, *solution.basis_numerators)]
-                if len(support) not in solution._pivots:
-                    read[-1] = tuple(v / unit for v in read[-1])
-                solution.numerators, solution.basis_numerators = read[0], tuple(read[1:])
-            yield support, solution
+            size = mask.bit_count()
+            support, state = stack[size - 1]
+            support = (low,) + support
+            solution = None
+            if state is not None and state[1][low][low]:
+                prev, rows, tops = state
+                top = rows[low]
+                rows, tops = bareiss_step(rows[:low] + rows[-1:], top, low, prev), (top,) + tops
+                state = top[low], rows, tops
+                solution = bareiss_solution(support, tops, rows[-1])
+            else:
+                state = None
+            stack[size:] = [(support, state)]
+            if solution is None:
+                solution = self._solve_directly(matrix, support)
+            if solution.status != "none":
+                yield support, solution
+
+    def _solve_directly(self, matrix, support):
+        """The support system of `support` (see `systems`) solved by
+        `solve_linear_system`, from the rows of `matrix` in vertex order,
+        the sum row last, and the columns x_S then c."""
+        n, unit = self.n, self.cost_unit
+        columns = support + (n,)
+        rows = [matrix[i] for i in support] + [matrix[n]]
+        solution = solve_linear_system([[row[j] for j in columns] for row in rows],
+                                       [row[-1] for row in rows])
+        if unit != 1 and solution.status != "none":
+            # the rows over the cost unit solve for c / unit: c is read
+            # back, and a free c (the last basis vector) keeps its unit step
+            read = [(*v[:-1], v[-1] * unit)
+                    for v in (solution.numerators, *solution.basis_numerators)]
+            if len(support) not in solution._pivots:
+                read[-1] = tuple(v / unit for v in read[-1])
+            solution.numerators, solution.basis_numerators = read[0], tuple(read[1:])
+        return solution
 
     def masses(self, support, nums):
         """The masses on the support in nums placed on the n vertices, with

@@ -16,6 +16,10 @@ over that one denominator (Bareiss, Math. Comp. 22, 1968).
 `LinearSolution` hands every solution on in that one form, float and
 Q(sqrt 5) ones as their values over 1, and builds the values only when
 they are read.
+
+`bareiss_step` and `bareiss_solution` split that elimination into its
+steps, so that systems which share their first pivots, such as the
+support systems of `equilibrium._SupportPass`, share those steps too.
 """
 
 from __future__ import annotations
@@ -115,6 +119,45 @@ def _bareiss(rows, ints=False):
                 reduced[c] = (prev * upper[c] - sum([f * r[c] for f, r in done])) // upper[col]
         m[k] = reduced
     return m, pivots, prev, sign, scales
+
+
+def bareiss_step(rows, top, col, prev):
+    """One fraction-free step on integer rows that end in a coefficient
+    column and the right-hand side: pivot p = top[col], and each row
+    becomes (p * a - f * b) // prev with f = row[col], on its first `col`
+    columns and its last two; the columns from `col` up to those two are
+    dropped. prev is the pivot of the step before (1 at the first). Every
+    entry stays a minor of the input (Bareiss, Math. Comp. 22, 1968), so
+    it does not depend on which other rows and columns are kept, and the
+    division is exact whether or not p is zero."""
+    pivot, tail = top[col], top[:col] + top[-2:]
+    return [[(pivot * a - row[col] * b) // prev for a, b in zip(row[:col] + row[-2:], tail)]
+            for row in rows]
+
+
+def bareiss_solution(columns, tops, last):
+    """The unique solution of a square integer system that `bareiss_step`
+    has brought to triangular form, or None when it is singular.
+
+    The last pivot comes first: tops[i] is the row that pivoted in column
+    columns[i], indexed by column, with entries in columns[:i], and it
+    ends in its entry in the column that `last` pivots in and its
+    right-hand side. last ends in (det, b), det the last pivot. Back
+    substitution multiplies through by det, so each quotient is Cramer's
+    integer numerator and exact. Returns the numerators in the order of
+    `columns`, then that of the last column, over |det|, as a unique
+    `LinearSolution` whose pivots are every column."""
+    det, last_num = last[-2], last[-1]
+    if not det:
+        return None
+    done = []
+    for col, top in zip(columns, tops):
+        done.append((col, (det * top[-1] - top[-2] * last_num
+                           - sum([top[c] * num for c, num in done])) // top[col]))
+    nums = [num for _, num in done] + [last_num]
+    if det < 0:
+        det, nums = -det, [-num for num in nums]
+    return LinearSolution("unique", range(len(nums)), det, tuple(nums), ())
 
 
 def _eliminate(m, is_zero, kind):

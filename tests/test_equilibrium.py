@@ -16,7 +16,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  price_report, solve_affine_by_supports, three_equilibria_game,
                  uniform_cost_solve, unique_nonstrong_game,
                  verify_delta_strong, verify_equilibrium)
-from nbg import polytope
+from nbg import equilibrium, polytope, solve_linear_system
 from nbg.equilibrium import _equal_cost_pass, _equilibria, _SupportPass
 from util import (cost_parameter_game, covered_corner_game, dense_costs, families_of,
                   family_matches, grid_delta_strong, is_equilibrium_oracle,
@@ -435,6 +435,103 @@ def test_points_on_a_family_are_dropped_and_no_others(game):
         assert (any(max(abs(a - b) for a, b in zip(p.x.masses, x.masses)) <= tol
                     for p in kept)
                 or any(f.contains(x) is not None for f in families)), support
+
+
+def direct_support_systems(pass_):
+    """(support, status, denominator, numerators, basis_numerators) of
+    each consistent support system of `pass_` in bitmask order, each
+    solved on its own by solve_linear_system: the scaled equal-cost rows
+    of the support in ascending vertex order and the sum row last, over
+    the columns x_S then c."""
+    n, (r_den, r_num) = pass_.n, pass_.sum_row
+    out = []
+    for mask in range(1, 1 << n):
+        support = tuple(i for i in range(n) if mask >> i & 1)
+        rows = [[pass_.cost_rows[i][j] for j in support] + [-pass_.scale] for i in support]
+        rows.append([r_den] * len(support) + [0])
+        rhs = [-pass_.offsets[i] for i in support] + [r_num]
+        solution = solve_linear_system(rows, rhs)
+        if solution.status != "none":
+            out.append((support, solution.status, solution.denominator,
+                        solution.numerators, solution.basis_numerators))
+    return out
+
+
+def shared_support_systems(pass_):
+    return [(support, s.status, s.denominator, s.numerators, s.basis_numerators)
+            for support, s in pass_.systems()]
+
+
+def support_passes(game):
+    """The equal-cost pass of an affine game and its M + M^T face pass."""
+    matrix, offsets = affine_coefficients(game)
+    n = game.n
+    symmetric = [[matrix[j][i] + matrix[i][j] for i in range(n)] for j in range(n)]
+    return _SupportPass(matrix, offsets, game.r), _SupportPass(symmetric, offsets, game.r)
+
+
+@st.composite
+def rational_games_with_zero_pivots(draw):
+    """Rational affine games with n <= 7 whose slopes, offsets and
+    influences are often zero, and whose vertices often repeat another
+    vertex's cost and influences, so that support systems meet zero
+    pivots and zero determinants."""
+    n = draw(st.integers(1, 7))
+    value = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3)])
+    costs, arcs = [], {}
+    for j in range(n):
+        source = draw(st.integers(0, 2 * j))
+        if source < j:  # a copy of vertex `source`'s cost and influences
+            costs.append(costs[source])
+            arcs.update({(i, j): arcs[(i, source)] for i in range(n)
+                         if i != j and (i, source) in arcs})
+            continue
+        costs.append(affine(draw(value), draw(value)))
+        arcs.update({(i, j): draw(value) for i in range(n) if i != j and draw(st.booleans())})
+    r = draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(5)]))
+    return Game.graphical(n, r, costs, influence_from_triples(
+        n, [(i, j, a) for (i, j), a in arcs.items()]))
+
+
+@settings(max_examples=100)
+@given(rational_games_with_zero_pivots())
+def test_shared_elimination_yields_the_direct_support_systems(game):
+    for pass_ in support_passes(game):
+        assert shared_support_systems(pass_) == direct_support_systems(pass_)
+
+
+def test_a_support_under_a_zero_pivot_is_solved_directly():
+    # vertex 1 has a constant cost, so the first pivot of every support
+    # with vertex 1 is zero, while the system of {0, 1} is not singular
+    game = Game.graphical(2, Fraction(1), [affine(Fraction(1), Fraction(0)),
+                                           affine(Fraction(0), Fraction(3, 4))],
+                          influence_from_triples(2, [(1, 0, Fraction(1, 2))]))
+    pass_ = _equal_cost_pass(game)
+    assert pass_.cost_rows[1][1] == 0
+    r_den = pass_.sum_row[0]
+    assert determinant([row + [-pass_.scale] for row in pass_.cost_rows] + [[r_den, r_den, 0]]) != 0
+    systems = shared_support_systems(pass_)
+    assert systems == direct_support_systems(pass_)
+    assert [(support, status) for support, status, *_ in systems] == [
+        ((0,), "unique"), ((1,), "unique"), ((0, 1), "unique")]
+    assert [(e.x.masses, e.cost) for e in solve_affine_by_supports(game)] == [
+        ((Fraction(1, 2), Fraction(1, 2)), Fraction(3, 4))]
+
+
+@pytest.mark.parametrize("alpha, direct", [(Fraction(1, 2), 0), (0.5, 255)])
+def test_rational_supports_with_nonzero_pivots_share_the_elimination(monkeypatch, alpha, direct):
+    # every principal minor of I + A/2 on a path is positive, so no
+    # rational support system is solved on its own; a float pass solves
+    # every one directly
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_linear_system(*args)
+
+    monkeypatch.setattr(equilibrium, "solve_linear_system", counted)
+    solved = solve_affine_by_supports(make_family("path", alpha, n=8))
+    assert len(solved) == 1 and len(calls) == direct
 
 
 class TestFamilyMechanics:

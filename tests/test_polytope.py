@@ -157,14 +157,13 @@ class TestLinearPrograms:
         # face, but the binary values of the float rows sum to 2^-54, so
         # in exact arithmetic the region is full-dimensional. That is
         # within the rounding of the sum that cancels both parameters, so
-        # every row is tight, as the per-row oracle finds on the unscaled
-        # rows (its 1e-9 is absolute); at 2^40 times the rows as well
+        # every row is tight, as the per-row oracle finds at both scales
+        # (its threshold scales with each row); at 2^40 times the rows as well
         s = 2.0 ** k
         rows = [(s, [0.0, s, 0.0]), (s / 3, [0.0, 0.0, s]), (-4 / 3 * s, [0.0, -s, -s])]
         assert sum(Fraction(value) for value, _ in rows) == Fraction(s) / 2 ** 54
         assert polytope.implicit_equalities(rows) == [0, 1, 2]
-        if k == 0:
-            assert per_row_equalities(rows) == [0, 1, 2]
+        assert per_row_equalities(rows) == [0, 1, 2]
 
 
 small = st.integers(min_value=-6, max_value=6)

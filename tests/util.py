@@ -60,11 +60,14 @@ def lp_minimum(rows, objective):
 
 def per_row_equalities(rows):
     """Implicit equalities by one HiGHS LP per row (`lp_minimum`): a row
-    is tight when its largest value over the region is at most 1e-9."""
+    is tight when its largest value over the region is at most 1e-9 times
+    its largest |entry|, value or coefficient, so scaling a row scales
+    its threshold with it."""
     tight = []
     for i, (value, coefs) in enumerate(rows):
         found = lp_minimum(rows, [-float(c) for c in coefs])
-        if found is not None and float(value) - found[0] <= 1e-9:
+        size = max(abs(float(v)) for v in (value, *coefs))
+        if found is not None and float(value) - found[0] <= 1e-9 * size:
             tight.append(i)
     return tight
 
