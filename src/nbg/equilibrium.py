@@ -511,7 +511,7 @@ class _SupportPass:
         self.columns = [tuple((s, a) for s, a in enumerate(row) if a != 0)
                         for row in self.cost_rows]
 
-    def systems(self):
+    def systems(self, screen=False):
         """Yield (support, LinearSolution) for every consistent support
         system, supports in bitmask order. A support's system has the
         equal-cost rows of its vertices in (x_S, c), scaled by D (on a
@@ -533,7 +533,16 @@ class _SupportPass:
         zero pivot, or whose pass is float or Q(sqrt 5) is solved directly
         by `solve_linear_system`, rows in vertex order and the sum row
         last, columns x_S then c. Both give the same numerators over the
-        same denominator |det|. Inconsistent systems are skipped."""
+        same denominator |det|. Inconsistent systems are skipped.
+
+        With `screen`, a support on the shared elimination whose
+        determinant is nonzero is first read by `_screened_out`, and one
+        that shows a negative mass at its lowest vertex or a vertex off
+        it that costs less than c is skipped without back-substitution:
+        `_accept_point` would reject it. `solve_affine_by_supports`
+        screens; `nbg.metrics` reads every system, since its optima need
+        supports that are not equilibria. On path alpha = 1/2, n = 10 the
+        screen leaves 341 of 1,023 supports to back-substitute."""
         n, (r_den, r_num), unit = self.n, self.sum_row, self.cost_unit
         cost_rows, offsets = self.cost_rows, self.offsets
         if unit != 1:
@@ -552,16 +561,20 @@ class _SupportPass:
             size = mask.bit_count()
             support, state = stack[size - 1]
             support = (low,) + support
-            solution = None
             if state is not None and state[1][low][low]:
-                prev, rows, tops = state
-                top = rows[low]
-                rows, tops = bareiss_step(rows[:low] + rows[-1:], top, low, prev), (top,) + tops
+                prev, parent, tops = state
+                top = parent[low]
+                rows, tops = bareiss_step(parent[:low] + parent[-1:], top, low, prev), (top,) + tops
                 state = top[low], rows, tops
-                solution = bareiss_solution(support, tops, rows[-1])
             else:
                 state = None
             stack[size:] = [(support, state)]
+            if state is None:
+                solution = None
+            elif screen and _screened_out(low, top, prev, rows, parent[low + 1:-1]):
+                continue
+            else:
+                solution = bareiss_solution(support, tops, rows[-1])
             if solution is None:
                 solution = self._solve_directly(matrix, support)
             if solution.status != "none":
@@ -613,6 +626,38 @@ class _SupportPass:
                       self.offsets[j] * den) - scaled_cost
 
 
+def _screened_out(low, top, prev, rows, dropped):
+    """Whether a support on the shared elimination of `_SupportPass.systems`
+    surely fails `_accept_point`, read off its step before any
+    back-substitution. `top` is the parent's row of the support's lowest
+    vertex `low`, which pivots in column `low`, and `prev` the pivot before
+    it; `rows` are the stepped rows, those of the vertices below `low` and
+    the sum row; `dropped` are the parent's rows of the vertices between
+    `low` and the parent's lowest vertex, which the step leaves out.
+
+    Every entry of the elimination is a minor (Bareiss, Math. Comp. 22,
+    1968). With det and num_c the sum row's c and right-hand side
+    entries, c = num_c / det, the mass of `low` is (det * top[-1] -
+    top[-2] * num_c) / (top[low] * det), and a vertex j off the support
+    whose row, stepped past the support's pivots, ends in (a, b) has
+    a * num_c - b * det = top[low] * det * D * (C_j(x) - c). Each sign is
+    read with det and num_c negated where that makes top[low] * det
+    positive. A zero gap, a tie, is never screened out. False when det is
+    zero: such a support is solved directly."""
+    pivot, (det, num_c) = top[low], rows[-1][-2:]
+    if not det:
+        return False
+    if (pivot < 0) != (det < 0):
+        det, num_c = -det, -num_c
+    if det * top[-1] < top[-2] * num_c:
+        return True
+    if any(row[-2] * num_c < row[-1] * det for row in rows[:-1]):
+        return True
+    a_top, b_top = top[-2:]
+    return any(((pivot * row[-2] - row[low] * a_top) // prev) * num_c
+               < ((pivot * row[-1] - row[low] * b_top) // prev) * det for row in dropped)
+
+
 def solve_affine_by_supports(game: Game) -> list:
     """All equilibria of an affine game, by support enumeration.
 
@@ -623,7 +668,7 @@ def solve_affine_by_supports(game: Game) -> list:
     demoted to points, and points lying inside a family are dropped.
     """
     pass_ = _equal_cost_pass(game)
-    return _equilibria(pass_, pass_.systems())
+    return _equilibria(pass_, pass_.systems(screen=True))
 
 
 def _equal_cost_pass(game: Game) -> _SupportPass:

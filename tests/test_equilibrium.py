@@ -18,6 +18,7 @@ from nbg import (DimensionMismatchError, EquilibriumFamily, EquilibriumPoint,
                  verify_delta_strong, verify_equilibrium)
 from nbg import equilibrium, polytope, solve_linear_system
 from nbg.equilibrium import _equal_cost_pass, _equilibria, _SupportPass
+from nbg.linalg import bareiss_solution
 from util import (cost_parameter_game, covered_corner_game, dense_costs, families_of,
                   family_matches, grid_delta_strong, is_equilibrium_oracle,
                   offsets_only_game, point_masses,
@@ -532,6 +533,57 @@ def test_rational_supports_with_nonzero_pivots_share_the_elimination(monkeypatch
     monkeypatch.setattr(equilibrium, "solve_linear_system", counted)
     solved = solve_affine_by_supports(make_family("path", alpha, n=8))
     assert len(solved) == 1 and len(calls) == direct
+
+
+@settings(max_examples=100)
+@given(rational_games_with_zero_pivots())
+def test_the_screen_skips_only_supports_that_accept_point_rejects(game):
+    # the screened systems are an ordered sub-list of all of them, every
+    # one left out is a unique solution that `_accept_point` rejects, and
+    # the equilibrium set read from either list is the same
+    for pass_ in support_passes(game):
+        every, screened = list(pass_.systems()), list(pass_.systems(screen=True))
+        kept = {support for support, _ in screened}
+        assert [(support, s.status, s.denominator, s.numerators)
+                for support, s in every if support in kept] == [
+            (support, s.status, s.denominator, s.numerators) for support, s in screened]
+        for support, solution in every:
+            if support not in kept:
+                assert solution.status == "unique", support
+                assert equilibrium._accept_point(pass_, support, solution.numerators,
+                                                  solution.denominator) is None, support
+        assert _equilibria(pass_, screened) == _equilibria(pass_, every)
+
+
+def test_the_screen_reads_each_sign_against_the_pivot_times_the_determinant():
+    # C_0 = x_0 + 3 x_1 and C_1 = x_1 + 3/2 tie at (1/2, 1/2). On the
+    # support {0, 1} the last pivot is 4 and the determinant -4, so a
+    # screen that read the signs of the raw entries would drop the
+    # interior equilibrium
+    game = Game.graphical(2, Fraction(1), [affine(Fraction(1), Fraction(0)),
+                                           affine(Fraction(1), Fraction(3, 2))],
+                          influence_from_triples(2, [(1, 0, Fraction(3))]))
+    assert [(e.x.masses, e.cost) for e in solve_affine_by_supports(game)] == [
+        ((Fraction(1), Fraction(0)), Fraction(1)),
+        ((Fraction(0), Fraction(1)), Fraction(5, 2)),
+        ((Fraction(1, 2), Fraction(1, 2)), Fraction(2))]
+
+
+def test_the_screen_back_substitutes_at_most_341_supports_on_path_n10(monkeypatch):
+    # on path alpha = 1/2, n = 10 every one of the 1,023 supports is on the
+    # shared elimination, and the screen leaves 341 to back-substitute
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return bareiss_solution(*args)
+
+    game = make_family("path", Fraction(1, 2), n=10)
+    pass_ = _equal_cost_pass(game)
+    expected = _equilibria(pass_, pass_.systems())
+    monkeypatch.setattr(equilibrium, "bareiss_solution", counted)
+    assert solve_affine_by_supports(game) == expected
+    assert len(calls) <= 341
 
 
 class TestFamilyMechanics:

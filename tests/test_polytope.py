@@ -305,6 +305,20 @@ def test_implicit_equalities_match_the_per_row_rule(drawn):
     assert check_against_highs(floats) == (expected, found)
 
 
+def test_rows_that_stall_the_highs_simplex_get_the_same_verdict():
+    # the last three rows sum to zero; HiGHS's simplex stops on row 9's
+    # LP with numerical difficulties (linprog status 4), and the oracle
+    # poses it again to the interior point method, which solves it
+    rows = [(0, [0, 0, 1, 1]), (0, [0, 1, 0, 1]), (0, [0, 1, 1, 0]), (0, [0, 2, 1, 0]),
+            (0, [1, 0, 0, Fraction(2, 3)]), (-3, [0, -1, Fraction(1, 2), 4]),
+            (0, [Fraction(-15, 4), 5, 5, Fraction(14, 3)]),
+            (1, [3, 4, -1, Fraction(-23, 4)]), (3, [Fraction(-1, 2), 1, -3, -5]),
+            (-4, [Fraction(-5, 2), -5, 4, Fraction(43, 4)])]
+    assert check_against_highs(rows) == ("pinched", [7, 8, 9])
+    floats = [(float(value), [float(c) for c in coefs]) for value, coefs in rows]
+    assert check_against_highs(floats) == ("pinched", [7, 8, 9])
+
+
 @settings(max_examples=150, deadline=None)
 @given(planted_rows(), st.integers(min_value=-40, max_value=40), st.sampled_from([0.0, 1e-9]))
 def test_float_verdicts_do_not_depend_on_scale(drawn, k, tol):

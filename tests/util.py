@@ -47,12 +47,18 @@ def lp_rows(rows):
 def lp_minimum(rows, objective):
     """Minimise objective . t over the rows by one HiGHS LP, posed in the
     u of `lp_rows`. Returns (minimum, minimiser) mapped back to t, or None
-    when the program is infeasible, unbounded or fails."""
+    when the program is infeasible, unbounded or fails. HiGHS's default
+    simplex can stop on numerical difficulties (linprog status 4) where
+    its interior point method solves the program, so such an answer is
+    posed once more to that method."""
     from scipy.optimize import linprog
 
     a_ub, b_ub, s = lp_rows(rows)
-    res = linprog(objective, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * len(objective), method="highs")
+    for method in ("highs", "highs-ipm"):
+        res = linprog(objective, A_ub=a_ub, b_ub=b_ub,
+                      bounds=[(None, None)] * len(objective), method=method)
+        if res.status != 4:
+            break
     if res.status != 0:
         return None
     return res.fun * s, res.x * s
